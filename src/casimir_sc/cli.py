@@ -103,7 +103,7 @@ def _run_sweep_command(args: argparse.Namespace, variable: str) -> int:
     rows: list = []
     interrupted = False
     try:
-        rows = run_sweep(cfg)
+        run_sweep(cfg, rows=rows)
     except KeyboardInterrupt:
         interrupted = True
     text = render_rows(cfg, rows)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .materials import (
     GapModel,
     MaterialParams,
     default_gap,
-    drude_eps,
     g_on_matsubara_grid,
     g_zero_limit,
 )
@@ -41,8 +40,6 @@ from .sc_state import Phase
 # ---------------------------------------------------------------------------
 # configuration and result types
 
-
-_KNOWN_SCHEMES = ("adaptive-gk15",)
 
 # Beyond this many Matsubara terms the sum is evaluated in its midpoint
 # Euler-Maclaurin integral form (only reached far below 1 K).
@@ -58,7 +55,6 @@ class EngineConfig:
     rel_tol_series: float = 1e-9
     matsubara_cap_full: float = 15.0   # xi_max in units of c/d
     matsubara_cap_diff: float = 60.0   # xi_max in units of 2*Delta(0)
-    quad_scheme: str = "adaptive-gk15"
 
     def __post_init__(self) -> None:
         for name in ("rel_tol_quadrature", "rel_tol_series"):
@@ -69,8 +65,6 @@ class EngineConfig:
             raise DomainError("matsubara_cap_full must be >= 10")
         if self.matsubara_cap_diff < 20.0:
             raise DomainError("matsubara_cap_diff must be >= 20 (a few tens)")
-        if self.quad_scheme not in _KNOWN_SCHEMES:
-            raise DomainError(f"unknown quadrature scheme {self.quad_scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -144,139 +138,144 @@ def zero_mode_reflections(material: MaterialParams, phase: Phase, T: float,
 
 
 # ---------------------------------------------------------------------------
-# slab models for the engine
+# wavevector integrands
+#
+# Each integrand maps a node grid y (rows of l, or one row) to
+# y * sum_pol log(1 - r_a r_b e^{-y}).  Its parameters broadcast against y:
+# yl and the per-l permittivities are columns over a block of l, or scalars
+# for one row.
 
 
-@dataclass(frozen=True)
-class _Slab:
-    """Reflection model of one half-space in scaled variables."""
-
-    eps_at: Optional[Callable[[int, float], float]]  # (l, xi_l) -> eps, or None for ideal
-    zero_kind: str                                   # "drude" | "plasma" | "ideal"
-    ks2d: float = 0.0                                # 2 d * Omega sqrt(g0)/hbar c
-
-
-def _slab_reflections(slab: _Slab, l: int, xi: float, yl: float,
-                      y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r_te, r_tm) on the y grid for Matsubara index l."""
-    if slab.eps_at is None:
-        return -np.ones_like(y), np.ones_like(y)
-    if l == 0:
-        if slab.zero_kind == "plasma":
-            w = np.sqrt(y * y + slab.ks2d * slab.ks2d)
-            return (y - w) / (y + w), np.ones_like(y)
-        return np.zeros_like(y), np.ones_like(y)
-    eps = slab.eps_at(l, xi)
+def _fresnel(eps, y, yl):
+    """(r_te, r_tm) in scaled variables for permittivity eps at y_l."""
     w = np.sqrt(y * y + (eps - 1.0) * yl * yl)
     return (y - w) / (y + w), (eps * y - w) / (eps * y + w)
 
 
-def _drude_slab(material: MaterialParams) -> _Slab:
-    return _Slab(eps_at=lambda l, xi: drude_eps(material, xi), zero_kind="drude")
+def _pair_log(y, yl, eps_a, eps_b):
+    rte_a, rtm_a = _fresnel(eps_a, y, yl)
+    rte_b, rtm_b = _fresnel(eps_b, y, yl)
+    damp = np.exp(-y)
+    return y * (np.log1p(-rte_a * rte_b * damp) + np.log1p(-rtm_a * rtm_b * damp))
 
 
-def _bcs_slab(material: MaterialParams, gap: GapModel, T: float,
-              g_grid: "_GGrid") -> _Slab:
-    om2 = material.omega_p ** 2
-    gamma = material.gamma
-
-    def eps_at(l: int, xi: float) -> float:
-        g = g_grid.at(l)
-        return 1.0 + (om2 / xi) * (1.0 / (xi + gamma) + g / xi)
-
-    g0 = g_zero_limit(material, gap, T)
-    return _Slab(eps_at=eps_at, zero_kind="plasma",
-                 ks2d=material.omega_p * math.sqrt(g0) / CONST.hbar_c)
+def _ideal_log(y, yl):
+    """Both mirrors ideal, r_te = -1 and r_tm = 1, at every l including 0."""
+    half = np.log1p(-np.exp(-y))
+    return y * (half + half)
 
 
-class _GGrid:
-    """Lazily grown table of g(xi_l; T) on the Matsubara grid."""
+def _tm_zero_log(y, yl):
+    """l = 0 with a Drude slab a: its TE zero mode vanishes, so only the
+    saturated TM pair remains, whatever the phase of slab b."""
+    return y * np.log1p(-np.exp(-y))
 
-    def __init__(self, material: MaterialParams, gap: GapModel, T: float,
-                 initial: int):
-        self._material = material
-        self._gap = gap
-        self._T = T
-        self._values = g_on_matsubara_grid(material, gap, T, initial)
 
-    def at(self, l: int) -> float:
-        if l >= self._values.size:
-            grow = max(2 * self._values.size, l + 64)
-            self._values = g_on_matsubara_grid(self._material, self._gap,
-                                               self._T, grow)
-        return float(self._values[l])
+def _diff_log(y, yl, eps_a, eps_n, eps_s):
+    """Cancellation-free integrand of the (normal - superconducting) term."""
+    rte_a, rtm_a = _fresnel(eps_a, y, yl)
+    d_eps = eps_s - eps_n
+    yl2 = yl * yl
+    w_n = np.sqrt(y * y + (eps_n - 1.0) * yl2)
+    w_s = np.sqrt(y * y + (eps_s - 1.0) * yl2)
+    dw = d_eps * yl2 / (w_s + w_n)
+    rte_s = (y - w_s) / (y + w_s)
+    rtm_s = (eps_s * y - w_s) / (eps_s * y + w_s)
+    d_rte = 2.0 * y * dw / ((y + w_n) * (y + w_s))            # rte_n - rte_s
+    d_rtm = (2.0 * y * d_eps * (eps_n * yl2 / (w_s + w_n) - w_n)
+             / ((eps_n * y + w_n) * (eps_s * y + w_s)))       # rtm_n - rtm_s
+    damp = np.exp(-y)
+    arg_te = rte_a * d_rte * damp / (1.0 - rte_a * rte_s * damp)
+    arg_tm = rtm_a * d_rtm * damp / (1.0 - rtm_a * rtm_s * damp)
+    return y * (np.log1p(-arg_te) + np.log1p(-arg_tm))
+
+
+def _drude(material: MaterialParams, xi):
+    return 1.0 + material.omega_p ** 2 / (xi * (xi + material.gamma))
+
+
+def _bcs(material: MaterialParams, xi, g):
+    return 1.0 + (material.omega_p ** 2 / xi) * (1.0 / (xi + material.gamma) + g / xi)
 
 
 # ---------------------------------------------------------------------------
-# per-term wavevector integrals
+# Matsubara series
 
 
 _COMPOSITE = CompositeKronrod(_Y_SPLITS)
+_BLOCK = 256
 
 
-def _term_integral(pair_log: Callable[[np.ndarray], np.ndarray], yl: float,
-                   rel_tol: float) -> tuple[float, float]:
-    """int_{yl}^{yl+Y_CUT} y * pair_log(y) dy on the shifted grid z = y - yl.
+def _terms(integrand, yl: np.ndarray, params: tuple, rel_tol: float):
+    """Yield (integral, error) of int_{yl}^{yl+Y_CUT} integrand dy per row.
 
-    A fixed composite rule handles the (typical) smooth case in one
-    vectorized pass; terms that miss the tolerance fall back to adaptive
-    bisection on the same panel set.
+    One composite K15 pass covers every row.  A row that misses the
+    tolerance is redone by adaptive bisection on its own scalar slice of the
+    integrand, only once the caller asks for it.
     """
-    val, err = _COMPOSITE.integrate(pair_log(yl + _COMPOSITE.nodes))
-    if err <= rel_tol * abs(val) or err <= 1e-300:
-        return val, err
-
-    def f(z):
-        return pair_log(yl + z)
-
-    return adaptive_quad(f, 0.0, _Y_CUT, rel_tol=rel_tol, abs_tol=1e-300,
-                         breakpoints=_Y_SPLITS[1:-1], max_panels=400)
-
-
-def _full_pair_log(slab_a: _Slab, slab_b: _Slab, l: int, xi: float,
-                   yl: float) -> Callable[[np.ndarray], np.ndarray]:
-    def pair_log(y):
-        rte_a, rtm_a = _slab_reflections(slab_a, l, xi, yl, y)
-        rte_b, rtm_b = _slab_reflections(slab_b, l, xi, yl, y)
-        damp = np.exp(-y)
-        return y * (np.log1p(-rte_a * rte_b * damp)
-                    + np.log1p(-rtm_a * rtm_b * damp))
-
-    return pair_log
+    y = yl[:, None] + _COMPOSITE.nodes
+    vals, errs = _COMPOSITE.integrate(
+        integrand(y, yl[:, None], *(p[:, None] for p in params)))
+    for i, (val, err) in enumerate(zip(vals.tolist(), errs.tolist())):
+        if err <= rel_tol * abs(val) or err <= 1e-300:
+            yield val, err
+            continue
+        yl_i, row = yl[i], [p[i] for p in params]
+        yield adaptive_quad(lambda z: integrand(yl_i + z, yl_i, *row),
+                            0.0, _Y_CUT, rel_tol=rel_tol, abs_tol=1e-300,
+                            breakpoints=_Y_SPLITS[1:-1], max_panels=400)
 
 
-def _free_energy_engine(slab_a: _Slab, slab_b: _Slab, T: float, d: float,
-                        cfg: EngineConfig,
-                        force_terms: Optional[int] = None) -> FreeEnergyResult:
+def _scaled_yl(xi, d: float):
+    return 2.0 * d * xi / CONST.hbar_c
+
+
+def _term_stream(integrand, params, T: float, d: float, cfg: EngineConfig,
+                 l_cap: int, l_stop: int, g_source: Optional[tuple]):
+    """(integral, error) of the terms l = 1 .. l_stop in order, a block at a time.
+
+    params(xi, g) gives the integrand's per-l parameters from the block's
+    xi_l and, with g_source = (material, gap), its slice of g(xi_l; T).  The
+    g array starts at l_cap + 64 entries and doubles once the series reaches
+    its end, so a block never runs past it.
+    """
     h = 2.0 * math.pi * CONST.k_b * T
-    kappa_scale = CONST.hbar_c / d           # energy scale c/d in eV
-    xi_cap = cfg.matsubara_cap_full * kappa_scale
-    l_cap = int(math.ceil(xi_cap / h))
-    pref = CONST.k_b * T / (8.0 * math.pi * d * d)
+    g = None if g_source is None else g_on_matsubara_grid(*g_source, T, l_cap + 64)
+    l = 0
+    while l < l_stop:
+        n = min(_BLOCK, l_stop - l)
+        g_block = None
+        if g is not None:
+            if l + 1 >= g.size:
+                g = g_on_matsubara_grid(*g_source, T, max(2 * g.size, l + 65))
+            n = min(n, g.size - l - 1)
+            g_block = g[l + 1:l + 1 + n]
+        xi = h * np.arange(l + 1, l + 1 + n)
+        yield from _terms(integrand, _scaled_yl(xi, d), params(xi, g_block),
+                          cfg.rel_tol_quadrature)
+        l += n
 
-    if force_terms is None and l_cap > _MAX_EXACT_TERMS:
-        return _free_energy_low_t(slab_a, slab_b, T, d, cfg, l_cap)
 
+def _matsubara_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
+                   l_cap: int, l_stop: int, head: tuple = (0.0, 0.0),
+                   g_source: Optional[tuple] = None,
+                   force: bool = False) -> FreeEnergyResult:
+    """kT/(8 pi d^2) * [head + sum_{l>=1} term_l], summed in ascending l.
+
+    Stops after three quiet terms past l_cap, or after exactly l_stop terms
+    when force is set.
+    """
     acc = NeumaierSum()
-    err_acc = 0.0
-    # l = 0 with half weight
-    s0, e0 = _term_integral(_full_pair_log(slab_a, slab_b, 0, 0.0, 0.0),
-                            0.0, cfg.rel_tol_quadrature)
-    acc.add(0.5 * s0)
-    err_acc += 0.5 * e0
-
+    acc.add(head[0])
+    err_acc = head[1]
     quiet = 0
     l = 0
-    l_stop = force_terms if force_terms is not None else 10 * l_cap + 1000
-    while l < l_stop:
-        l += 1
-        xi = h * l
-        yl = 2.0 * d * xi / CONST.hbar_c
-        sl, el = _term_integral(_full_pair_log(slab_a, slab_b, l, xi, yl),
-                                yl, cfg.rel_tol_quadrature)
+    sl = 0.0
+    for l, (sl, el) in enumerate(_term_stream(integrand, params, T, d, cfg, l_cap,
+                                              l_stop, g_source), start=1):
         acc.add(sl)
         err_acc += el
-        if force_terms is not None:
+        if force:
             continue
         if abs(sl) <= cfg.rel_tol_series * abs(acc.value):
             quiet += 1
@@ -285,18 +284,42 @@ def _free_energy_engine(slab_a: _Slab, slab_b: _Slab, T: float, d: float,
         else:
             quiet = 0
     else:
-        if force_terms is None:
+        if not force:
             raise ConvergenceError(
                 f"Matsubara series not converged after {l} terms "
                 f"(last term {sl:.3e} against {acc.value:.3e})",
                 error_estimate=abs(sl),
             )
+    pref = CONST.k_b * T / (8.0 * math.pi * d * d)
     return FreeEnergyResult(value=pref * acc.value, terms_used=l + 1,
                             error_estimate=pref * (err_acc + abs(sl)))
 
 
-def _free_energy_low_t(slab_a: _Slab, slab_b: _Slab, T: float, d: float,
-                       cfg: EngineConfig, l_cap: int) -> FreeEnergyResult:
+def _full_free_energy(integrand, params, zero_integrand, T: float, d: float,
+                      cfg: EngineConfig, force_terms: Optional[int] = None,
+                      g_source: Optional[tuple] = None) -> FreeEnergyResult:
+    """Full series: the l = 0 term at half weight, then l >= 1 up to
+    matsubara_cap_full * c/d (or exactly force_terms terms)."""
+    h = 2.0 * math.pi * CONST.k_b * T
+    xi_cap = cfg.matsubara_cap_full * (CONST.hbar_c / d)
+    l_cap = int(math.ceil(xi_cap / h))
+    if l_cap > _MAX_EXACT_TERMS and g_source is not None:
+        # The integral form needs g(xi) off the Matsubara grid.
+        raise DomainError(
+            f"superconducting free energy needs {l_cap} Matsubara terms, more "
+            f"than the {_MAX_EXACT_TERMS} summed exactly; raise T or d")
+    s0, e0 = next(_terms(zero_integrand, np.zeros(1), (), cfg.rel_tol_quadrature))
+    if force_terms is None and l_cap > _MAX_EXACT_TERMS:
+        return _free_energy_low_t(integrand, params, s0, e0, T, d, cfg, l_cap)
+    forced = force_terms is not None
+    return _matsubara_sum(integrand, params, T, d, cfg, l_cap,
+                          force_terms if forced else 10 * l_cap + 1000,
+                          head=(0.5 * s0, 0.5 * e0), g_source=g_source,
+                          force=forced)
+
+
+def _free_energy_low_t(integrand, params, s0: float, e0: float, T: float,
+                       d: float, cfg: EngineConfig, l_cap: int) -> FreeEnergyResult:
     """Midpoint Euler-Maclaurin form of the Matsubara sum for tiny T.
 
     sum_{l>=1} S(l h) = (1/h) int_{h/2}^inf S + O(h) corrections; used only
@@ -305,23 +328,19 @@ def _free_energy_low_t(slab_a: _Slab, slab_b: _Slab, T: float, d: float,
     h = 2.0 * math.pi * CONST.k_b * T
     pref = CONST.k_b * T / (8.0 * math.pi * d * d)
 
-    def s_of_xi(xi: float) -> float:
-        yl = 2.0 * d * xi / CONST.hbar_c
-        val, _ = _term_integral(_full_pair_log(slab_a, slab_b, 1, xi, yl),
-                                yl, cfg.rel_tol_quadrature)
-        return val
+    def s_of_xi(xi: np.ndarray) -> np.ndarray:
+        terms = _terms(integrand, _scaled_yl(xi, d), params(xi, None),
+                       cfg.rel_tol_quadrature)
+        return np.array([val for val, _ in terms])
 
-    s0, e0 = _term_integral(_full_pair_log(slab_a, slab_b, 0, 0.0, 0.0),
-                            0.0, cfg.rel_tol_quadrature)
     xi_top = 2.0 * cfg.matsubara_cap_full * CONST.hbar_c / d
     pts = list(np.geomspace(h, xi_top / 2.0, 24))
-    body, berr = adaptive_quad(
-        lambda xs: np.array([s_of_xi(float(x)) for x in np.atleast_1d(xs)]),
-        h / 2.0, xi_top, rel_tol=cfg.rel_tol_series,
-        abs_tol=1e-300, breakpoints=pts, max_panels=4000,
-    )
+    body, berr = adaptive_quad(s_of_xi, h / 2.0, xi_top,
+                               rel_tol=cfg.rel_tol_series, abs_tol=1e-300,
+                               breakpoints=pts, max_panels=4000)
     step = h / 4.0
-    sprime = (s_of_xi(h / 2.0 + step) - s_of_xi(h / 2.0 - step)) / (2.0 * step)
+    above, below = s_of_xi(np.array([h / 2.0 + step, h / 2.0 - step]))
+    sprime = (above - below) / (2.0 * step)
     series = body / h - (h / 24.0) * sprime
     value = pref * (0.5 * s0 + series)
     return FreeEnergyResult(value=value, terms_used=l_cap,
@@ -339,29 +358,24 @@ def free_energy(material_a: MaterialParams, material_b: MaterialParams,
     """Lifshitz free energy per unit area (eV/nm^2); negative for metals.
 
     Slab a is treated as a normal Drude metal; slab b in the requested phase.
+    The superconducting phase is refused where the series would need more
+    than _MAX_EXACT_TERMS terms.
     """
     if T <= 0.0 or d <= 0.0:
         raise DomainError("free_energy requires T > 0 and d > 0")
-    slab_a = _drude_slab(material_a)
-    if phase_b is Phase.SUPERCONDUCTING:
-        if not material_b.is_superconductor():
-            raise DomainError(f"{material_b.name} has no superconducting phase")
-        if T >= material_b.tc:
-            raise DomainError("superconducting phase requires T < tc")
-        if gap_b is None:
-            gap_b = default_gap(material_b.tc)
-        grid = _GGrid(material_b, gap_b, T, _initial_grid_size(material_b, T, d, cfg))
-        slab_b = _bcs_slab(material_b, gap_b, T, grid)
-    else:
-        slab_b = _drude_slab(material_b)
-    return _free_energy_engine(slab_a, slab_b, T, d, cfg, force_terms=force_terms)
-
-
-def _initial_grid_size(material_b: MaterialParams, T: float, d: float,
-                       cfg: EngineConfig) -> int:
-    h = 2.0 * math.pi * CONST.k_b * T
-    l_cap = int(math.ceil(cfg.matsubara_cap_full * CONST.hbar_c / (d * h)))
-    return min(l_cap + 64, _MAX_EXACT_TERMS)
+    if phase_b is not Phase.SUPERCONDUCTING:
+        return _full_free_energy(
+            _pair_log, lambda xi, g: (_drude(material_a, xi), _drude(material_b, xi)),
+            _tm_zero_log, T, d, cfg, force_terms)
+    if not material_b.is_superconductor():
+        raise DomainError(f"{material_b.name} has no superconducting phase")
+    if T >= material_b.tc:
+        raise DomainError("superconducting phase requires T < tc")
+    if gap_b is None:
+        gap_b = default_gap(material_b.tc)
+    return _full_free_energy(
+        _pair_log, lambda xi, g: (_drude(material_a, xi), _bcs(material_b, xi, g)),
+        _tm_zero_log, T, d, cfg, force_terms, g_source=(material_b, gap_b))
 
 
 def ideal_mirror_free_energy(T: float, d: float, cfg: EngineConfig) -> FreeEnergyResult:
@@ -371,41 +385,13 @@ def ideal_mirror_free_energy(T: float, d: float, cfg: EngineConfig) -> FreeEnerg
     """
     if T <= 0.0 or d <= 0.0:
         raise DomainError("ideal_mirror_free_energy requires T > 0 and d > 0")
-    ideal = _Slab(eps_at=None, zero_kind="ideal")
-    return _free_energy_engine(ideal, ideal, T, d, cfg)
-
-
-def _diff_pair_log(slab_a: _Slab, eps_n_at: Callable, eps_s_at: Callable,
-                   l: int, xi: float, yl: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Cancellation-free integrand of the (normal - superconducting) term."""
-
-    def pair_log(y):
-        rte_a, rtm_a = _slab_reflections(slab_a, l, xi, yl, y)
-        eps_n = eps_n_at(l, xi)
-        eps_s = eps_s_at(l, xi)
-        d_eps = eps_s - eps_n
-        yl2 = yl * yl
-        w_n = np.sqrt(y * y + (eps_n - 1.0) * yl2)
-        w_s = np.sqrt(y * y + (eps_s - 1.0) * yl2)
-        dw = d_eps * yl2 / (w_s + w_n)
-        rte_n = (y - w_n) / (y + w_n)
-        rte_s = (y - w_s) / (y + w_s)
-        rtm_s = (eps_s * y - w_s) / (eps_s * y + w_s)
-        d_rte = 2.0 * y * dw / ((y + w_n) * (y + w_s))            # rte_n - rte_s
-        d_rtm = (2.0 * y * d_eps * (eps_n * yl2 / (w_s + w_n) - w_n)
-                 / ((eps_n * y + w_n) * (eps_s * y + w_s)))       # rtm_n - rtm_s
-        damp = np.exp(-y)
-        arg_te = rte_a * d_rte * damp / (1.0 - rte_a * rte_s * damp)
-        arg_tm = rtm_a * d_rtm * damp / (1.0 - rtm_a * rtm_s * damp)
-        return y * (np.log1p(-arg_te) + np.log1p(-arg_tm))
-
-    return pair_log
+    return _full_free_energy(_ideal_log, lambda xi, g: (), _ideal_log, T, d, cfg)
 
 
 def free_energy_difference(material_a: MaterialParams, material_b: MaterialParams,
                            T: float, d: float, cfg: EngineConfig,
                            gap_b: Optional[GapModel] = None) -> FreeEnergyResult:
-    """F_normal - F_super computed term by term in one Matsubara loop.
+    """F_normal - F_super computed term by term in one Matsubara series.
 
     The l = 0 term vanishes identically for a Drude-modeled slab a: its TE
     zero-mode reflection is zero and both phases of slab b saturate the TM
@@ -419,51 +405,14 @@ def free_energy_difference(material_a: MaterialParams, material_b: MaterialParam
         return FreeEnergyResult(value=0.0, terms_used=0, error_estimate=0.0)
     if gap_b is None:
         gap_b = default_gap(material_b.tc)
-
     h = 2.0 * math.pi * CONST.k_b * T
-    two_delta0 = 2.0 * gap_b.delta0
-    l_cap = int(math.ceil(cfg.matsubara_cap_diff * two_delta0 / h))
-    pref = CONST.k_b * T / (8.0 * math.pi * d * d)
+    l_cap = int(math.ceil(cfg.matsubara_cap_diff * (2.0 * gap_b.delta0) / h))
 
-    slab_a = _drude_slab(material_a)
-    grid = _GGrid(material_b, gap_b, T, l_cap + 64)
-    om2 = material_b.omega_p ** 2
-    gamma = material_b.gamma
+    def params(xi, g):
+        return _drude(material_a, xi), _drude(material_b, xi), _bcs(material_b, xi, g)
 
-    def eps_n_at(l, xi):
-        return 1.0 + om2 / (xi * (xi + gamma))
-
-    def eps_s_at(l, xi):
-        return 1.0 + (om2 / xi) * (1.0 / (xi + gamma) + grid.at(l) / xi)
-
-    acc = NeumaierSum()
-    err_acc = 0.0
-    quiet = 0
-    l = 0
-    sl = 0.0
-    l_stop = 200 * l_cap + 10000
-    while l < l_stop:
-        l += 1
-        xi = h * l
-        yl = 2.0 * d * xi / CONST.hbar_c
-        sl, el = _term_integral(
-            _diff_pair_log(slab_a, eps_n_at, eps_s_at, l, xi, yl),
-            yl, cfg.rel_tol_quadrature)
-        acc.add(sl)
-        err_acc += el
-        if abs(sl) <= cfg.rel_tol_series * abs(acc.value):
-            quiet += 1
-            if quiet >= 3 and l >= l_cap:
-                break
-        else:
-            quiet = 0
-    else:
-        raise ConvergenceError(
-            f"difference series not converged after {l} terms",
-            error_estimate=abs(sl),
-        )
-    return FreeEnergyResult(value=pref * acc.value, terms_used=l + 1,
-                            error_estimate=pref * (err_acc + abs(sl)))
+    return _matsubara_sum(_diff_log, params, T, d, cfg, l_cap, 200 * l_cap + 10000,
+                          g_source=(material_b, gap_b))
 
 
 def delta_force_pfa(material_a: MaterialParams, material_b: MaterialParams,

@@ -57,9 +57,9 @@ def kronrod_panel(f: Callable, a: float, b: float) -> tuple[float, float]:
 class CompositeKronrod:
     """Fixed composite K15 rule over preset panels, one integrand call.
 
-    Evaluates all panels in a single vectorized pass and reports the summed
-    QUADPACK-style error estimate, so smooth integrands avoid the adaptive
-    machinery entirely.
+    Integrates every row of a (rows x nodes) array in one vectorized pass and
+    reports each row's summed QUADPACK-style error estimate, so smooth
+    integrands avoid the adaptive machinery entirely.
     """
 
     def __init__(self, edges: Sequence[float]):
@@ -71,17 +71,18 @@ class CompositeKronrod:
         self.nodes = (mids[:, None] + halves[:, None] * _XK[None, :]).ravel()
         self._n_panels = len(halves)
 
-    def integrate(self, values: np.ndarray) -> tuple[float, float]:
-        y = values.reshape(self._n_panels, _XK.size)
+    def integrate(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(integral, error estimate) of each row of values on self.nodes."""
+        y = values.reshape(values.shape[0], self._n_panels, _XK.size)
         ik = self._halves * (y @ _WK)
-        ig = self._halves * (y[:, _G_IDX] @ _WG)
-        resasc = self._halves * (np.abs(y - y.mean(axis=1, keepdims=True)) @ _WK)
+        ig = self._halves * (y[..., _G_IDX] @ _WG)
+        resasc = self._halves * (np.abs(y - y.mean(axis=-1, keepdims=True)) @ _WK)
         err = np.abs(ik - ig)
         mask = (resasc != 0.0) & (err != 0.0)
         scaled = err.copy()
         scaled[mask] = resasc[mask] * np.minimum(
             1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5)
-        return float(np.sum(ik)), float(np.sum(scaled))
+        return ik.sum(axis=-1), scaled.sum(axis=-1)
 
 
 def adaptive_quad(

@@ -11,8 +11,6 @@ import dataclasses
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -249,7 +247,6 @@ def config_echo(cfg: RunConfig) -> dict:
         "gap_nm": cfg.gap_nm,
         "matsubara_cap_diff": cfg.engine.matsubara_cap_diff,
         "matsubara_cap_full": cfg.engine.matsubara_cap_full,
-        "quad_scheme": cfg.engine.quad_scheme,
         "radius_um": cfg.radius_um,
         "rel_tol_quadrature": cfg.engine.rel_tol_quadrature,
         "rel_tol_series": cfg.engine.rel_tol_series,
@@ -289,15 +286,6 @@ def _fmt_value(v) -> str:
 # sweep driver
 
 
-def _worker_count() -> int:
-    env = os.environ.get("CASIMIR_SC_THREADS", "")
-    try:
-        n = int(env) if env else 1
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
 def _evaluate_row(cfg: RunConfig, variable: str, x: float) -> SweepRow:
     pb = cfg.material_b
     if variable == "field_Oe":
@@ -330,32 +318,20 @@ def _evaluate_row(cfg: RunConfig, variable: str, x: float) -> SweepRow:
                         error=str(exc))
 
 
-def run_sweep(cfg: RunConfig, variable: Optional[str] = None) -> list[SweepRow]:
-    """Evaluate all sweep rows; failures are recorded, not raised.
+def run_sweep(cfg: RunConfig, variable: Optional[str] = None,
+              rows: Optional[list] = None) -> list[SweepRow]:
+    """Evaluate all sweep rows in grid order; failures are recorded, not raised.
 
-    Rows are independent and may be computed concurrently (capped by
-    CASIMIR_SC_THREADS); results are always assembled in grid order.
+    Each row is appended to `rows` (a new list by default) as soon as it is
+    done, so a caller that is interrupted still holds the finished rows.
     """
     var = variable or cfg.sweep.variable
     if var not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {var!r}")
-    grid = np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.points)
-    workers = _worker_count()
-    if workers == 1:
-        return [_evaluate_row(cfg, var, float(x)) for x in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_evaluate_row, cfg, var, float(x)) for x in grid]
-        return [f.result() for f in futures]
-
-
-def sweep_field(cfg: RunConfig) -> list[SweepRow]:
-    """Force jump against applied field at T = shifted_tc(H)."""
-    return run_sweep(cfg, "field_Oe")
-
-
-def sweep_gap(cfg: RunConfig) -> list[SweepRow]:
-    """Force jump against separation at fixed field."""
-    return run_sweep(cfg, "gap_nm")
+    rows = [] if rows is None else rows
+    for x in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.points):
+        rows.append(_evaluate_row(cfg, var, float(x)))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +374,23 @@ def _render_csv(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
     return out.getvalue()
 
 
+def _json_value(v):
+    """Strict JSON has no NaN or infinity; such values are written as null."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
+
+
 def _render_json(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
     payload = {
         "tool": f"casimir-sc v{_pkg_version}",
-        "config": {k: v for k, v in config_echo(cfg).items()},
+        "config": {k: _json_value(v) for k, v in config_echo(cfg).items()},
         "rows_converged": sum(1 for r in rows if r.error is None),
-        "rows": [dataclasses.asdict(r) for r in rows],
+        "rows": [{k: _json_value(v) for k, v in dataclasses.asdict(r).items()}
+                 for r in rows],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      allow_nan=True) + "\n"
+                      allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------

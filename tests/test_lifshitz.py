@@ -141,8 +141,6 @@ def test_engine_config_validation():
         EngineConfig(matsubara_cap_full=5.0)
     with pytest.raises(DomainError):
         EngineConfig(matsubara_cap_diff=10.0)
-    with pytest.raises(DomainError):
-        EngineConfig(quad_scheme="simpson")
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +227,34 @@ def test_difference_truncation_robustness():
     assert a.value == pytest.approx(b.value, rel=1e-4)
 
 
+def test_block_size_does_not_change_series(monkeypatch):
+    """Terms are integrated in blocks of l; the split, including where a
+    block meets the end of the g grid, must not move a single bit."""
+    diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
+    fs = free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, T200, 200.0, CFG)
+    monkeypatch.setattr(lifshitz_mod, "_BLOCK", 7)
+    assert free_energy_difference(GOLD, LEAD, T200, 70.0, CFG) == diff
+    assert free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, T200, 200.0, CFG) == fs
+
+
 def test_low_temperature_series_path_consistency(monkeypatch):
     exact = free_energy(GOLD, LEAD, Phase.NORMAL, 1.0, 100.0, CFG)
     monkeypatch.setattr(lifshitz_mod, "_MAX_EXACT_TERMS", 1000)
     integral_form = free_energy(GOLD, LEAD, Phase.NORMAL, 1.0, 100.0, CFG)
     assert integral_form.value == pytest.approx(exact.value, rel=1e-5)
+
+
+def test_low_temperature_path_refuses_superconductor(monkeypatch):
+    """The integral form has no g(xi) between Matsubara frequencies, so the
+    superconducting phase is refused before any g grid is built."""
+
+    def no_grid(*args):
+        raise AssertionError("g grid built for a refused series")
+
+    monkeypatch.setattr(lifshitz_mod, "_MAX_EXACT_TERMS", 1000)
+    monkeypatch.setattr(lifshitz_mod, "g_on_matsubara_grid", no_grid)
+    with pytest.raises(DomainError, match="Matsubara terms"):
+        free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, 2.0, 150.0, CFG)
 
 
 # ---------------------------------------------------------------------------

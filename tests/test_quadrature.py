@@ -5,6 +5,7 @@ import pytest
 
 from casimir_sc.errors import ConvergenceError
 from casimir_sc.quadrature import (
+    CompositeKronrod,
     NeumaierSum,
     adaptive_quad,
     exp_tail_quad,
@@ -16,6 +17,14 @@ def test_kronrod_exact_on_polynomial():
     val, err = kronrod_panel(lambda x: 3.0 * x ** 2, 0.0, 2.0)
     assert val == pytest.approx(8.0, rel=1e-14)
     assert err < 1e-12
+
+
+def test_composite_integrates_each_row():
+    rule = CompositeKronrod((0.0, 0.5, 1.5, 4.0))
+    scales = np.array([1e-6, 1.0, 3.0, 1e4])
+    vals, errs = rule.integrate(scales[:, None] * np.exp(-rule.nodes))
+    assert vals == pytest.approx(scales * (1.0 - math.exp(-4.0)), rel=1e-13)
+    assert np.all(errs <= 1e-10 * scales)
 
 
 def test_adaptive_smooth():

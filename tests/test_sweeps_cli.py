@@ -346,8 +346,37 @@ def test_cli_json_format(tmp_path):
                      "--points", "2", "--no-full", "--rel-tol", "1e-6",
                      "--format", "json", "--output", str(out)])
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
     assert payload["rows_converged"] == 2
+    # --no-full leaves the free-energy columns non-finite: strict null
+    assert all(r["f_normal_ev_nm2"] is None for r in payload["rows"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cli_interrupt_keeps_finished_rows(monkeypatch, tmp_path, capsys):
+    done = []
+
+    def one_then_interrupt(cfg, variable, x):
+        if done:
+            raise KeyboardInterrupt
+        done.append(x)
+        return sweeps_mod.SweepRow(x=x, t_prime_c_k=6.5, delta_f_fn=12.5,
+                                   f_normal_ev_nm2=float("nan"),
+                                   f_super_ev_nm2=float("nan"),
+                                   terms_used=42, pfa_bound=4.5e-4)
+
+    monkeypatch.setattr(sweeps_mod, "_evaluate_row", one_then_interrupt)
+    out = tmp_path / "sweep.csv"
+    code = cli_main(["sweep-field", "--start", "150", "--stop", "250",
+                     "--points", "3", "--no-full", "--output", str(out)])
+    assert code == 2
+    text = out.read_text()
+    assert "# rows_converged=1/1" in text
+    assert "1.5e+02,6.5e+00,1.25e+01,nan,nan,42,4.5e-04" in text.splitlines()
+    assert "interrupted" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_config_error():
