@@ -19,10 +19,8 @@ from .materials import (
     dirty_limit_ratio,
     drude_eps,
     eps_bcs,
-    g_from_oracle,
     g_on_matsubara_grid,
     g_zero_limit,
-    kk_oracle_sigma,
     mattis_bardeen_g,
 )
 from .sc_state import (
@@ -72,10 +70,8 @@ __all__ = [
     "dirty_limit_ratio",
     "drude_eps",
     "eps_bcs",
-    "g_from_oracle",
     "g_on_matsubara_grid",
     "g_zero_limit",
-    "kk_oracle_sigma",
     "mattis_bardeen_g",
     "ForceSignal",
     "ModulationSpec",

@@ -46,6 +46,9 @@ from .sc_state import Phase
 _MAX_EXACT_TERMS = 200_000
 
 _Y_CUT = 45.0
+# The series may not depend on its split into blocks of l: the composite rule
+# on these panels must give each row of a batch the bits of a one-row call,
+# which not every panel layout does (test_quadrature checks this one).
 _Y_SPLITS = (0.0, 0.5, 1.5, 4.0, 10.0, 22.0, _Y_CUT)
 
 
@@ -231,34 +234,23 @@ def _scaled_yl(xi, d: float):
 
 
 def _term_stream(integrand, params, T: float, d: float, cfg: EngineConfig,
-                 l_cap: int, l_stop: int, g_source: Optional[tuple]):
+                 l_stop: int):
     """(integral, error) of the terms l = 1 .. l_stop in order, a block at a time.
 
-    params(xi, g) gives the integrand's per-l parameters from the block's
-    xi_l and, with g_source = (material, gap), its slice of g(xi_l; T).  The
-    g array starts at l_cap + 64 entries and doubles once the series reaches
-    its end, so a block never runs past it.
+    params(l, xi) gives the integrand's per-l parameters from the block's
+    integer l and its xi_l, so a superconductor fetches g for its own block;
+    a block is computed only once the sum reaches it.
     """
     h = 2.0 * math.pi * CONST.k_b * T
-    g = None if g_source is None else g_on_matsubara_grid(*g_source, T, l_cap + 64)
-    l = 0
-    while l < l_stop:
-        n = min(_BLOCK, l_stop - l)
-        g_block = None
-        if g is not None:
-            if l + 1 >= g.size:
-                g = g_on_matsubara_grid(*g_source, T, max(2 * g.size, l + 65))
-            n = min(n, g.size - l - 1)
-            g_block = g[l + 1:l + 1 + n]
-        xi = h * np.arange(l + 1, l + 1 + n)
-        yield from _terms(integrand, _scaled_yl(xi, d), params(xi, g_block),
+    for first in range(1, l_stop + 1, _BLOCK):
+        l = np.arange(first, min(first + _BLOCK, l_stop + 1))
+        xi = h * l
+        yield from _terms(integrand, _scaled_yl(xi, d), params(l, xi),
                           cfg.rel_tol_quadrature)
-        l += n
 
 
 def _matsubara_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
                    l_cap: int, l_stop: int, head: tuple = (0.0, 0.0),
-                   g_source: Optional[tuple] = None,
                    force: bool = False) -> FreeEnergyResult:
     """kT/(8 pi d^2) * [head + sum_{l>=1} term_l], summed in ascending l.
 
@@ -271,8 +263,8 @@ def _matsubara_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
     quiet = 0
     l = 0
     sl = 0.0
-    for l, (sl, el) in enumerate(_term_stream(integrand, params, T, d, cfg, l_cap,
-                                              l_stop, g_source), start=1):
+    for l, (sl, el) in enumerate(_term_stream(integrand, params, T, d, cfg, l_stop),
+                                 start=1):
         acc.add(sl)
         err_acc += el
         if force:
@@ -295,27 +287,24 @@ def _matsubara_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
                             error_estimate=pref * (err_acc + abs(sl)))
 
 
+def _full_l_cap(T: float, d: float, cfg: EngineConfig) -> int:
+    """Last Matsubara index below matsubara_cap_full * c/d, rounded up."""
+    xi_cap = cfg.matsubara_cap_full * (CONST.hbar_c / d)
+    return int(math.ceil(xi_cap / (2.0 * math.pi * CONST.k_b * T)))
+
+
 def _full_free_energy(integrand, params, zero_integrand, T: float, d: float,
-                      cfg: EngineConfig, force_terms: Optional[int] = None,
-                      g_source: Optional[tuple] = None) -> FreeEnergyResult:
+                      cfg: EngineConfig, force_terms: Optional[int] = None) -> FreeEnergyResult:
     """Full series: the l = 0 term at half weight, then l >= 1 up to
     matsubara_cap_full * c/d (or exactly force_terms terms)."""
-    h = 2.0 * math.pi * CONST.k_b * T
-    xi_cap = cfg.matsubara_cap_full * (CONST.hbar_c / d)
-    l_cap = int(math.ceil(xi_cap / h))
-    if l_cap > _MAX_EXACT_TERMS and g_source is not None:
-        # The integral form needs g(xi) off the Matsubara grid.
-        raise DomainError(
-            f"superconducting free energy needs {l_cap} Matsubara terms, more "
-            f"than the {_MAX_EXACT_TERMS} summed exactly; raise T or d")
+    l_cap = _full_l_cap(T, d, cfg)
     s0, e0 = next(_terms(zero_integrand, np.zeros(1), (), cfg.rel_tol_quadrature))
     if force_terms is None and l_cap > _MAX_EXACT_TERMS:
         return _free_energy_low_t(integrand, params, s0, e0, T, d, cfg, l_cap)
     forced = force_terms is not None
     return _matsubara_sum(integrand, params, T, d, cfg, l_cap,
                           force_terms if forced else 10 * l_cap + 1000,
-                          head=(0.5 * s0, 0.5 * e0), g_source=g_source,
-                          force=forced)
+                          head=(0.5 * s0, 0.5 * e0), force=forced)
 
 
 def _free_energy_low_t(integrand, params, s0: float, e0: float, T: float,
@@ -329,7 +318,7 @@ def _free_energy_low_t(integrand, params, s0: float, e0: float, T: float,
     pref = CONST.k_b * T / (8.0 * math.pi * d * d)
 
     def s_of_xi(xi: np.ndarray) -> np.ndarray:
-        terms = _terms(integrand, _scaled_yl(xi, d), params(xi, None),
+        terms = _terms(integrand, _scaled_yl(xi, d), params(None, xi),
                        cfg.rel_tol_quadrature)
         return np.array([val for val, _ in terms])
 
@@ -365,17 +354,26 @@ def free_energy(material_a: MaterialParams, material_b: MaterialParams,
         raise DomainError("free_energy requires T > 0 and d > 0")
     if phase_b is not Phase.SUPERCONDUCTING:
         return _full_free_energy(
-            _pair_log, lambda xi, g: (_drude(material_a, xi), _drude(material_b, xi)),
+            _pair_log, lambda l, xi: (_drude(material_a, xi), _drude(material_b, xi)),
             _tm_zero_log, T, d, cfg, force_terms)
     if not material_b.is_superconductor():
         raise DomainError(f"{material_b.name} has no superconducting phase")
     if T >= material_b.tc:
         raise DomainError("superconducting phase requires T < tc")
+    l_cap = _full_l_cap(T, d, cfg)
+    if l_cap > _MAX_EXACT_TERMS:
+        # The integral form needs g(xi) off the Matsubara grid.
+        raise DomainError(
+            f"superconducting free energy needs {l_cap} Matsubara terms, more "
+            f"than the {_MAX_EXACT_TERMS} summed exactly; raise T or d")
     if gap_b is None:
         gap_b = default_gap(material_b.tc)
-    return _full_free_energy(
-        _pair_log, lambda xi, g: (_drude(material_a, xi), _bcs(material_b, xi, g)),
-        _tm_zero_log, T, d, cfg, force_terms, g_source=(material_b, gap_b))
+
+    def params(l, xi):
+        g = g_on_matsubara_grid(material_b, gap_b, T, l.size - 1, int(l[0]))
+        return _drude(material_a, xi), _bcs(material_b, xi, g)
+
+    return _full_free_energy(_pair_log, params, _tm_zero_log, T, d, cfg, force_terms)
 
 
 def ideal_mirror_free_energy(T: float, d: float, cfg: EngineConfig) -> FreeEnergyResult:
@@ -385,7 +383,7 @@ def ideal_mirror_free_energy(T: float, d: float, cfg: EngineConfig) -> FreeEnerg
     """
     if T <= 0.0 or d <= 0.0:
         raise DomainError("ideal_mirror_free_energy requires T > 0 and d > 0")
-    return _full_free_energy(_ideal_log, lambda xi, g: (), _ideal_log, T, d, cfg)
+    return _full_free_energy(_ideal_log, lambda l, xi: (), _ideal_log, T, d, cfg)
 
 
 def free_energy_difference(material_a: MaterialParams, material_b: MaterialParams,
@@ -408,11 +406,11 @@ def free_energy_difference(material_a: MaterialParams, material_b: MaterialParam
     h = 2.0 * math.pi * CONST.k_b * T
     l_cap = int(math.ceil(cfg.matsubara_cap_diff * (2.0 * gap_b.delta0) / h))
 
-    def params(xi, g):
+    def params(l, xi):
+        g = g_on_matsubara_grid(material_b, gap_b, T, l.size - 1, int(l[0]))
         return _drude(material_a, xi), _drude(material_b, xi), _bcs(material_b, xi, g)
 
-    return _matsubara_sum(_diff_log, params, T, d, cfg, l_cap, 200 * l_cap + 10000,
-                          g_source=(material_b, gap_b))
+    return _matsubara_sum(_diff_log, params, T, d, cfg, l_cap, 200 * l_cap + 10000)
 
 
 def delta_force_pfa(material_a: MaterialParams, material_b: MaterialParams,

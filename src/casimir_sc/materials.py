@@ -11,29 +11,27 @@ where g is obtained by analytic continuation of the Mattis-Bardeen
 conductivity.  The production route evaluates g through a Kramers-Kronig
 transform of the real-frequency conductivity ratio, with the zero-frequency
 condensate delta function carried as the closed-form term
-pi*Delta*tanh(Delta/2kT).  An independently coded route based on
-scipy's QUADPACK (kk_oracle_sigma) serves as the verification oracle, and
-g_on_matsubara_grid evaluates the same function at the discrete thermal
-frequencies through a fermionic frequency sum, which is how the Lifshitz
-engine consumes it.
+pi*Delta*tanh(Delta/2kT).  g_on_matsubara_grid evaluates the same function
+at a run of the discrete thermal frequencies through a fermionic frequency
+sum, which is how the Lifshitz engine consumes it, one block of l at a time.
+The independent QUADPACK oracle that checks the KK route lives with the
+tests.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import integrate as _sint
 from scipy import optimize as _sopt
 from scipy import special as _ssp
 from scipy.interpolate import PchipInterpolator
 
 from .constants import CONST
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .quadrature import adaptive_quad, exp_tail_quad, gauss_legendre_nodes
 
 
@@ -295,15 +293,19 @@ def _kk_breakpoints(xi: float, delta: float, t_ev: float) -> tuple[list, float]:
     return sorted(p for p in pts if 0.0 < p < w_top), w_top
 
 
+def _condensate(delta: float, t_ev: float) -> float:
+    """gamma * g(0+; T) = pi*Delta*tanh(Delta/2kT), the condensate weight."""
+    if t_ev > 0.0:
+        return math.pi * delta * math.tanh(delta / (2.0 * t_ev))
+    return math.pi * delta
+
+
 @lru_cache(maxsize=20000)
 def _g_kk_gamma_free(xi: float, delta: float, t_ev: float) -> float:
     """gamma * g(xi; T): condensate term plus the KK integral of (R - 1)."""
     if delta == 0.0:
         return 0.0
-    if t_ev > 0.0:
-        condensate = math.pi * delta * math.tanh(delta / (2.0 * t_ev))
-    else:
-        condensate = math.pi * delta
+    condensate = _condensate(delta, t_ev)
     if xi == 0.0:
         return condensate
 
@@ -332,9 +334,7 @@ def g_zero_limit(material: MaterialParams, gap: GapModel, T: float) -> float:
     delta = bcs_gap(gap, T, material.tc)
     if delta == 0.0:
         return 0.0
-    t_ev = CONST.k_b * T
-    th = math.tanh(delta / (2.0 * t_ev)) if t_ev > 0.0 else 1.0
-    return math.pi * delta * th / material.gamma
+    return _condensate(delta, CONST.k_b * T) / material.gamma
 
 
 def eps_bcs(material: MaterialParams, gap: GapModel, xi: float, T: float) -> float:
@@ -348,132 +348,23 @@ def eps_bcs(material: MaterialParams, gap: GapModel, xi: float, T: float) -> flo
 
 
 # ---------------------------------------------------------------------------
-# g(xi; T): independent QUADPACK oracle
-
-
-def _fermi_scalar(x: float) -> float:
-    if x > 700.0:
-        return 0.0
-    e = math.exp(-x)
-    return e / (1.0 + e)
-
-
-def _mb_ratio_oracle(omega: float, delta: float, t_ev: float) -> float:
-    """Raw-form sigma1_s/sigma1_n via scipy QUADPACK, coded independently."""
-    if delta == 0.0:
-        return 1.0
-    total = 0.0
-    d2 = delta * delta
-    with warnings.catch_warnings():
-        # QAGS flags roundoff while extrapolating the inverse-sqrt endpoints;
-        # the returned values are cross-checked against the production route.
-        warnings.simplefilter("ignore", _sint.IntegrationWarning)
-        if t_ev > 0.0:
-            e_top = delta + 46.0 * t_ev
-
-            def f_th(e):
-                df = _fermi_scalar(e / t_ev) - _fermi_scalar((e + omega) / t_ev)
-                rad = (e * e - d2) * ((e + omega) ** 2 - d2)
-                if rad <= 0.0:
-                    return 0.0
-                return df * (e * (e + omega) + d2) / math.sqrt(rad)
-
-            val, _ = _sint.quad(f_th, delta, e_top, epsabs=0.0, epsrel=1e-7, limit=200)
-            total += 2.0 * val / omega
-        if omega > 2.0 * delta:
-
-            def f_pb(e):
-                if t_ev > 0.0:
-                    occ = 1.0 - 2.0 * _fermi_scalar((e + omega) / t_ev)
-                else:
-                    occ = 1.0
-                rad = (e * e - d2) * ((e + omega) ** 2 - d2)
-                if rad <= 0.0:
-                    return 0.0
-                return occ * (-e * (e + omega) - d2) / math.sqrt(rad)
-
-            # split at the midpoint so each piece has one singular endpoint
-            v1, _ = _sint.quad(f_pb, delta - omega, -0.5 * omega, epsabs=0.0,
-                               epsrel=1e-7, limit=200)
-            v2, _ = _sint.quad(f_pb, -0.5 * omega, -delta, epsabs=0.0,
-                               epsrel=1e-7, limit=200)
-            total += (v1 + v2) / omega
-    return total
-
-
-@lru_cache(maxsize=4096)
-def _g_oracle_gamma_free(xi: float, delta: float, t_ev: float) -> float:
-    if delta == 0.0:
-        return 0.0
-    if t_ev > 0.0:
-        condensate = math.pi * delta * math.tanh(delta / (2.0 * t_ev))
-    else:
-        condensate = math.pi * delta
-    if xi == 0.0:
-        return condensate
-
-    def h(om):
-        return (_mb_ratio_oracle(om, delta, t_ev) - 1.0) / (om * om + xi * xi)
-
-    edge = 2.0 * delta
-    w_top = max(16.0 * edge, 4.0 * xi, 24.0 * t_ev)
-    kernel_pts = [p for p in (0.25 * xi, xi, 4.0 * xi, 0.5 * edge) if 0.0 < p < edge]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _sint.IntegrationWarning)
-        i1, e1 = _sint.quad(h, 0.0, edge, epsabs=0.0, epsrel=1e-6, limit=200,
-                            points=kernel_pts or None)
-        mid_pts = [p for p in (xi, 4.0 * xi) if edge < p < w_top]
-        i2, e2 = _sint.quad(h, edge, w_top, epsabs=0.0, epsrel=1e-6, limit=200,
-                            points=mid_pts or None)
-        i3, e3 = _sint.quad(h, w_top, np.inf, epsabs=1e-300, epsrel=1e-6, limit=200)
-    est = abs(e1) + abs(e2) + abs(e3)
-    body = i1 + i2 + i3
-    if abs(body) > 0.0 and est > 1e-3 * abs(body):
-        raise ConvergenceError(
-            f"oracle KK transform achieved only {est:.3e} on {body:.3e}",
-            error_estimate=est,
-        )
-    return condensate + (2.0 * xi * xi / math.pi) * body
-
-
-def kk_oracle_sigma(material: MaterialParams, gap: GapModel, xi: float, T: float) -> float:
-    """sigma(i xi) in units of Omega^2/(4 pi) per eV, via the QUADPACK route.
-
-    T at or above tc returns the pure Drude form exactly.
-    """
-    if xi <= 0.0:
-        raise DomainError("kk_oracle_sigma requires xi > 0")
-    delta = bcs_gap(gap, T, material.tc) if material.tc > 0.0 else 0.0
-    pref = material.omega_p ** 2 / (4.0 * math.pi)
-    if delta == 0.0:
-        return pref / (xi + material.gamma)
-    g = _g_oracle_gamma_free(xi, delta, CONST.k_b * T) / material.gamma
-    return pref * (1.0 / (xi + material.gamma) + g / xi)
-
-
-def g_from_oracle(material: MaterialParams, gap: GapModel, xi: float, T: float) -> float:
-    """Extract g from the oracle sigma via the defining decomposition."""
-    sigma = kk_oracle_sigma(material, gap, xi, T)
-    pref = material.omega_p ** 2 / (4.0 * math.pi)
-    return xi * (sigma / pref - 1.0 / (xi + material.gamma))
-
-
-# ---------------------------------------------------------------------------
 # g at the discrete thermal frequencies (engine fast path)
 
 
 def g_on_matsubara_grid(material: MaterialParams, gap: GapModel, T: float,
-                        l_count: int) -> np.ndarray:
-    """g at xi_l = 2 pi k_B T l for l = 0..l_count, via the fermionic sum.
+                        l_count: int, l_first: int = 0) -> np.ndarray:
+    """g at xi_l = 2 pi k_B T l for l = l_first..l_first + l_count.
 
-    At the discrete frequencies the analytic continuation reduces to
+    At the discrete frequencies the analytic continuation reduces to the
+    fermionic sum
 
         g(xi_l) = (pi kT / gamma) * sum_n [ sgn(w_n) sgn(w_n + xi_l)
                   - (w_n (w_n + xi_l) - Delta^2) / (s_n s_{n+l}) ]
 
-    over fermionic w_n = pi kT (2n+1), s_n = sqrt(w_n^2 + Delta^2), with the
-    slowly converging wings summed in closed form via polygamma functions.
-    The l = 0 entry is the condensate weight g(0+).
+    over w_n = pi kT (2n+1), s_n = sqrt(w_n^2 + Delta^2), with the slowly
+    converging wings summed in closed form via polygamma functions.  The
+    l = 0 entry is the condensate weight g(0+).  Each entry depends on its l
+    alone, so a run of l is bit for bit the same slice of a longer run.
     """
     if T <= 0.0:
         raise DomainError("g_on_matsubara_grid requires T > 0")
@@ -483,30 +374,24 @@ def g_on_matsubara_grid(material: MaterialParams, gap: GapModel, T: float,
         return out
     t_ev = CONST.k_b * T
     step = 2.0 * math.pi * t_ev
-    n_body = int(max(60.0 * delta / step, 60.0)) + 1
-    n_top = n_body + l_count + 1
-    w = step * (np.arange(n_top) + 0.5)
+    n = int(max(60.0 * delta / step, 60.0)) + 1
+    w = step * (np.arange(n + l_first + l_count + 1) + 0.5)
     s = np.sqrt(w * w + delta * delta)
     d2 = delta * delta
-
-    for l in range(1, l_count + 1):
-        n = n_body
-        wn = w[:n]
-        wnl = w[l:l + n]
-        sn = s[:n]
-        snl = s[l:l + n]
-        noncross = 1.0 - (wn * wnl - d2) / (sn * snl)
+    # analytic wings: t_n ~ (Delta^2/2) (1/w_n + 1/w_{n+l})^2 past the body
+    a = n + 0.5
+    psi1_a = float(_ssp.polygamma(1, a))
+    psi_a = float(_ssp.digamma(a))
+    for l in range(max(l_first, 1), l_first + l_count + 1):
+        noncross = 1.0 - (w[:n] * w[l:l + n] - d2) / (s[:n] * s[l:l + n])
         cross = -1.0 + (w[:l] * w[l - 1::-1] + d2) / (s[:l] * s[l - 1::-1])
         body = 2.0 * float(np.sum(noncross)) + float(np.sum(cross))
-        # analytic wings: t_n ~ (Delta^2/2) (1/w_n + 1/w_{n+l})^2
-        a = n + 0.5
-        psi1_a = float(_ssp.polygamma(1, a))
-        psi1_al = float(_ssp.polygamma(1, a + l))
-        cross_sum = (float(_ssp.digamma(a + l)) - float(_ssp.digamma(a))) / l
-        wing = (d2 / step ** 2) * (psi1_a + psi1_al + 2.0 * cross_sum)
-        out[l] = body + wing
+        cross_sum = (float(_ssp.digamma(a + l)) - psi_a) / l
+        wing = (d2 / step ** 2) * (psi1_a + float(_ssp.polygamma(1, a + l)) + 2.0 * cross_sum)
+        out[l - l_first] = body + wing
     out *= math.pi * t_ev / material.gamma
-    out[0] = math.pi * delta * math.tanh(delta / (2.0 * t_ev)) / material.gamma
+    if l_first == 0:
+        out[0] = _condensate(delta, t_ev) / material.gamma
     return out
 
 

@@ -25,7 +25,6 @@ from casimir_sc.materials import (
     GOLD,
     LEAD,
     default_gap,
-    g_from_oracle,
     mattis_bardeen_g,
 )
 from casimir_sc.sc_state import ModulationSpec, Phase, force_signal, shifted_tc
@@ -37,6 +36,8 @@ from casimir_sc.sweeps import (
     run_sweep,
     waveform_samples,
 )
+
+from oracles import g_from_oracle
 
 CFG = EngineConfig()
 GAP = default_gap(LEAD.tc)

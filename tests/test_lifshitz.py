@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 
@@ -228,13 +229,33 @@ def test_difference_truncation_robustness():
 
 
 def test_block_size_does_not_change_series(monkeypatch):
-    """Terms are integrated in blocks of l; the split, including where a
-    block meets the end of the g grid, must not move a single bit."""
+    """Terms are integrated in blocks of l, each with its own slice of g;
+    the split must not move a single bit."""
     diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
     fs = free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, T200, 200.0, CFG)
     monkeypatch.setattr(lifshitz_mod, "_BLOCK", 7)
     assert free_energy_difference(GOLD, LEAD, T200, 70.0, CFG) == diff
     assert free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, T200, 200.0, CFG) == fs
+
+
+def test_g_requested_once_per_block(monkeypatch):
+    """Each block asks for g on its own l only: the requested runs climb
+    from l = 1 without gap or overlap and stop within a block of the end."""
+    runs = []
+    g_on_grid = lifshitz_mod.g_on_matsubara_grid
+
+    def record(*args, **kwargs):
+        call = inspect.signature(g_on_grid).bind(*args, **kwargs).arguments
+        first = call.get("l_first", 0)
+        runs.append((first, first + call["l_count"]))
+        return g_on_grid(*args, **kwargs)
+
+    monkeypatch.setattr(lifshitz_mod, "g_on_matsubara_grid", record)
+    res = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
+    assert runs[0][0] == 1
+    for (_, last), (first, _) in zip(runs, runs[1:]):
+        assert first == last + 1
+    assert res.terms_used - 1 <= runs[-1][1] < res.terms_used + lifshitz_mod._BLOCK
 
 
 def test_low_temperature_series_path_consistency(monkeypatch):

@@ -16,14 +16,19 @@ from casimir_sc.materials import (
     dirty_limit_ratio,
     drude_eps,
     eps_bcs,
-    g_from_oracle,
     g_on_matsubara_grid,
     g_zero_limit,
-    kk_oracle_sigma,
     mattis_bardeen_g,
 )
+from casimir_sc.sc_state import shifted_tc
 
-from oracles import gap_ratio_bruteforce, g_matsubara_bruteforce, mb_ratio_t0_elliptic
+from oracles import (
+    g_from_oracle,
+    g_matsubara_bruteforce,
+    gap_ratio_bruteforce,
+    kk_oracle_sigma,
+    mb_ratio_t0_elliptic,
+)
 
 GAP = default_gap(LEAD.tc)
 TWO_D0 = 2.0 * GAP.delta0
@@ -232,6 +237,14 @@ def test_g_grid_matches_pointwise_g():
     for l in (1, 2, 5, 12):
         assert grid[l] == pytest.approx(
             mattis_bardeen_g(LEAD, GAP, l * h, temperature), rel=1e-6)
+
+
+@pytest.mark.parametrize("field_oe", [200.0, 775.0])
+def test_g_grid_run_is_slice_of_longer_grid(field_oe):
+    temperature = shifted_tc(LEAD, field_oe)
+    for k, n in ((0, 40), (1, 40), (357, 12)):
+        run = g_on_matsubara_grid(LEAD, GAP, temperature, n, l_first=k)
+        assert np.array_equal(run, g_on_matsubara_grid(LEAD, GAP, temperature, k + n)[k:])
 
 
 def test_g_rrr_scaling():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from casimir_sc import lifshitz
 from casimir_sc.errors import ConvergenceError
 from casimir_sc.quadrature import (
     CompositeKronrod,
@@ -25,6 +26,18 @@ def test_composite_integrates_each_row():
     vals, errs = rule.integrate(scales[:, None] * np.exp(-rule.nodes))
     assert vals == pytest.approx(scales * (1.0 - math.exp(-4.0)), rel=1e-13)
     assert np.all(errs <= 1e-10 * scales)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 7, 255, 256, 300])
+def test_engine_composite_is_batch_invariant(batch):
+    """Each row of a batch gets the bits of a one-row call, so the Matsubara
+    series cannot depend on how its terms are split into blocks."""
+    rule = lifshitz._COMPOSITE
+    rows = np.random.default_rng(batch).standard_normal((batch, rule.nodes.size))
+    vals, errs = rule.integrate(rows)
+    for i in range(batch):
+        val, err = rule.integrate(rows[i:i + 1])
+        assert vals[i] == val[0] and errs[i] == err[0]
 
 
 def test_adaptive_smooth():
