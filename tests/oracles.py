@@ -80,6 +80,37 @@ def g_matsubara_bruteforce(xi_l: float, delta: float, temperature: float,
     return math.pi * t_ev / gamma * float(np.sum(terms))
 
 
+def g_matsubara_exact_cross(material: MaterialParams, gap: GapModel, T: float,
+                            l_count: int, l_first: int = 0) -> np.ndarray:
+    """g at xi_l for l = l_first..l_first + l_count, every cross term summed.
+
+    The same body and polygamma wings as the production grid, but all l
+    cross terms of the fermionic sum are added one by one, O(l) per entry
+    and two scalar polygamma calls per l.  The l = 0 entry is left at 0.
+    """
+    delta = bcs_gap(gap, T, material.tc)
+    out = np.zeros(l_count + 1)
+    if delta == 0.0:
+        return out
+    t_ev = CONST.k_b * T
+    step = 2.0 * math.pi * t_ev
+    n = int(max(60.0 * delta / step, 60.0)) + 1
+    w = step * (np.arange(n + l_first + l_count + 1) + 0.5)
+    s = np.sqrt(w * w + delta * delta)
+    d2 = delta * delta
+    a = n + 0.5
+    psi1_a = float(special.polygamma(1, a))
+    psi_a = float(special.digamma(a))
+    for l in range(max(l_first, 1), l_first + l_count + 1):
+        noncross = 1.0 - (w[:n] * w[l:l + n] - d2) / (s[:n] * s[l:l + n])
+        cross = -1.0 + (w[:l] * w[l - 1::-1] + d2) / (s[:l] * s[l - 1::-1])
+        body = 2.0 * float(np.sum(noncross)) + float(np.sum(cross))
+        cross_sum = (float(special.digamma(a + l)) - psi_a) / l
+        wing = (d2 / step ** 2) * (psi1_a + float(special.polygamma(1, a + l)) + 2.0 * cross_sum)
+        out[l - l_first] = body + wing
+    return out * (math.pi * t_ev / material.gamma)
+
+
 def ideal_casimir_energy(d: float) -> float:
     """Zero-temperature perfect-mirror free energy per area, eV/nm^2."""
     return -math.pi ** 2 * HBAR_C / (720.0 * d ** 3)

@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from casimir_sc import materials
 from casimir_sc.constants import CONST
 from casimir_sc.errors import DomainError
 from casimir_sc.materials import (
@@ -25,6 +28,7 @@ from casimir_sc.sc_state import shifted_tc
 from oracles import (
     g_from_oracle,
     g_matsubara_bruteforce,
+    g_matsubara_exact_cross,
     gap_ratio_bruteforce,
     kk_oracle_sigma,
     mb_ratio_t0_elliptic,
@@ -146,6 +150,45 @@ def test_gap_against_bruteforce_solver():
     assert 0.93 <= GAP.ratio(0.5) <= 0.98
 
 
+def test_gap_knots_match_bruteforce_solver():
+    """The array-solved knots, including the last ones near t = 1 where the
+    gap equation is worst conditioned, match the direct solver."""
+    from casimir_sc.materials import _universal_gap_curve
+    t_knots, r_knots = _universal_gap_curve()
+    idx = sorted(set(range(0, len(t_knots), 20)) | set(range(len(t_knots) - 3, len(t_knots))))
+    for i in idx:
+        assert r_knots[i] == pytest.approx(gap_ratio_bruteforce(float(t_knots[i])),
+                                           rel=5e-9, abs=0.0), t_knots[i]
+
+
+def test_gap_interpolation_matches_scipy_pchip():
+    from scipy.interpolate import PchipInterpolator
+
+    from casimir_sc.materials import _universal_gap_curve
+    t_knots, r_knots = _universal_gap_curve()
+    reference = PchipInterpolator(t_knots, r_knots * r_knots)
+    ts = np.concatenate([
+        np.linspace(0.0, 1.0, 20001),
+        np.linspace(0.0, t_knots[1], 101),           # first interval
+        np.linspace(t_knots[-2], 1.0, 101),          # last interval
+        1.0 - np.geomspace(1e-6, 1e-12, 61),
+    ])
+    mine = np.array([GAP.ratio(float(t)) for t in ts])
+    expected = np.sqrt(np.maximum(reference(ts), 0.0))
+    assert np.allclose(mine, expected, rtol=1e-14, atol=0.0)
+
+
+def test_import_leaves_out_scipy_solvers():
+    """The materials layer needs scipy.special only; scipy.optimize,
+    scipy.interpolate and scipy.linalg cost a fresh process ~0.4 s."""
+    code = ("import sys, casimir_sc; casimir_sc.default_gap(7.2).ratio(0.5); "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', "
+            "'scipy.linalg') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
 # ---------------------------------------------------------------------------
 # Mattis-Bardeen ratio on the real axis
 
@@ -245,6 +288,29 @@ def test_g_grid_run_is_slice_of_longer_grid(field_oe):
     for k, n in ((0, 40), (1, 40), (357, 12)):
         run = g_on_matsubara_grid(LEAD, GAP, temperature, n, l_first=k)
         assert np.array_equal(run, g_on_matsubara_grid(LEAD, GAP, temperature, k + n)[k:])
+
+
+@pytest.mark.parametrize("field_oe", [30.125, 200.0, 775.0])
+def test_g_grid_matches_exact_cross_sum(field_oe):
+    """The cross sum split into exact ends and a closed-form middle stays
+    within 1e-5 of summing every cross term, around the split at l = 2e
+    and out to the 775 Oe series length."""
+    temperature = shifted_tc(LEAD, field_oe)
+    delta = bcs_gap(GAP, temperature, LEAD.tc)
+    step = 2.0 * math.pi * CONST.k_b * temperature
+    e = materials._CROSS_EXACT * (int(max(60.0 * delta / step, 60.0)) + 1)
+    for l in (1, 5, 2 * e - 1, 2 * e, 2 * e + 1, 2 * e + 2, 5000, 18000):
+        got = g_on_matsubara_grid(LEAD, GAP, temperature, 0, l_first=l)[0]
+        want = g_matsubara_exact_cross(LEAD, GAP, temperature, 0, l_first=l)[0]
+        assert got == pytest.approx(want, rel=1e-5), l
+
+
+def test_g_grid_runs_are_shared_and_read_only():
+    temperature = shifted_tc(LEAD, 200.0)
+    run = g_on_matsubara_grid(LEAD, GAP, temperature, 255, 1)
+    assert g_on_matsubara_grid(LEAD, GAP, temperature, 255, 1) is run
+    with pytest.raises(ValueError):
+        run[0] = 0.0
 
 
 def test_g_rrr_scaling():
