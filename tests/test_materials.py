@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -184,8 +185,11 @@ def test_import_leaves_out_scipy_solvers():
     code = ("import sys, casimir_sc; casimir_sc.default_gap(7.2).ratio(0.5); "
             "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', "
             "'scipy.linalg') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(materials.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120)
+                         text=True, check=True, timeout=120, env=env)
     assert out.stdout.strip() == "[]"
 
 
