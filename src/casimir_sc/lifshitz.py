@@ -41,8 +41,8 @@ from .sc_state import Phase
 # configuration and result types
 
 
-# Beyond this many Matsubara terms the sum is evaluated in its midpoint
-# Euler-Maclaurin integral form (only reached far below 1 K).
+# Beyond this many Matsubara terms a full series (normal or ideal mirrors) is
+# evaluated in its midpoint Euler-Maclaurin integral form (far below 1 K).
 _MAX_EXACT_TERMS = 200_000
 
 _Y_CUT = 45.0
@@ -64,10 +64,10 @@ class EngineConfig:
             tol = getattr(self, name)
             if not 0.0 < tol <= 1e-3:
                 raise DomainError(f"{name} must lie in (0, 1e-3]")
-        if self.matsubara_cap_full < 10.0:
-            raise DomainError("matsubara_cap_full must be >= 10")
-        if self.matsubara_cap_diff < 20.0:
-            raise DomainError("matsubara_cap_diff must be >= 20 (a few tens)")
+        for name, low in (("matsubara_cap_full", 10.0), ("matsubara_cap_diff", 20.0)):
+            cap = getattr(self, name)
+            if not low <= cap < math.inf:
+                raise DomainError(f"{name} must be finite and >= {low:g} (got {cap})")
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def _term_stream(integrand, params, T: float, d: float, cfg: EngineConfig,
     """(integral, error) of the terms l = 1 .. l_stop in order, a block at a time.
 
     params(l, xi) gives the integrand's per-l parameters from the block's
-    integer l and its xi_l, so a superconductor fetches g for its own block;
+    integer l and its xi_l, so the difference series fetches g for its own block;
     a block is computed only once the sum reaches it.
     """
     h = 2.0 * math.pi * CONST.k_b * T
@@ -250,12 +250,10 @@ def _term_stream(integrand, params, T: float, d: float, cfg: EngineConfig,
 
 
 def _matsubara_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
-                   l_cap: int, l_stop: int, head: tuple = (0.0, 0.0),
-                   force: bool = False) -> FreeEnergyResult:
+                   l_cap: int, l_stop: int, head: tuple = (0.0, 0.0)) -> FreeEnergyResult:
     """kT/(8 pi d^2) * [head + sum_{l>=1} term_l], summed in ascending l.
 
-    Stops after three quiet terms past l_cap, or after exactly l_stop terms
-    when force is set.
+    Stops after three quiet terms past l_cap.
     """
     acc = NeumaierSum()
     acc.add(head[0])
@@ -267,8 +265,6 @@ def _matsubara_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
                                  start=1):
         acc.add(sl)
         err_acc += el
-        if force:
-            continue
         if abs(sl) <= cfg.rel_tol_series * abs(acc.value):
             quiet += 1
             if quiet >= 3 and l >= l_cap:
@@ -276,35 +272,27 @@ def _matsubara_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
         else:
             quiet = 0
     else:
-        if not force:
-            raise ConvergenceError(
-                f"Matsubara series not converged after {l} terms "
-                f"(last term {sl:.3e} against {acc.value:.3e})",
-                error_estimate=abs(sl),
-            )
+        raise ConvergenceError(
+            f"Matsubara series not converged after {l} terms "
+            f"(last term {sl:.3e} against {acc.value:.3e})",
+            error_estimate=abs(sl),
+        )
     pref = CONST.k_b * T / (8.0 * math.pi * d * d)
     return FreeEnergyResult(value=pref * acc.value, terms_used=l + 1,
                             error_estimate=pref * (err_acc + abs(sl)))
 
 
-def _full_l_cap(T: float, d: float, cfg: EngineConfig) -> int:
-    """Last Matsubara index below matsubara_cap_full * c/d, rounded up."""
-    xi_cap = cfg.matsubara_cap_full * (CONST.hbar_c / d)
-    return int(math.ceil(xi_cap / (2.0 * math.pi * CONST.k_b * T)))
-
-
 def _full_free_energy(integrand, params, zero_integrand, T: float, d: float,
-                      cfg: EngineConfig, force_terms: Optional[int] = None) -> FreeEnergyResult:
+                      cfg: EngineConfig) -> FreeEnergyResult:
     """Full series: the l = 0 term at half weight, then l >= 1 up to
-    matsubara_cap_full * c/d (or exactly force_terms terms)."""
-    l_cap = _full_l_cap(T, d, cfg)
+    matsubara_cap_full * c/d."""
+    xi_cap = cfg.matsubara_cap_full * (CONST.hbar_c / d)
+    l_cap = int(math.ceil(xi_cap / (2.0 * math.pi * CONST.k_b * T)))
     s0, e0 = next(_terms(zero_integrand, np.zeros(1), (), cfg.rel_tol_quadrature))
-    if force_terms is None and l_cap > _MAX_EXACT_TERMS:
+    if l_cap > _MAX_EXACT_TERMS:
         return _free_energy_low_t(integrand, params, s0, e0, T, d, cfg, l_cap)
-    forced = force_terms is not None
-    return _matsubara_sum(integrand, params, T, d, cfg, l_cap,
-                          force_terms if forced else 10 * l_cap + 1000,
-                          head=(0.5 * s0, 0.5 * e0), force=forced)
+    return _matsubara_sum(integrand, params, T, d, cfg, l_cap, 10 * l_cap + 1000,
+                          head=(0.5 * s0, 0.5 * e0))
 
 
 def _free_energy_low_t(integrand, params, s0: float, e0: float, T: float,
@@ -342,38 +330,31 @@ def _free_energy_low_t(integrand, params, s0: float, e0: float, T: float,
 
 def free_energy(material_a: MaterialParams, material_b: MaterialParams,
                 phase_b: Phase, T: float, d: float, cfg: EngineConfig,
-                gap_b: Optional[GapModel] = None,
-                force_terms: Optional[int] = None) -> FreeEnergyResult:
+                gap_b: Optional[GapModel] = None) -> FreeEnergyResult:
     """Lifshitz free energy per unit area (eV/nm^2); negative for metals.
 
-    Slab a is treated as a normal Drude metal; slab b in the requested phase.
-    The superconducting phase is refused where the series would need more
-    than _MAX_EXACT_TERMS terms.
+    Slab a is treated as a normal Drude metal.  With slab b normal this is
+    the full Matsubara series.  The superconducting value is
+    F_s = F_n - (F_n - F_s): the normal series less the cancellation-free
+    difference series, so no series is summed in the superconducting phase
+    itself.  Its terms_used is that of F_n and its error estimate the sum
+    of the two.
     """
-    if T <= 0.0 or d <= 0.0:
-        raise DomainError("free_energy requires T > 0 and d > 0")
-    if phase_b is not Phase.SUPERCONDUCTING:
-        return _full_free_energy(
-            _pair_log, lambda l, xi: (_drude(material_a, xi), _drude(material_b, xi)),
-            _tm_zero_log, T, d, cfg, force_terms)
-    if not material_b.is_superconductor():
+    if not (0.0 < T < math.inf and 0.0 < d < math.inf):
+        raise DomainError("free_energy requires finite T > 0 and d > 0")
+    superconducting = phase_b is Phase.SUPERCONDUCTING
+    if superconducting and not material_b.is_superconductor():
         raise DomainError(f"{material_b.name} has no superconducting phase")
-    if T >= material_b.tc:
+    if superconducting and T >= material_b.tc:
         raise DomainError("superconducting phase requires T < tc")
-    l_cap = _full_l_cap(T, d, cfg)
-    if l_cap > _MAX_EXACT_TERMS:
-        # The integral form needs g(xi) off the Matsubara grid.
-        raise DomainError(
-            f"superconducting free energy needs {l_cap} Matsubara terms, more "
-            f"than the {_MAX_EXACT_TERMS} summed exactly; raise T or d")
-    if gap_b is None:
-        gap_b = default_gap(material_b.tc)
-
-    def params(l, xi):
-        g = g_on_matsubara_grid(material_b, gap_b, T, l.size - 1, int(l[0]))
-        return _drude(material_a, xi), _bcs(material_b, xi, g)
-
-    return _full_free_energy(_pair_log, params, _tm_zero_log, T, d, cfg, force_terms)
+    fn = _full_free_energy(
+        _pair_log, lambda l, xi: (_drude(material_a, xi), _drude(material_b, xi)),
+        _tm_zero_log, T, d, cfg)
+    if not superconducting:
+        return fn
+    diff = free_energy_difference(material_a, material_b, T, d, cfg, gap_b=gap_b)
+    return FreeEnergyResult(value=fn.value - diff.value, terms_used=fn.terms_used,
+                            error_estimate=fn.error_estimate + diff.error_estimate)
 
 
 def ideal_mirror_free_energy(T: float, d: float, cfg: EngineConfig) -> FreeEnergyResult:
@@ -381,8 +362,8 @@ def ideal_mirror_free_energy(T: float, d: float, cfg: EngineConfig) -> FreeEnerg
 
     Approaches -pi^2 hbar c / (720 d^3) as T -> 0.
     """
-    if T <= 0.0 or d <= 0.0:
-        raise DomainError("ideal_mirror_free_energy requires T > 0 and d > 0")
+    if not (0.0 < T < math.inf and 0.0 < d < math.inf):
+        raise DomainError("ideal_mirror_free_energy requires finite T > 0 and d > 0")
     return _full_free_energy(_ideal_log, lambda l, xi: (), _ideal_log, T, d, cfg)
 
 
@@ -395,8 +376,8 @@ def free_energy_difference(material_a: MaterialParams, material_b: MaterialParam
     zero-mode reflection is zero and both phases of slab b saturate the TM
     reflection at unity.
     """
-    if T <= 0.0 or d <= 0.0:
-        raise DomainError("free_energy_difference requires T > 0 and d > 0")
+    if not (0.0 < T < math.inf and 0.0 < d < math.inf):
+        raise DomainError("free_energy_difference requires finite T > 0 and d > 0")
     if not material_b.is_superconductor():
         raise DomainError(f"{material_b.name} has no superconducting phase")
     if T >= material_b.tc:
@@ -417,8 +398,8 @@ def delta_force_pfa(material_a: MaterialParams, material_b: MaterialParams,
                     R_um: float, T: float, d: float, cfg: EngineConfig,
                     gap_b: Optional[GapModel] = None) -> DeltaForceResult:
     """Sphere-plate force jump 2 pi R [F_n - F_s] in fN, with the d/R bound."""
-    if R_um <= 0.0:
-        raise DomainError("sphere radius must be positive")
+    if not 0.0 < R_um < math.inf:
+        raise DomainError(f"sphere radius R_um must be positive and finite (got {R_um})")
     r_nm = R_um * 1000.0
     bound = d / r_nm
     if bound >= 1e-2:

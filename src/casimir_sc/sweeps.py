@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .constants import CONST, CONSTANTS_VERSION
 from .errors import ConfigError, ConvergenceError, DomainError
-from .lifshitz import EngineConfig, delta_force_pfa, free_energy
+from .lifshitz import (EngineConfig, delta_force_pfa, free_energy,
+                       free_energy_difference)
 from .materials import GOLD, LEAD, MaterialParams, default_gap, mattis_bardeen_g
 from .sc_state import (ModulationSpec, Phase, critical_field, pulse_f,
                        resolve_phase, shifted_tc)
@@ -154,12 +155,10 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     if "rel_tol" in merged:
         engine_kwargs["rel_tol_quadrature"] = float(merged["rel_tol"])
         engine_kwargs["rel_tol_series"] = float(merged["rel_tol"])
-    for src, dst in (("rel_tol_quadrature", "rel_tol_quadrature"),
-                     ("rel_tol_series", "rel_tol_series"),
-                     ("matsubara_cap_full", "matsubara_cap_full"),
-                     ("matsubara_cap_diff", "matsubara_cap_diff")):
-        if src in merged:
-            engine_kwargs[dst] = float(merged[src])
+    for name in ("rel_tol_quadrature", "rel_tol_series",
+                 "matsubara_cap_full", "matsubara_cap_diff"):
+        if name in merged:
+            engine_kwargs[name] = float(merged[name])
     try:
         engine = EngineConfig(**engine_kwargs)
     except DomainError as exc:
@@ -203,17 +202,17 @@ def _default_sweep(variable: str) -> SweepSpec:
 
 
 def _check_rrr(name: str, value: float) -> None:
-    if not value >= 1.0:
-        raise ConfigError(f"{name} must be >= 1 (got {value})")
+    if not 1.0 <= value < math.inf:
+        raise ConfigError(f"{name} must be finite and >= 1 (got {value})")
 
 
 def validate_config(cfg: RunConfig) -> None:
     hc0 = cfg.material_b.hc0
     tc = cfg.material_b.tc
-    if cfg.radius_um <= 0.0:
-        raise ConfigError(f"radius_um must be positive (got {cfg.radius_um})")
-    if not cfg.gap_nm > 10.0:
-        raise ConfigError(f"gap_nm must exceed 10 nm (got {cfg.gap_nm})")
+    if not 0.0 < cfg.radius_um < math.inf:
+        raise ConfigError(f"radius_um must be positive and finite (got {cfg.radius_um})")
+    if not 10.0 < cfg.gap_nm < math.inf:
+        raise ConfigError(f"gap_nm must exceed 10 nm and be finite (got {cfg.gap_nm})")
     if not 0.0 <= cfg.field_oe < hc0:
         raise ConfigError(f"field_oe must lie in [0, {hc0}) (got {cfg.field_oe})")
     if cfg.temperature_k is not None and not 0.0 < cfg.temperature_k < tc:
@@ -225,8 +224,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"sweep_variable must be one of {SWEEP_VARIABLES} (got {sw.variable!r})")
     if sw.points < 2:
         raise ConfigError(f"sweep_points must be >= 2 (got {sw.points})")
-    if not sw.stop > sw.start:
-        raise ConfigError("sweep_stop must exceed sweep_start")
+    if not sw.start < sw.stop < math.inf:
+        raise ConfigError("sweep_stop must be finite and exceed sweep_start "
+                          f"(got [{sw.start}, {sw.stop}])")
     if sw.variable == "field_Oe" and not (0.0 <= sw.start and sw.stop < hc0):
         raise ConfigError(f"field sweep must stay inside [0, {hc0}) Oe "
                           f"(got [{sw.start}, {sw.stop}])")
@@ -301,11 +301,9 @@ def _evaluate_row(cfg: RunConfig, variable: str, x: float) -> SweepRow:
         res = delta_force_pfa(cfg.material_a, pb, cfg.radius_um,
                               temperature, d, cfg.engine)
         if cfg.compute_full:
-            fn = free_energy(cfg.material_a, pb, Phase.NORMAL,
-                             temperature, d, cfg.engine)
-            fs = free_energy(cfg.material_a, pb, Phase.SUPERCONDUCTING,
-                             temperature, d, cfg.engine)
-            f_normal, f_super = fn.value, fs.value
+            f_normal = free_energy(cfg.material_a, pb, Phase.NORMAL,
+                                   temperature, d, cfg.engine).value
+            f_super = f_normal - res.diff_ev_nm2
         else:
             f_normal = f_super = float("nan")
         return SweepRow(x=x, t_prime_c_k=t_prime, delta_f_fn=res.delta_f_fn,
@@ -423,10 +421,8 @@ def point_eval(cfg: RunConfig, include_force: bool = True) -> dict:
     if cfg.compute_full:
         fn = free_energy(cfg.material_a, cfg.material_b, Phase.NORMAL,
                          temperature, cfg.gap_nm, cfg.engine)
-        fs = free_energy(cfg.material_a, cfg.material_b, Phase.SUPERCONDUCTING,
-                         temperature, cfg.gap_nm, cfg.engine)
         result["f_normal_eV_nm2"] = fn.value
-        result["f_super_eV_nm2"] = fs.value
+        result["f_super_eV_nm2"] = fn.value - res.diff_ev_nm2
     return result
 
 
@@ -466,24 +462,24 @@ def g_function_table(cfg: RunConfig, t_over_tc: Sequence[float],
 def waveform_samples(cfg: RunConfig, spec: ModulationSpec, n_samples: int) -> str:
     """One period of (t, H, phase, F) at midpoint samples.
 
-    F(t) = mean + jump * f(t) built from the two full free energies at the
-    base temperature; the H column is the drive H_c(T) + h f(t).
+    F(t) = mean + jump * f(t) at the base temperature: the jump is the
+    difference series, the mean F_n less half of it; the H column is the
+    drive H_c(T) + h f(t).
     """
     if n_samples < 2 or n_samples % 2 != 0:
         raise DomainError("n_samples must be an even number >= 2")
     pb = cfg.material_b
     temperature = spec.base_temperature
+    if temperature >= pb.tc:
+        raise DomainError("the modulated drive needs base_temperature < tc")
     hc = critical_field(pb, temperature)
     fn = free_energy(cfg.material_a, pb, Phase.NORMAL, temperature,
                      cfg.gap_nm, cfg.engine)
-    fs = free_energy(cfg.material_a, pb, Phase.SUPERCONDUCTING, temperature,
-                     cfg.gap_nm, cfg.engine)
-    r_nm = cfg.radius_um * 1000.0
-    to_fn = 2.0 * math.pi * r_nm * CONST.ev_per_nm_to_fn
-    force_n = to_fn * fn.value
-    force_s = to_fn * fs.value
-    mean = 0.5 * (force_n + force_s)
-    jump = force_n - force_s
+    diff = free_energy_difference(cfg.material_a, pb, temperature,
+                                  cfg.gap_nm, cfg.engine)
+    to_fn = 2.0 * math.pi * cfg.radius_um * 1000.0 * CONST.ev_per_nm_to_fn
+    jump = to_fn * diff.value
+    mean = to_fn * fn.value - 0.5 * jump
     period = spec.period
     out = io.StringIO()
     out.write(f"# casimir-sc v{_pkg_version}\n")

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the production code paths: different
 integration variables, different libraries, different algebra.  The QUADPACK
 Kramers-Kronig route shares only the gap curve and the constants with the
-production g.
+production g.  The one exception is superconducting_free_energy_direct,
+which shares the wavevector integrator, the per-l permittivities and g with
+production and differs from it only in its integrand: the superconducting
+series summed on its own, against the production difference series.
 """
 
 from __future__ import annotations
@@ -13,41 +16,48 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import special
 from scipy import integrate as _sint
 
+from casimir_sc import lifshitz
 from casimir_sc.constants import CONST
 from casimir_sc.errors import ConvergenceError, DomainError
-from casimir_sc.materials import GapModel, MaterialParams, bcs_gap
+from casimir_sc.lifshitz import EngineConfig
+from casimir_sc.materials import (GapModel, MaterialParams, bcs_gap, default_gap,
+                                  g_on_matsubara_grid)
+from casimir_sc.quadrature import NeumaierSum
 
 HBAR_C = 197.3269804
 K_B = 8.617333262e-5
 
-BCS_RATIO = math.pi * math.exp(-0.5772156649015329)
-
-
+@lru_cache(maxsize=None)
 def gap_ratio_bruteforce(t: float) -> float:
-    """Solve the reduced BCS gap equation directly in the energy variable."""
+    """Solve the reduced BCS gap equation in the energy variable, 30 digits.
+
+    log(1/d) = 2 int_0^inf dv / (e^{s cosh v} + 1), s = pi e^{-gamma} d / t,
+    solved by mpmath's secant from the Ginzburg-Landau start 1.74 sqrt(1 - t).
+    Near t = 1 both sides are ~log(1/d) while their difference is ~d^2, and
+    an error eps in pi e^{-gamma} moves d by ~eps / (2 (1 - t)); so the
+    constant too is computed at the working precision.
+    """
     if t <= 0.0:
         return 1.0
     if t >= 1.0:
         return 0.0
+    import mpmath as mp
 
-    def rhs(d: float) -> float:
-        s = BCS_RATIO * d / t
+    with mp.workdps(30):
+        ratio = mp.pi * mp.exp(-mp.euler) / mp.mpf(t)
 
-        def integrand(eps):
-            e = math.sqrt(eps * eps + 1.0)
-            x = s * e
-            if x > 700.0:
-                return 0.0
-            return 1.0 / (e * (math.exp(x) + 1.0))
+        def residual(d):
+            s = ratio * d
+            # past s cosh v = 80 the integrand is below 1e-34
+            edges = [0, mp.acosh(max(1 / s, 2)), mp.acosh(max(80 / s, 4))]
+            tail = mp.quad(lambda v: 1 / (mp.exp(s * mp.cosh(v)) + 1), edges)
+            return mp.log(1 / d) - 2 * tail
 
-        val, _ = integrate.quad(integrand, 0.0, 700.0 / s + 5.0,
-                                epsabs=0.0, epsrel=1e-12, limit=400)
-        return math.log(1.0 / d) - 2.0 * val
-
-    return optimize.brentq(rhs, 1e-10, 1.0, xtol=1e-14, rtol=1e-13)
+        d0 = mp.mpf(min(1.74 * math.sqrt(1.0 - t), 1.0))
+        return float(mp.findroot(residual, (d0, d0 * mp.mpf("0.999"))))
 
 
 def mb_ratio_t0_elliptic(omega: float, delta: float) -> float:
@@ -109,6 +119,28 @@ def g_matsubara_exact_cross(material: MaterialParams, gap: GapModel, T: float,
         wing = (d2 / step ** 2) * (psi1_a + float(special.polygamma(1, a + l)) + 2.0 * cross_sum)
         out[l - l_first] = body + wing
     return out * (math.pi * t_ev / material.gamma)
+
+
+def superconducting_free_energy_direct(material_a: MaterialParams,
+                                       material_b: MaterialParams, T: float,
+                                       d: float, cfg: EngineConfig,
+                                       terms: int) -> float:
+    """F_s summed directly, eV/nm^2: the half-weight l = 0 term, then exactly
+    `terms` terms of the pair integrand with slab b's BCS permittivity, g
+    fetched per block of l.  F_n less it cancels about four digits."""
+    gap = default_gap(material_b.tc)
+
+    def params(l, xi):
+        g = g_on_matsubara_grid(material_b, gap, T, l.size - 1, int(l[0]))
+        return lifshitz._drude(material_a, xi), lifshitz._bcs(material_b, xi, g)
+
+    s0, _ = next(lifshitz._terms(lifshitz._tm_zero_log, np.zeros(1), (),
+                                 cfg.rel_tol_quadrature))
+    acc = NeumaierSum()
+    acc.add(0.5 * s0)
+    for sl, _ in lifshitz._term_stream(lifshitz._pair_log, params, T, d, cfg, terms):
+        acc.add(sl)
+    return CONST.k_b * T / (8.0 * math.pi * d * d) * acc.value
 
 
 def ideal_casimir_energy(d: float) -> float:

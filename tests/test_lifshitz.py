@@ -23,7 +23,12 @@ from casimir_sc.lifshitz import (
 from casimir_sc.materials import GOLD, LEAD, default_gap, drude_eps, g_zero_limit
 from casimir_sc.sc_state import Phase, shifted_tc
 
-from oracles import fresnel_mpmath, ideal_casimir_energy, lifshitz_trapezoid
+from oracles import (
+    fresnel_mpmath,
+    ideal_casimir_energy,
+    lifshitz_trapezoid,
+    superconducting_free_energy_direct,
+)
 
 CFG = EngineConfig()
 T200 = shifted_tc(LEAD, 200.0)
@@ -142,6 +147,11 @@ def test_engine_config_validation():
         EngineConfig(matsubara_cap_full=5.0)
     with pytest.raises(DomainError):
         EngineConfig(matsubara_cap_diff=10.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="matsubara_cap_full"):
+            EngineConfig(matsubara_cap_full=value)
+        with pytest.raises(DomainError, match="matsubara_cap_diff"):
+            EngineConfig(matsubara_cap_diff=value)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +178,18 @@ def test_free_energy_domain():
         free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, 7.5, 70.0, CFG)
     with pytest.raises(DomainError):
         free_energy(GOLD, GOLD, Phase.SUPERCONDUCTING, 1.0, 70.0, CFG)
+
+
+@pytest.mark.parametrize("T, d", [(math.nan, 70.0), (math.inf, 70.0),
+                                  (6.0, math.nan), (6.0, math.inf)])
+def test_series_reject_non_finite_temperature_and_gap(T, d):
+    for phase in Phase:
+        with pytest.raises(DomainError, match="finite"):
+            free_energy(GOLD, LEAD, phase, T, d, CFG)
+    with pytest.raises(DomainError, match="finite"):
+        free_energy_difference(GOLD, LEAD, T, d, CFG)
+    with pytest.raises(DomainError, match="finite"):
+        ideal_mirror_free_energy(T, d, CFG)
 
 
 def test_free_energy_golden_and_trapezoid():
@@ -202,11 +224,10 @@ def test_difference_golden():
 
 def test_difference_matches_full_subtraction():
     fn = free_energy(GOLD, LEAD, Phase.NORMAL, T200, 70.0, CFG)
-    fs = free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, T200, 70.0, CFG,
-                     force_terms=fn.terms_used - 1)
+    fs = superconducting_free_energy_direct(GOLD, LEAD, T200, 70.0, CFG,
+                                            fn.terms_used - 1)
     diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
-    assert fs.terms_used == fn.terms_used
-    assert diff.value == pytest.approx(fn.value - fs.value, rel=1e-6)
+    assert diff.value == pytest.approx(fn.value - fs, rel=1e-6)
 
 
 def test_difference_uses_far_fewer_terms():
@@ -265,17 +286,16 @@ def test_low_temperature_series_path_consistency(monkeypatch):
     assert integral_form.value == pytest.approx(exact.value, rel=1e-5)
 
 
-def test_low_temperature_path_refuses_superconductor(monkeypatch):
-    """The integral form has no g(xi) between Matsubara frequencies, so the
-    superconducting phase is refused before any g grid is built."""
-
-    def no_grid(*args):
-        raise AssertionError("g grid built for a refused series")
-
+def test_low_temperature_superconductor_matches_direct_series(monkeypatch):
+    """Where F_n takes its Euler-Maclaurin integral form, F_s = F_n - diff
+    still matches the directly summed superconducting series: the difference
+    series is an exact sum, so only F_n's integral form is off."""
+    exact = free_energy(GOLD, LEAD, Phase.NORMAL, 2.0, 150.0, CFG)
+    direct = superconducting_free_energy_direct(GOLD, LEAD, 2.0, 150.0, CFG,
+                                                exact.terms_used - 1)
     monkeypatch.setattr(lifshitz_mod, "_MAX_EXACT_TERMS", 1000)
-    monkeypatch.setattr(lifshitz_mod, "g_on_matsubara_grid", no_grid)
-    with pytest.raises(DomainError, match="Matsubara terms"):
-        free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, 2.0, 150.0, CFG)
+    fs = free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, 2.0, 150.0, CFG)
+    assert fs.value == pytest.approx(direct, rel=1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +315,12 @@ def test_delta_force_values_and_bound():
 def test_delta_force_zero_difference():
     res = delta_force_pfa(GOLD, LEAD, 150.0, 7.2, 70.0, CFG)
     assert res.delta_f_fn == 0.0
+
+
+def test_delta_force_rejects_non_finite_radius():
+    for radius in (math.nan, math.inf, 0.0):
+        with pytest.raises(DomainError, match="R_um"):
+            delta_force_pfa(GOLD, LEAD, radius, T200, 70.0, CFG)
 
 
 def test_delta_force_pfa_warning():

@@ -147,7 +147,7 @@ def test_gap_against_bruteforce_solver():
     t_knots, r_knots = _universal_gap_curve()
     idx = len(t_knots) // 2
     assert r_knots[idx] == pytest.approx(gap_ratio_bruteforce(float(t_knots[idx])),
-                                         rel=1e-9)
+                                         rel=1e-13)
     assert 0.93 <= GAP.ratio(0.5) <= 0.98
 
 
@@ -159,7 +159,7 @@ def test_gap_knots_match_bruteforce_solver():
     idx = sorted(set(range(0, len(t_knots), 20)) | set(range(len(t_knots) - 3, len(t_knots))))
     for i in idx:
         assert r_knots[i] == pytest.approx(gap_ratio_bruteforce(float(t_knots[i])),
-                                           rel=5e-9, abs=0.0), t_knots[i]
+                                           rel=1e-13, abs=0.0), t_knots[i]
 
 
 def test_gap_interpolation_matches_scipy_pchip():

@@ -3,10 +3,11 @@ import time
 
 import pytest
 
+import casimir_sc.lifshitz as lifshitz_mod
 import casimir_sc.sweeps as sweeps_mod
 from casimir_sc.cli import main as cli_main
 from casimir_sc.errors import ConfigError, ConvergenceError, DomainError
-from casimir_sc.lifshitz import EngineConfig
+from casimir_sc.lifshitz import EngineConfig, free_energy_difference
 from casimir_sc.materials import LEAD, default_gap, mattis_bardeen_g
 from casimir_sc.sc_state import ModulationSpec, shifted_tc
 from casimir_sc.sweeps import (
@@ -91,11 +92,51 @@ def test_validation_names_the_field():
         load_config(overrides={"temperature_k": 9.0})
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key", ["radius_um", "gap_nm", "matsubara_cap_full",
+                                 "matsubara_cap_diff", "sweep_stop",
+                                 "rrr_au", "rrr_pb"])
+def test_non_finite_values_rejected(tmp_path, key, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key}={value}\n")
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(path))
+
+
 def test_flags_override_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("gap_nm=90\nradius_um=100\n")
     cfg = load_config(str(path), overrides={"gap_nm": 120.0})
     assert cfg.gap_nm == 120.0 and cfg.radius_um == 100.0
+
+
+# ---------------------------------------------------------------------------
+# free energies
+
+
+def test_point_sums_each_series_once(monkeypatch):
+    """F_s is F_n less the difference series: point sums those two series
+    once each, and the waveform's jump is point's force jump."""
+    cfg = RunConfig(engine=COARSE)
+    summed = []
+    real = lifshitz_mod._matsubara_sum
+
+    def counting(*args, **kwargs):
+        summed.append(args[0].__name__)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lifshitz_mod, "_matsubara_sum", counting)
+    result = point_eval(cfg)
+    assert sorted(summed) == ["_diff_log", "_pair_log"]
+    temperature = result["temperature_K"]
+    diff = free_energy_difference(cfg.material_a, cfg.material_b, temperature,
+                                  cfg.gap_nm, cfg.engine)
+    assert result["f_super_eV_nm2"] == result["f_normal_eV_nm2"] - diff.value
+    spec = ModulationSpec(base_temperature=temperature, h=20.0, frequency=300.0)
+    header = [ln for ln in waveform_samples(cfg, spec, 2).splitlines()
+              if ln.startswith("# mean_force_fN")][0]
+    assert float(header.split("delta_f_fN=")[1]) == pytest.approx(
+        result["delta_f_fN"], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +301,13 @@ def test_waveform_phases_and_levels():
                                     "superconducting", "superconducting"]
     forces = [float(r[3]) for r in rows]
     assert len(set(forces)) == 2
-    jump = forces[0] - forces[-1]
     header = [ln for ln in text.splitlines() if ln.startswith("# mean_force_fN")][0]
     mean_decl = float(header.split("mean_force_fN=")[1].split(" ")[0])
     jump_decl = float(header.split("delta_f_fN=")[1])
-    assert jump == pytest.approx(jump_decl, rel=1e-12)
+    # the levels are exactly mean +- jump/2; their difference rounds at one
+    # ulp of the mean, so it is not compared with the jump
+    assert forces[0] == mean_decl + 0.5 * jump_decl
+    assert forces[-1] == mean_decl - 0.5 * jump_decl
     assert sum(forces) / len(forces) == pytest.approx(mean_decl, rel=1e-12)
 
 
