@@ -30,7 +30,6 @@ from casimir_sc.quadrature import NeumaierSum
 HBAR_C = 197.3269804
 K_B = 8.617333262e-5
 
-@lru_cache(maxsize=None)
 def gap_ratio_bruteforce(t: float) -> float:
     """Solve the reduced BCS gap equation in the energy variable, 30 digits.
 
