@@ -30,6 +30,8 @@ from .materials import (
     GapModel,
     MaterialParams,
     default_gap,
+    drude_eps,
+    eps_bcs,
     g_on_matsubara_grid,
     g_zero_limit,
 )
@@ -193,14 +195,6 @@ def _diff_log(y, yl, eps_a, eps_n, eps_s):
     return y * (np.log1p(-arg_te) + np.log1p(-arg_tm))
 
 
-def _drude(material: MaterialParams, xi):
-    return 1.0 + material.omega_p ** 2 / (xi * (xi + material.gamma))
-
-
-def _bcs(material: MaterialParams, xi, g):
-    return 1.0 + (material.omega_p ** 2 / xi) * (1.0 / (xi + material.gamma) + g / xi)
-
-
 # ---------------------------------------------------------------------------
 # Matsubara series
 
@@ -348,7 +342,7 @@ def free_energy(material_a: MaterialParams, material_b: MaterialParams,
     if superconducting and T >= material_b.tc:
         raise DomainError("superconducting phase requires T < tc")
     fn = _full_free_energy(
-        _pair_log, lambda l, xi: (_drude(material_a, xi), _drude(material_b, xi)),
+        _pair_log, lambda l, xi: (drude_eps(material_a, xi), drude_eps(material_b, xi)),
         _tm_zero_log, T, d, cfg)
     if not superconducting:
         return fn
@@ -389,7 +383,8 @@ def free_energy_difference(material_a: MaterialParams, material_b: MaterialParam
 
     def params(l, xi):
         g = g_on_matsubara_grid(material_b, gap_b, T, l.size - 1, int(l[0]))
-        return _drude(material_a, xi), _drude(material_b, xi), _bcs(material_b, xi, g)
+        return (drude_eps(material_a, xi), drude_eps(material_b, xi),
+                eps_bcs(material_b, xi, g))
 
     return _matsubara_sum(_diff_log, params, T, d, cfg, l_cap, 200 * l_cap + 10000)
 

@@ -15,10 +15,10 @@ pi*Delta*tanh(Delta/2kT).  g_on_matsubara_grid evaluates the same function
 at a run of the discrete thermal frequencies through a fermionic frequency
 sum, which is how the Lifshitz engine consumes it, one block of l at a time;
 each entry costs O(n) in the sum's body width, and runs are cached per
-temperature.  The reduced BCS gap curve is solved once per process, all its
-knots as one array, and interpolated by a PCHIP written in numpy, so the
-module needs scipy.special only.  The independent QUADPACK oracle that
-checks the KK route lives with the tests.
+temperature.  The reduced BCS gap Delta(T)/Delta(0) is solved at each
+temperature asked for, by bisection of the gap equation, and memoised per
+temperature; the module needs scipy.special only.  The independent QUADPACK
+oracle that checks the KK route lives with the tests.
 """
 
 from __future__ import annotations
@@ -113,18 +113,16 @@ class GapModel:
         """Delta(T)/Delta(0) at reduced temperature t in [0, 1]."""
         if t < 0.0 or t > 1.0:
             raise DomainError("reduced temperature outside [0, 1]")
-        if t == 0.0:
+        if t < _GAP_FLAT_BELOW:
             return 1.0
         if t == 1.0:
             return 0.0
-        knots, coef = _gap_interpolator()
-        i = int(np.searchsorted(knots, t, side="right")) - 1
-        s = t - knots[i]
-        c0, c1, c2, c3 = coef[:, i]
-        # summed in the order of scipy's PPoly, lowest power first
-        r2 = c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
-        return float(math.sqrt(max(r2, 0.0)))
+        return _universal_gap_curve(t)
 
+
+# Below this t the ratio deviates from 1 by under 1e-13, and x = BCS/(2 pi t)
+# grows past where the three-order tail of _gap_sum holds.
+_GAP_FLAT_BELOW = 0.06
 
 # Weak-coupling ratio Delta(0)/(k_B Tc) = pi * exp(-Euler gamma); using it in
 # the reduced gap equation closes the curve exactly at t = 1.
@@ -133,95 +131,51 @@ _BCS_RATIO = math.pi * math.exp(-0.5772156649015329)
 # Terms of the gap equation's Matsubara sum taken one by one; past them the
 # sum is a series in x^2 / a_n^2 < 4e-4 whose first three orders are kept.
 _GAP_TERMS = 256
+_GAP_A = np.arange(_GAP_TERMS) + 0.5
+# sum_{n>=N} a_n^-(2k+1) = -psi^(2k)(N + 1/2) / (2k)!
+_GAP_PSI2, _GAP_PSI4, _GAP_PSI6 = (float(_ssp.polygamma(k, _GAP_TERMS + 0.5))
+                                   for k in (2, 4, 6))
 
 
-def _gap_sum(x: np.ndarray) -> np.ndarray:
-    """sum_{n>=0} [1/a_n - 1/sqrt(a_n^2 + x^2)], a_n = n + 1/2, elementwise.
+def _gap_sum(x: float) -> float:
+    """sum_{n>=0} [1/a_n - 1/sqrt(a_n^2 + x^2)], a_n = n + 1/2.
 
     Each term is written x^2 / (a b (a + b)) with b = sqrt(a^2 + x^2), so
     every term, and the sum, is exact to rounding however small x is.
     """
-    a = np.arange(_GAP_TERMS) + 0.5
-    x2 = (x * x)[:, None]
-    b = np.sqrt(a * a + x2)
-    body = np.sum(x2 / (a * b * (a + b)), axis=1)
-    # sum_{n>=N} a_n^-(2k+1) = -psi^(2k)(N + 1/2) / (2k)!
-    z = _GAP_TERMS + 0.5
+    a = _GAP_A
     y = x * x
+    b = np.sqrt(a * a + y)
+    body = float(np.sum(y / (a * b * (a + b))))
     return (body
-            - (y / 2.0) * _ssp.polygamma(2, z) / 2.0
-            + (3.0 * y * y / 8.0) * _ssp.polygamma(4, z) / 24.0
-            - (5.0 * y * y * y / 16.0) * _ssp.polygamma(6, z) / 720.0)
+            - (y / 2.0) * _GAP_PSI2 / 2.0
+            + (3.0 * y * y / 8.0) * _GAP_PSI4 / 24.0
+            - (5.0 * y * y * y / 16.0) * _GAP_PSI6 / 720.0)
 
 
-@lru_cache(maxsize=1)
-def _universal_gap_curve() -> tuple[np.ndarray, np.ndarray]:
-    """Knots of Delta(T)/Delta(0) vs t = T/Tc, dense near t = 1.
+@lru_cache(maxsize=256)
+def _universal_gap_curve(t: float) -> float:
+    """Delta(T)/Delta(0) at t = T/Tc in [_GAP_FLAT_BELOW, 1), solved for this t.
 
-    The first interior knot sits at t = 0.06: below that the deviation from
-    1 is under 1e-12 and the curve is flat at double precision.
-
-    All interior knots are solved together, by bisecting d on [1e-9, 1] as
-    one array, 60 halvings, which takes every bracket below the spacing of
-    doubles at its root.  The equation is the BCS gap equation in Matsubara
-    form, log(1/t) = _gap_sum(x) with x = Delta/(2 pi k_B T) = BCS d/(2 pi t).
-    It is the energy-integral form log(1/d) = 2 int_0^inf dv/(e^{s cosh v} + 1),
-    s = BCS d/t, rewritten so that both sides are small near t = 1: there
-    the integral form cancels two numbers of order log(1/d), and its rounding
-    of ~1e-15 moves d by ~1e-8 at t = 1 - 1e-7, where d^2 ~ 3e-7.
+    Bisects d on [1e-9, 1], 60 halvings, which takes the bracket below the
+    spacing of doubles at the root.  The equation is the BCS gap equation in
+    Matsubara form, log(1/t) = _gap_sum(x) with x = Delta/(2 pi k_B T) =
+    BCS d/(2 pi t).  It is the energy-integral form
+    log(1/d) = 2 int_0^inf dv/(e^{s cosh v} + 1), s = BCS d/t, rewritten so
+    that both sides are small near t = 1: there the integral form cancels
+    two numbers of order log(1/d), and its rounding of ~1e-15 moves d by
+    ~1e-8 at t = 1 - 1e-7, where d^2 ~ 3e-7.  One solve takes about 2 ms,
+    so solves are memoised per t.
     """
-    t = np.unique(np.concatenate([
-        np.linspace(0.06, 0.99, 187),
-        1.0 - np.geomspace(0.01, 1e-7, 60),
-    ]))
-    log_inv_t = -np.log(t)
-    lo = np.full(t.size, 1e-9)
-    hi = np.ones(t.size)
+    log_inv_t = -math.log(t)
+    lo, hi = 1e-9, 1.0
     for _ in range(60):
         d = 0.5 * (lo + hi)
-        above = log_inv_t > _gap_sum(_BCS_RATIO * d / (2.0 * math.pi * t))
-        lo = np.where(above, d, lo)
-        hi = np.where(above, hi, d)
-    d = 0.5 * (lo + hi)
-    return np.concatenate([[0.0], t, [1.0]]), np.concatenate([[1.0], d, [0.0]])
-
-
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    """One-sided three-point end slope, clipped to keep the shape."""
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-@lru_cache(maxsize=1)
-def _gap_interpolator() -> tuple[np.ndarray, np.ndarray]:
-    """Knots and (4, knots - 1) cubic coefficients of the squared gap ratio.
-
-    The square is linear in t near t = 1, where the ratio itself has
-    infinite slope.  Fritsch-Butland PCHIP with the slope rule of scipy's
-    PchipInterpolator: the weighted harmonic mean of the neighbouring
-    secants, zero where they change sign or vanish, one-sided at the ends.
-    Row k of the coefficients multiplies (t - t_i)^k.
-    """
-    t, r = _universal_gap_curve()
-    y = r * r
-    h = np.diff(t)
-    m = np.diff(y) / h
-    w1 = 2.0 * h[1:] + h[:-1]
-    w2 = h[1:] + 2.0 * h[:-1]
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.concatenate([
-            [_pchip_end_slope(h[0], h[1], m[0], m[1])],
-            np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))),
-            [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])],
-        ])
-    c = (slope[:-1] + slope[1:] - 2.0 * m) / h
-    coef = np.stack([y[:-1], slope[:-1], (m - slope[:-1]) / h - c, c / h])
-    return t, coef
+        if log_inv_t > _gap_sum(_BCS_RATIO * d / (2.0 * math.pi * t)):
+            lo = d
+        else:
+            hi = d
+    return 0.5 * (lo + hi)
 
 
 def bcs_gap(gap: GapModel, T: float, tc: float) -> float:
@@ -246,9 +200,10 @@ def default_gap(tc: float) -> GapModel:
 # Drude
 
 
-def drude_eps(material: MaterialParams, xi: float) -> float:
-    """Normal-metal permittivity at imaginary frequency xi > 0 (eV)."""
-    if xi <= 0.0:
+def drude_eps(material: MaterialParams, xi):
+    """Normal-metal permittivity at imaginary frequency xi > 0 (eV), a
+    float or an array."""
+    if np.any(xi <= 0.0):
         raise DomainError("drude_eps requires xi > 0; the static limit is "
                           "handled by the zero-mode reflection formulas")
     return 1.0 + material.omega_p ** 2 / (xi * (xi + material.gamma))
@@ -386,14 +341,14 @@ def g_zero_limit(material: MaterialParams, gap: GapModel, T: float) -> float:
     return _condensate(delta, CONST.k_b * T) / material.gamma
 
 
-def eps_bcs(material: MaterialParams, gap: GapModel, xi: float, T: float) -> float:
-    """Superconducting permittivity; reduces to drude_eps exactly when g = 0."""
-    if xi <= 0.0:
+def eps_bcs(material: MaterialParams, xi, g):
+    """Superconducting permittivity at xi > 0 with the correction g(xi; T)
+    of mattis_bardeen_g; xi and g are floats or arrays.  Equals drude_eps
+    exactly where g == 0."""
+    if np.any(xi <= 0.0):
         raise DomainError("eps_bcs requires xi > 0")
-    g = mattis_bardeen_g(material, gap, xi, T)
-    if g == 0.0:
-        return drude_eps(material, xi)
-    return 1.0 + (material.omega_p ** 2 / xi) * (1.0 / (xi + material.gamma) + g / xi)
+    eps = 1.0 + (material.omega_p ** 2 / xi) * (1.0 / (xi + material.gamma) + g / xi)
+    return np.where(g == 0.0, drude_eps(material, xi), eps)[()]
 
 
 # ---------------------------------------------------------------------------

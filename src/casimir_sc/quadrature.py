@@ -7,6 +7,7 @@ Semi-infinite tails are handled by the exponential substitution x = a*e^u.
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,20 +39,27 @@ _WG = np.array([
 _G_IDX = np.arange(1, 15, 2)
 
 
+def _k15(y: np.ndarray, halves) -> tuple[np.ndarray, np.ndarray]:
+    """K15 integrals and QUADPACK-style scaled error estimates of panels.
+
+    The last axis of y holds each panel's values on the K15 nodes; halves,
+    the panel half-widths, broadcast against the leading axes.
+    """
+    ik = halves * (y @ _WK)
+    ig = halves * (y[..., _G_IDX] @ _WG)
+    resasc = halves * (np.abs(y - y.mean(axis=-1, keepdims=True)) @ _WK)
+    err = np.abs(ik - ig)
+    mask = (resasc != 0.0) & (err != 0.0)
+    err[mask] = resasc[mask] * np.minimum(1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5)
+    return ik, err
+
+
 def kronrod_panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     """One K15 panel on [a, b]; returns (integral, error estimate)."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _XK
-    y = np.asarray(f(x), dtype=float)
-    ik = half * float(np.dot(_WK, y))
-    ig = half * float(np.dot(_WG, y[_G_IDX]))
-    # QUADPACK-style scaled error estimate.
-    resasc = half * float(np.dot(_WK, np.abs(y - np.mean(y))))
-    err = abs(ik - ig)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return ik, err
+    y = np.asarray(f(0.5 * (a + b) + half * _XK), dtype=float)
+    ik, err = _k15(y[None, :], half)
+    return float(ik[0]), float(err[0])
 
 
 class CompositeKronrod:
@@ -64,25 +72,15 @@ class CompositeKronrod:
 
     def __init__(self, edges: Sequence[float]):
         edges = np.asarray(edges, dtype=float)
-        self.edges = edges
-        halves = 0.5 * np.diff(edges)
+        self._halves = 0.5 * np.diff(edges)
         mids = 0.5 * (edges[:-1] + edges[1:])
-        self._halves = halves
-        self.nodes = (mids[:, None] + halves[:, None] * _XK[None, :]).ravel()
-        self._n_panels = len(halves)
+        self.nodes = (mids[:, None] + self._halves[:, None] * _XK[None, :]).ravel()
 
     def integrate(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(integral, error estimate) of each row of values on self.nodes."""
-        y = values.reshape(values.shape[0], self._n_panels, _XK.size)
-        ik = self._halves * (y @ _WK)
-        ig = self._halves * (y[..., _G_IDX] @ _WG)
-        resasc = self._halves * (np.abs(y - y.mean(axis=-1, keepdims=True)) @ _WK)
-        err = np.abs(ik - ig)
-        mask = (resasc != 0.0) & (err != 0.0)
-        scaled = err.copy()
-        scaled[mask] = resasc[mask] * np.minimum(
-            1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5)
-        return ik.sum(axis=-1), scaled.sum(axis=-1)
+        y = values.reshape(values.shape[0], self._halves.size, _XK.size)
+        ik, err = _k15(y, self._halves)
+        return ik.sum(axis=-1), err.sum(axis=-1)
 
 
 def adaptive_quad(
@@ -206,15 +204,8 @@ class NeumaierSum:
         return self._s + self._c
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached Gauss-Legendre nodes/weights on [0, 1]."""
-    key = int(n)
-    cached = _GL_CACHE.get(key)
-    if cached is None:
-        x, w = np.polynomial.legendre.leggauss(key)
-        cached = (0.5 * (x + 1.0), 0.5 * w)
-        _GL_CACHE[key] = cached
-    return cached
-
-
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w

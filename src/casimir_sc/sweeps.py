@@ -22,8 +22,8 @@ from .errors import ConfigError, ConvergenceError, DomainError
 from .lifshitz import (EngineConfig, delta_force_pfa, free_energy,
                        free_energy_difference)
 from .materials import GOLD, LEAD, MaterialParams, default_gap, mattis_bardeen_g
-from .sc_state import (ModulationSpec, Phase, critical_field, pulse_f,
-                       resolve_phase, shifted_tc)
+from .sc_state import (ModulationSpec, Phase, field_waveform, force_signal,
+                       shifted_tc)
 
 SWEEP_VARIABLES = ("field_Oe", "gap_nm", "temperature_K")
 OUTPUT_FORMATS = ("csv", "json")
@@ -364,8 +364,8 @@ def _render_csv(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
             fmt_float(r.x),
             fmt_float(r.t_prime_c_k),
             fmt_float(r.delta_f_fn),
-            _fmt_value(r.f_normal_ev_nm2) if not math.isnan(r.f_normal_ev_nm2) else "nan",
-            _fmt_value(r.f_super_ev_nm2) if not math.isnan(r.f_super_ev_nm2) else "nan",
+            fmt_float(r.f_normal_ev_nm2),
+            fmt_float(r.f_super_ev_nm2),
             str(r.terms_used),
             fmt_float(r.pfa_bound),
         ]) + "\n")
@@ -462,9 +462,9 @@ def g_function_table(cfg: RunConfig, t_over_tc: Sequence[float],
 def waveform_samples(cfg: RunConfig, spec: ModulationSpec, n_samples: int) -> str:
     """One period of (t, H, phase, F) at midpoint samples.
 
-    F(t) = mean + jump * f(t) at the base temperature: the jump is the
-    difference series, the mean F_n less half of it; the H column is the
-    drive H_c(T) + h f(t).
+    F is force_signal's mean + jump * f(t) at the base temperature: the jump
+    is the difference series, the mean F_n less half of it.  H and the phase
+    are field_waveform's drive H_c(T) + h f(t).
     """
     if n_samples < 2 or n_samples % 2 != 0:
         raise DomainError("n_samples must be an even number >= 2")
@@ -472,7 +472,6 @@ def waveform_samples(cfg: RunConfig, spec: ModulationSpec, n_samples: int) -> st
     temperature = spec.base_temperature
     if temperature >= pb.tc:
         raise DomainError("the modulated drive needs base_temperature < tc")
-    hc = critical_field(pb, temperature)
     fn = free_energy(cfg.material_a, pb, Phase.NORMAL, temperature,
                      cfg.gap_nm, cfg.engine)
     diff = free_energy_difference(cfg.material_a, pb, temperature,
@@ -480,7 +479,7 @@ def waveform_samples(cfg: RunConfig, spec: ModulationSpec, n_samples: int) -> st
     to_fn = 2.0 * math.pi * cfg.radius_um * 1000.0 * CONST.ev_per_nm_to_fn
     jump = to_fn * diff.value
     mean = to_fn * fn.value - 0.5 * jump
-    period = spec.period
+    signal = force_signal(mean, jump, spec)
     out = io.StringIO()
     out.write(f"# casimir-sc v{_pkg_version}\n")
     out.write(f"# base_temperature_K={_fmt_value(temperature)} h_Oe={_fmt_value(spec.h)} "
@@ -488,10 +487,8 @@ def waveform_samples(cfg: RunConfig, spec: ModulationSpec, n_samples: int) -> st
     out.write(f"# mean_force_fN={fmt_float(mean)} delta_f_fN={fmt_float(jump)}\n")
     out.write("t_s,H_Oe,phase,F_fN\n")
     for k in range(n_samples):
-        t = (k + 0.5) * period / n_samples
-        f_val = pulse_f(t, period)
-        h_now = hc + spec.h * f_val
-        phase = resolve_phase(pb, temperature, h_now).phase.value
-        force = mean + jump * f_val
-        out.write(f"{fmt_float(t)},{fmt_float(h_now)},{phase},{fmt_float(force)}\n")
+        t = (k + 0.5) * spec.period / n_samples
+        state = field_waveform(spec, pb, t)
+        out.write(f"{fmt_float(t)},{fmt_float(state.field)},{state.phase.value},"
+                  f"{fmt_float(signal.waveform(t))}\n")
     return out.getvalue()

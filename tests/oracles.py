@@ -24,7 +24,7 @@ from casimir_sc.constants import CONST
 from casimir_sc.errors import ConvergenceError, DomainError
 from casimir_sc.lifshitz import EngineConfig
 from casimir_sc.materials import (GapModel, MaterialParams, bcs_gap, default_gap,
-                                  g_on_matsubara_grid)
+                                  drude_eps, eps_bcs, g_on_matsubara_grid)
 from casimir_sc.quadrature import NeumaierSum
 
 HBAR_C = 197.3269804
@@ -131,7 +131,7 @@ def superconducting_free_energy_direct(material_a: MaterialParams,
 
     def params(l, xi):
         g = g_on_matsubara_grid(material_b, gap, T, l.size - 1, int(l[0]))
-        return lifshitz._drude(material_a, xi), lifshitz._bcs(material_b, xi, g)
+        return drude_eps(material_a, xi), eps_bcs(material_b, xi, g)
 
     s0, _ = next(lifshitz._terms(lifshitz._tm_zero_log, np.zeros(1), (),
                                  cfg.rel_tol_quadrature))

@@ -88,6 +88,7 @@ def test_drude_monotone_and_above_one():
         vals = np.array([drude_eps(mat, float(x)) for x in grid])
         assert np.all(vals > 1.0)
         assert np.all(np.diff(vals) < 0.0)
+        assert np.array_equal(drude_eps(mat, grid), vals)   # the array form
 
 
 def test_drude_rejects_nonpositive_xi():
@@ -95,6 +96,8 @@ def test_drude_rejects_nonpositive_xi():
         drude_eps(GOLD, 0.0)
     with pytest.raises(DomainError):
         drude_eps(GOLD, -0.1)
+    with pytest.raises(DomainError):
+        drude_eps(GOLD, np.array([0.1, 0.0]))
 
 
 def test_drude_static_limit_is_regular():
@@ -120,11 +123,10 @@ def test_gap_zero_temperature_value():
 def test_gap_endpoints_and_monotonicity():
     assert bcs_gap(GAP, 0.0, 7.2) == GAP.delta0
     assert bcs_gap(GAP, 7.2, 7.2) == 0.0
-    # table knots are strictly decreasing with exact endpoints
-    from casimir_sc.materials import _universal_gap_curve
-    t_knots, r_knots = _universal_gap_curve()
-    assert r_knots[0] == 1.0 and r_knots[-1] == 0.0
-    assert np.all(np.diff(r_knots) < 0.0)
+    assert GAP.ratio(1.0) == 0.0
+    # flat to double precision below t = 0.06, where the solve is not run
+    for t in (0.0, 1e-300, 0.01, 0.03, 0.059, 0.06 - 1e-12):
+        assert GAP.ratio(t) == 1.0, t
     # dense scan: never increasing, strictly decreasing once the deviation
     # from 1 is representable in double precision
     ts = np.linspace(0.0, 1.0, 101)
@@ -140,43 +142,15 @@ def test_gap_above_tc_rejected():
 
 
 def test_gap_against_bruteforce_solver():
-    for t in (0.3, 0.5, 0.7, 0.9, 0.97):
-        assert GAP.ratio(t) == pytest.approx(gap_ratio_bruteforce(t), rel=2e-6)
-    # knot values themselves are solver-exact
-    from casimir_sc.materials import _universal_gap_curve
-    t_knots, r_knots = _universal_gap_curve()
-    idx = len(t_knots) // 2
-    assert r_knots[idx] == pytest.approx(gap_ratio_bruteforce(float(t_knots[idx])),
-                                         rel=1e-13)
+    """The per-t solve matches the 30-digit mpmath solver from the flat end
+    to the last 1e-7 below Tc, including the field-shifted temperatures
+    of the headline points, where the gap equation is worst conditioned."""
+    ts = (0.06, 0.07, 0.3, 0.5, 0.7, shifted_tc(LEAD, 200.0) / LEAD.tc, 0.9,
+          0.97, shifted_tc(LEAD, 25.0) / LEAD.tc, 0.988, 1.0 - 1e-5, 1.0 - 1e-7)
+    for t in ts:
+        assert GAP.ratio(t) == pytest.approx(gap_ratio_bruteforce(t),
+                                             rel=1e-13, abs=0.0), t
     assert 0.93 <= GAP.ratio(0.5) <= 0.98
-
-
-def test_gap_knots_match_bruteforce_solver():
-    """The array-solved knots, including the last ones near t = 1 where the
-    gap equation is worst conditioned, match the direct solver."""
-    from casimir_sc.materials import _universal_gap_curve
-    t_knots, r_knots = _universal_gap_curve()
-    idx = sorted(set(range(0, len(t_knots), 20)) | set(range(len(t_knots) - 3, len(t_knots))))
-    for i in idx:
-        assert r_knots[i] == pytest.approx(gap_ratio_bruteforce(float(t_knots[i])),
-                                           rel=1e-13, abs=0.0), t_knots[i]
-
-
-def test_gap_interpolation_matches_scipy_pchip():
-    from scipy.interpolate import PchipInterpolator
-
-    from casimir_sc.materials import _universal_gap_curve
-    t_knots, r_knots = _universal_gap_curve()
-    reference = PchipInterpolator(t_knots, r_knots * r_knots)
-    ts = np.concatenate([
-        np.linspace(0.0, 1.0, 20001),
-        np.linspace(0.0, t_knots[1], 101),           # first interval
-        np.linspace(t_knots[-2], 1.0, 101),          # last interval
-        1.0 - np.geomspace(1e-6, 1e-12, 61),
-    ])
-    mine = np.array([GAP.ratio(float(t)) for t in ts])
-    expected = np.sqrt(np.maximum(reference(ts), 0.0))
-    assert np.allclose(mine, expected, rtol=1e-14, atol=0.0)
 
 
 def test_import_leaves_out_scipy_solvers():
@@ -332,18 +306,26 @@ def test_g_rrr_scaling():
 
 def test_eps_bcs_short_circuits_at_tc():
     for xi in (1e-4, 0.001, 0.1):
-        assert eps_bcs(LEAD, GAP, xi, 7.2) == drude_eps(LEAD, xi)
+        g = mattis_bardeen_g(LEAD, GAP, xi, 7.2)
+        assert eps_bcs(LEAD, xi, g) == drude_eps(LEAD, xi)
+    # elementwise on arrays: exactly Drude where g == 0, above it elsewhere
+    xi = np.array([1e-4, 0.001, 0.1])
+    eps = eps_bcs(LEAD, xi, np.array([0.0, 0.5, 0.0]))
+    assert eps[0] == drude_eps(LEAD, 1e-4) and eps[2] == drude_eps(LEAD, 0.1)
+    assert eps[1] > drude_eps(LEAD, 0.001)
 
 
 def test_eps_bcs_exceeds_drude_below_tc():
-    assert eps_bcs(LEAD, GAP, TWO_D0, 0.72) > drude_eps(LEAD, TWO_D0)
+    g = mattis_bardeen_g(LEAD, GAP, TWO_D0, 0.72)
+    assert eps_bcs(LEAD, TWO_D0, g) > drude_eps(LEAD, TWO_D0)
 
 
 def test_eps_bcs_static_limit_is_plasma_like():
     temperature = 0.72
     target = LEAD.omega_p ** 2 * g_zero_limit(LEAD, GAP, temperature)
     for xi in (1e-6, 1e-7):
-        val = xi * xi * (eps_bcs(LEAD, GAP, xi, temperature) - 1.0)
+        g = mattis_bardeen_g(LEAD, GAP, xi, temperature)
+        val = xi * xi * (eps_bcs(LEAD, xi, g) - 1.0)
         assert val == pytest.approx(target, rel=1e-3)
     assert target > 0.0
 

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import casimir_sc.lifshitz as lifshitz_mod
+import casimir_sc.materials as materials
 import casimir_sc.sweeps as sweeps_mod
 from casimir_sc.cli import main as cli_main
 from casimir_sc.errors import ConfigError, ConvergenceError, DomainError
@@ -162,6 +163,10 @@ def test_sweep_concurrent_rows_identical(monkeypatch):
     monkeypatch.setenv("CASIMIR_SC_THREADS", "4")
     rows_parallel = run_sweep(cfg)
     assert render_rows(cfg, rows_serial) == render_rows(cfg, rows_parallel)
+    materials.g_on_matsubara_grid.cache_clear()
+    materials._universal_gap_curve.cache_clear()
+    rows_cold = run_sweep(cfg)
+    assert render_rows(cfg, rows_serial).encode() == render_rows(cfg, rows_cold).encode()
 
 
 def test_sweep_cross_consistency():
