@@ -42,24 +42,26 @@ _G_IDX = np.arange(1, 15, 2)
 def _k15(y: np.ndarray, halves) -> tuple[np.ndarray, np.ndarray]:
     """K15 integrals and QUADPACK-style scaled error estimates of panels.
 
-    The last axis of y holds each panel's values on the K15 nodes; halves,
-    the panel half-widths, broadcast against the leading axes.
+    The last axis of y holds each panel's values on the K15 nodes (a 1-D y,
+    one panel, gives scalars); halves, the panel half-widths, broadcast
+    against the leading axes.
     """
     ik = halves * (y @ _WK)
     ig = halves * (y[..., _G_IDX] @ _WG)
-    resasc = halves * (np.abs(y - y.mean(axis=-1, keepdims=True)) @ _WK)
+    mean = np.add.reduce(y, -1, keepdims=True) / _XK.size
+    resasc = halves * (np.abs(y - mean) @ _WK)
     err = np.abs(ik - ig)
-    mask = (resasc != 0.0) & (err != 0.0)
-    err[mask] = resasc[mask] * np.minimum(1.0, (200.0 * err[mask] / resasc[mask]) ** 1.5)
-    return ik, err
+    # A constant y has resasc == 0 and keeps its raw err: there the scaled
+    # term divides by 1 instead of 0, vanishes, and err is added back.
+    flat = resasc == 0.0
+    return ik, resasc * np.minimum(1.0, (200.0 * err / (resasc + flat)) ** 1.5) + flat * err
 
 
 def kronrod_panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     """One K15 panel on [a, b]; returns (integral, error estimate)."""
     half = 0.5 * (b - a)
-    y = np.asarray(f(0.5 * (a + b) + half * _XK), dtype=float)
-    ik, err = _k15(y[None, :], half)
-    return float(ik[0]), float(err[0])
+    ik, err = _k15(np.asarray(f(0.5 * (a + b) + half * _XK), dtype=float), half)
+    return float(ik), float(err)
 
 
 class CompositeKronrod:
