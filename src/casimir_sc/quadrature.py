@@ -48,9 +48,8 @@ def _k15(y: np.ndarray, halves) -> tuple[np.ndarray, np.ndarray]:
     """
     ik = halves * (y @ _WK)
     ig = halves * (y[..., _G_IDX] @ _WG)
-    mean = np.add.reduce(y, -1, keepdims=True) / _XK.size
-    resasc = halves * (np.abs(y - mean) @ _WK)
-    err = np.abs(ik - ig)
+    resasc = halves * (abs(y - y.sum(-1, keepdims=True) / _XK.size) @ _WK)
+    err = abs(ik - ig)
     # A constant y has resasc == 0 and keeps its raw err: there the scaled
     # term divides by 1 instead of 0, vanishes, and err is added back.
     flat = resasc == 0.0
