@@ -53,7 +53,7 @@ def _k15(y: np.ndarray, halves) -> tuple[np.ndarray, np.ndarray]:
     # A constant y has resasc == 0 and keeps its raw err: there the scaled
     # term divides by 1 instead of 0, vanishes, and err is added back.
     flat = resasc == 0.0
-    return ik, resasc * np.minimum(1.0, (200.0 * err / (resasc + flat)) ** 1.5) + flat * err
+    return ik, resasc * np.minimum(1.0, (200.0 * err / (resasc + flat)) ** 1.5) + err * flat
 
 
 def kronrod_panel(f: Callable, a: float, b: float) -> tuple[float, float]:
