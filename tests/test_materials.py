@@ -153,6 +153,22 @@ def test_gap_against_bruteforce_solver():
     assert 0.93 <= GAP.ratio(0.5) <= 0.98
 
 
+def test_gap_knots_match_bruteforce_solver():
+    """On the temperature grid a gap table would use (even in t up to 0.99,
+    geometric in 1 - t from 1e-2 to 1e-7), including the last points near
+    t = 1 where the gap equation is worst conditioned, the per-t solve
+    matches the direct solver."""
+    t_grid = np.unique(np.concatenate([
+        np.linspace(0.06, 0.99, 187),
+        1.0 - np.geomspace(0.01, 1e-7, 60),
+    ]))
+    idx = sorted(set(range(0, len(t_grid), 20)) | set(range(len(t_grid) - 3, len(t_grid))))
+    for i in idx:
+        t = float(t_grid[i])
+        assert GAP.ratio(t) == pytest.approx(gap_ratio_bruteforce(t),
+                                             rel=1e-13, abs=0.0), t
+
+
 def test_import_leaves_out_scipy_solvers():
     """The materials layer needs scipy.special only; scipy.optimize,
     scipy.interpolate and scipy.linalg cost a fresh process ~0.4 s."""
