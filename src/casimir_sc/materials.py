@@ -9,9 +9,12 @@ Superconducting state (dirty limit): the conductivity picks up a correction
 
 where g is obtained by analytic continuation of the Mattis-Bardeen
 conductivity.  The production route evaluates g through a Kramers-Kronig
-transform of the real-frequency conductivity ratio, with the zero-frequency
-condensate delta function carried as the closed-form term
-pi*Delta*tanh(Delta/2kT).  g_on_matsubara_grid evaluates the same function
+transform of the real-frequency conductivity ratio R(omega), with the
+zero-frequency condensate delta function carried as the closed-form term
+pi*Delta*tanh(Delta/2kT).  mattis_bardeen_g takes a whole column of xi at
+one temperature: R is evaluated once per node of one composite omega grid
+shared by every xi, so a table costs one pass per temperature.
+g_on_matsubara_grid evaluates the same function
 at a run of the discrete thermal frequencies through a fermionic frequency
 sum, which is how the Lifshitz engine consumes it, one block of l at a time;
 each entry costs O(n) in the sum's body width, and runs are cached per
@@ -32,8 +35,10 @@ import numpy as np
 from scipy import special as _ssp
 
 from .constants import CONST
-from .errors import DomainError
-from .quadrature import adaptive_quad, exp_tail_quad, gauss_legendre_nodes
+from .errors import ConvergenceError, DomainError
+# adaptive_quad and exp_tail_quad are unused here but stay module attributes,
+# which perfbench/trace_child.py wraps by name.
+from .quadrature import _XK, _k15, adaptive_quad, exp_tail_quad, gauss_legendre_nodes  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +218,11 @@ def drude_eps(material: MaterialParams, xi):
 # Mattis-Bardeen ratio sigma1_s / sigma1_n on the real axis (dirty limit)
 
 
+# Elements per (rows x width) temporary of one pass over a chunk of rows, in
+# the ratio's node sums, the KK panels and the Matsubara-grid g.
+_G_CHUNK = 1 << 14
+
+
 def _fermi(x: np.ndarray) -> np.ndarray:
     # 1/(e^x + 1) for x >= 0 without overflow
     x = np.minimum(x, 700.0)
@@ -220,58 +230,61 @@ def _fermi(x: np.ndarray) -> np.ndarray:
     return e / (1.0 + e)
 
 
-def _mb_thermal(omega: np.ndarray, delta: float, t_ev: float, n_nodes: int) -> np.ndarray:
-    """Quasiparticle part, all omega > 0.
+def _mb_nodes(omega: np.ndarray, delta: float, t_ev: float, n: int) -> np.ndarray:
+    """R(omega), omega > 0, on n Gauss-Legendre nodes per part.
 
-    Uses E = delta + (omega/2)(cosh v - 1), which absorbs the inverse square
-    root of (E - delta)(E - delta + omega) into the measure.
+    Quasiparticles: E = delta + (omega/2)(cosh v - 1) absorbs the inverse
+    square root of (E - delta)(E - delta + omega) into the measure.  Pair
+    breaking, omega > 2 delta only: E = -omega/2 + (omega/2 - delta) sin(theta).
     """
-    if t_ev == 0.0:
-        return np.zeros_like(omega)
-    om = omega[:, None]
-    e_window = 42.0 * t_ev
-    v_max = np.arccosh(1.0 + 2.0 * e_window / om)
-    x, w = gauss_legendre_nodes(n_nodes)
-    v = v_max * x[None, :]
-    e = delta + 0.5 * om * (np.cosh(v) - 1.0)
-    occ = _fermi(e / t_ev) - _fermi((e + om) / t_ev)
-    coh = (e * (e + om) + delta * delta) / np.sqrt((e + delta) * (e + om + delta))
-    return (2.0 / omega) * (v_max[:, 0] * np.dot(occ * coh, w))
-
-
-def _mb_pair(omega: np.ndarray, delta: float, t_ev: float, n_nodes: int) -> np.ndarray:
-    """Pair-breaking part, only omega > 2*delta contributes."""
+    x, w = gauss_legendre_nodes(n)
     out = np.zeros_like(omega)
-    sel = omega > 2.0 * delta
-    if not np.any(sel):
-        return out
-    om = omega[sel][:, None]
-    x, w = gauss_legendre_nodes(n_nodes)
-    theta = math.pi * (x[None, :] - 0.5)
-    e = -0.5 * om + (0.5 * om - delta) * np.sin(theta)
     if t_ev > 0.0:
-        occ = 1.0 - 2.0 * _fermi((e + om) / t_ev)
-    else:
-        occ = np.ones_like(e)
-    # case-II coherence: |E|(E+omega) - Delta^2 on the negative-E branch
-    num = -(e * (e + om) + delta * delta)
-    den = np.sqrt((delta - e) * (e + om + delta))
-    out[sel] = (math.pi / omega[sel]) * np.dot(occ * num / den, w)
+        om = omega[:, None]
+        v_max = np.arccosh(1.0 + 2.0 * (42.0 * t_ev) / om)
+        e = delta + 0.5 * om * (np.cosh(v_max * x) - 1.0)
+        occ = _fermi(e / t_ev) - _fermi((e + om) / t_ev)
+        coh = (e * (e + om) + delta * delta) / np.sqrt((e + delta) * (e + om + delta))
+        out += (2.0 / omega) * (v_max[:, 0] * np.dot(occ * coh, w))
+    sel = omega > 2.0 * delta
+    if np.any(sel):
+        om = omega[sel][:, None]
+        e = -0.5 * om + (0.5 * om - delta) * np.sin(math.pi * (x - 0.5))
+        occ = 1.0 - 2.0 * _fermi((e + om) / t_ev) if t_ev > 0.0 else 1.0
+        # case-II coherence: |E|(E+omega) - Delta^2 on the negative-E branch
+        num = -(e * (e + om) + delta * delta)
+        den = np.sqrt((delta - e) * (e + om + delta))
+        out[sel] += (math.pi / omega[sel]) * np.dot(occ * num / den, w)
     return out
 
 
 def _mb_ratio(omega: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
-    """sigma1_s(omega)/sigma1_n(omega) with node-doubling convergence."""
+    """sigma1_s(omega)/sigma1_n(omega), each omega to its own node count.
+
+    Every omega starts at 64 Gauss-Legendre nodes and doubles them until two
+    counts agree to 1e-11 relative; only the unconverged omega go on, up to
+    2048 nodes.  Chunks keep rows x nodes under _G_CHUNK elements.
+    """
     omega = np.asarray(omega, dtype=float)
     if delta == 0.0:
         return np.ones_like(omega)
-    val = _mb_thermal(omega, delta, t_ev, 64) + _mb_pair(omega, delta, t_ev, 64)
+
+    def ratio(om, n):
+        rows = max(1, _G_CHUNK // n)
+        return np.concatenate([_mb_nodes(c, delta, t_ev, n)
+                               for c in np.split(om, range(rows, om.size, rows))])
+
+    flat = omega.ravel()
+    out = ratio(flat, 64)
+    todo = np.arange(flat.size)
     for n in (128, 256, 512, 1024, 2048):
-        new = _mb_thermal(omega, delta, t_ev, n) + _mb_pair(omega, delta, t_ev, n)
-        if np.all(np.abs(new - val) <= 1e-11 * (np.abs(new) + 1e-30)):
-            return new
-        val = new
-    return val
+        new = ratio(flat[todo], n)
+        done = np.abs(new - out[todo]) <= 1e-11 * (np.abs(new) + 1e-30)
+        out[todo] = new
+        todo = todo[~done]
+        if not todo.size:
+            break
+    return out.reshape(omega.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -304,33 +317,72 @@ def _condensate(delta: float, t_ev: float) -> float:
     return math.pi * delta
 
 
-@lru_cache(maxsize=20000)
-def _g_kk_gamma_free(xi: float, delta: float, t_ev: float) -> float:
-    """gamma * g(xi; T): condensate term plus the KK integral of (R - 1)."""
-    if delta == 0.0:
-        return 0.0
-    condensate = _condensate(delta, t_ev)
-    if xi == 0.0:
-        return condensate
-
-    def integrand(om):
-        return (_mb_ratio(om, delta, t_ev) - 1.0) / (om * om + xi * xi)
-
-    pts, w_top = _kk_breakpoints(xi, delta, t_ev)
-    body, be = adaptive_quad(integrand, 0.0, w_top, rel_tol=1e-9,
-                             abs_tol=1e-300, breakpoints=pts, max_panels=4000)
-    tail, te = exp_tail_quad(integrand, w_top, rel_tol=1e-9, abs_tol=1e-300)
-    return condensate + (2.0 * xi * xi / math.pi) * (body + tail)
+# Tail: unit panels in u, omega = W e^u; past W >= 4 xi the integrand in u
+# falls like (R - 1)/omega, so beyond u = _KK_TAIL it is below e^-_KK_TAIL of
+# the tail's start.
+_KK_TAIL, _KK_REL, _KK_ROUNDS = 32, 1e-9, 60
 
 
-def mattis_bardeen_g(material: MaterialParams, gap: GapModel, xi: float, T: float) -> float:
-    """BCS correction g(xi; T) in sigma(i xi); zero at and above tc."""
-    if xi < 0.0:
-        raise DomainError("mattis_bardeen_g requires xi >= 0")
+def _kk_column(xi: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
+    """(2 xi^2/pi) int_0^inf (R(omega) - 1)/(omega^2 + xi^2) domega, xi > 0.
+
+    One composite K15 grid serves the whole column, since R does not depend
+    on xi: the union of every xi's _kk_breakpoints up to W, the largest
+    w_top, then the tail, all in one parameter s, omega = s up to W and
+    W e^(s - W) past it.  R is evaluated once per node, every xi's panel
+    integrals and errors come from one K15 pass, and while some xi misses
+    _KK_REL, each panel whose error for such a xi exceeds that xi's goal
+    over the panel count is bisected, R evaluated on the new nodes only.
+    """
+    xi2 = xi * xi
+    cuts = [_kk_breakpoints(float(x), delta, t_ev) for x in np.unique(xi)]
+    w_top = max(top for _, top in cuts)
+    edges = np.unique(np.concatenate(
+        [[0.0], *(p for p, _ in cuts), w_top + np.arange(_KK_TAIL + 1)]))
+
+    def panels(a, b):
+        half = 0.5 * (b - a)
+        s = (0.5 * (a + b))[:, None] + half[:, None] * _XK
+        om = np.where(s > w_top, w_top * np.exp(s - w_top), s)
+        h = (_mb_ratio(om, delta, t_ev) - 1.0) * np.where(s > w_top, om, 1.0)
+        q = np.empty((2, xi.size, a.size))
+        rows = max(1, _G_CHUNK // (xi.size * _XK.size))
+        for i in range(0, a.size, rows):
+            c = slice(i, i + rows)
+            q[:, :, c] = _k15(h[c] / (om[c] ** 2 + xi2[:, None, None]), half[c])
+        return q
+
+    a, b = edges[:-1], edges[1:]
+    q = panels(a, b)                   # (integral, error) x xi x panel
+    for _ in range(_KK_ROUNDS):
+        total, err = q[0].sum(axis=1), q[1].sum(axis=1)
+        short = ~(err <= _KK_REL * np.abs(total))      # NaN counts as short
+        if not short.any():
+            return (2.0 / math.pi) * xi2 * total
+        split = np.any(q[1, short] > _KK_REL * np.abs(total[short, None]) / a.size, axis=0)
+        mid = 0.5 * (a[split] + b[split])
+        new_a, new_b = np.r_[a[split], mid], np.r_[mid, b[split]]
+        q = np.concatenate([q[..., ~split], panels(new_a, new_b)], axis=-1)
+        a, b = np.r_[a[~split], new_a], np.r_[b[~split], new_b]
+    raise ConvergenceError(f"Kramers-Kronig g: {int(short.sum())} of {xi.size} xi above "
+                           f"rel {_KK_REL:g} after {_KK_ROUNDS} rounds", float(err.max()))
+
+
+def mattis_bardeen_g(material: MaterialParams, gap: GapModel, xi, T: float):
+    """BCS correction g(xi; T) in sigma(i xi), xi >= 0 a float or an array;
+    zero at and above tc.  xi = 0 gives the condensate weight g(0+)."""
+    xi = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(xi) & (xi >= 0.0)):
+        raise DomainError("mattis_bardeen_g requires finite xi >= 0")
     delta = bcs_gap(gap, T, material.tc)
-    if delta == 0.0:
-        return 0.0
-    return _g_kk_gamma_free(xi, delta, CONST.k_b * T) / material.gamma
+    g = np.zeros(xi.shape)
+    if delta > 0.0:
+        t_ev = CONST.k_b * T
+        g[...] = _condensate(delta, t_ev)
+        if np.any(xi > 0.0):
+            g[xi > 0.0] += _kk_column(xi[xi > 0.0], delta, t_ev)
+        g /= material.gamma
+    return float(g) if g.ndim == 0 else g
 
 
 def g_zero_limit(material: MaterialParams, gap: GapModel, T: float) -> float:
@@ -358,8 +410,6 @@ def eps_bcs(material: MaterialParams, xi, g):
 # Cross pairs (n, l-1-n) are summed term by term while min(n, l-1-n) is below
 # this many body widths; the rest of the cross sum is taken in closed form.
 _CROSS_EXACT = 4
-# Elements per (rows x width) temporary of one pass over a chunk of rows.
-_G_CHUNK = 1 << 14
 
 
 def _g_body(l: np.ndarray, n: int, e: int, delta: float, step: float) -> np.ndarray:

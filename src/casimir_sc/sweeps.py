@@ -448,10 +448,10 @@ def g_function_table(cfg: RunConfig, t_over_tc: Sequence[float],
     out.write(f"# material={pb.name} rrr={_fmt_value(pb.rrr)}\n")
     cols = ",".join(f"g_t{_fmt_value(float(t))}" for t in t_over_tc)
     out.write(f"xi_over_2delta0,{cols}\n")
-    for x in grid:
-        xi = float(x) * two_d0
-        vals = [mattis_bardeen_g(pb, gap, xi, t * pb.tc) for t in t_over_tc]
-        out.write(",".join([fmt_float(float(x))] + [fmt_float(v) for v in vals]) + "\n")
+    xi = np.asarray(grid, dtype=float) * two_d0
+    columns = [mattis_bardeen_g(pb, gap, xi, t * pb.tc) for t in t_over_tc]
+    for i, x in enumerate(grid):
+        out.write(",".join([fmt_float(float(x))] + [fmt_float(c[i]) for c in columns]) + "\n")
     return out.getvalue()
 
 

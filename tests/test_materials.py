@@ -200,6 +200,18 @@ def test_mb_ratio_normal_state_limit():
     assert np.allclose(vals, 1.0, rtol=0, atol=0)
 
 
+def test_mb_ratio_batch_matches_each_omega_alone():
+    # Each omega doubles its own nodes, so a batch differs from single calls
+    # only by the blocking of the node sums (<= 6e-16 seen).
+    temperature = 0.9 * LEAD.tc
+    delta = bcs_gap(GAP, temperature, LEAD.tc)
+    omega = np.geomspace(1e-6, 1e3, 60) * delta
+    batch = _mb_ratio(omega, delta, CONST.k_b * temperature)
+    for om, r in zip(omega, batch):
+        alone = _mb_ratio(np.array([om]), delta, CONST.k_b * temperature)[0]
+        assert r == pytest.approx(alone, rel=1e-14, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # g(xi; T)
 
@@ -214,6 +226,35 @@ def test_g_rejects_above_tc():
         mattis_bardeen_g(LEAD, GAP, 0.001, 7.3)
     with pytest.raises(DomainError):
         mattis_bardeen_g(LEAD, GAP, -1.0, 3.6)
+
+
+def test_g_column_api():
+    temperature = 3.6
+    assert isinstance(mattis_bardeen_g(LEAD, GAP, TWO_D0, temperature), float)
+    assert isinstance(mattis_bardeen_g(LEAD, GAP, 0.0, temperature), float)
+    xi = np.array([[0.0, 0.3], [2.0, 40.0], [1e-3, 0.0]]) * TWO_D0
+    col = mattis_bardeen_g(LEAD, GAP, xi, temperature)
+    assert col.shape == xi.shape
+    assert col[0, 0] == col[2, 1] == g_zero_limit(LEAD, GAP, temperature)
+    for x, g in zip(xi.ravel(), col.ravel()):
+        assert g == pytest.approx(mattis_bardeen_g(LEAD, GAP, float(x), temperature),
+                                  rel=1e-9, abs=0.0)
+    at_tc = mattis_bardeen_g(LEAD, GAP, xi, LEAD.tc)
+    assert at_tc.shape == xi.shape and np.all(at_tc == 0.0)
+    for bad in (-1e-3, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            mattis_bardeen_g(LEAD, GAP, np.array([1e-3, bad]), temperature)
+
+
+def test_g_near_tc_matches_matsubara_grid():
+    # At t = 0.999, l = 56 is xi = 99.6 * 2 Delta(0), the top of the default
+    # g-function table.
+    temperature = 0.999 * LEAD.tc
+    h = 2.0 * math.pi * CONST.k_b * temperature
+    grid = g_on_matsubara_grid(LEAD, GAP, temperature, 56)
+    l = np.array([1, 17, 56])
+    g = mattis_bardeen_g(LEAD, GAP, l * h, temperature)
+    assert g == pytest.approx(grid[l], rel=1e-8, abs=0.0)
 
 
 def test_g_nonnegative_and_fig2_ordering():

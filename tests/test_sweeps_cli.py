@@ -1,5 +1,7 @@
 import json
+import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -282,6 +284,16 @@ def test_g_function_table_layout_and_ordering():
         assert rows[-1][col] < 2.5e-2 * g0
 
 
+def test_g_function_table_matches_recorded_reference():
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                      / "g_reference.json").read_text(encoding="utf-8"))
+    text = g_function_table(coarse_config(), [0.1])
+    rows = [list(map(float, ln.split(","))) for ln in text.splitlines()[4:]]
+    assert [r[0] for r in rows] == ref["xi_over_2delta0"]
+    for (_, g), want in zip(rows, ref["g"]["0.1"]):
+        assert g == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 def test_g_function_rejects_tc():
     cfg = coarse_config()
     with pytest.raises(DomainError):
@@ -376,6 +388,15 @@ def test_cli_gfunction_and_waveform(tmp_path):
     assert cli_main(["waveform", "--samples", "4", "--rel-tol", "1e-6",
                      "--output", str(out2)]) == 0
     assert "t_s,H_Oe,phase,F_fN" in out2.read_text()
+
+
+def test_cli_gfunction_near_tc(tmp_path):
+    out = tmp_path / "g.csv"
+    assert cli_main(["g-function", "--t-over-tc", "0.999", "--output", str(out)]) == 0
+    rows = [ln.split(",") for ln in out.read_text().splitlines()
+            if ln and not ln.startswith(("#", "xi"))]
+    assert len(rows) == 81
+    assert all(math.isfinite(float(g)) and float(g) > 0.0 for _, g in rows)
 
 
 def test_cli_point_full_output(capsys):
