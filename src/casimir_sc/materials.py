@@ -14,14 +14,14 @@ zero-frequency condensate delta function carried as the closed-form term
 pi*Delta*tanh(Delta/2kT).  mattis_bardeen_g takes a whole column of xi at
 one temperature: R is evaluated once per node of one composite omega grid
 shared by every xi, so a table costs one pass per temperature.
-g_on_matsubara_grid evaluates the same function
-at a run of the discrete thermal frequencies through a fermionic frequency
-sum, which is how the Lifshitz engine consumes it, one block of l at a time;
-each entry costs O(n) in the sum's body width, and runs are cached per
-temperature.  The reduced BCS gap Delta(T)/Delta(0) is solved at each
-temperature asked for, by bisection of the gap equation, and memoised per
-temperature; the module needs scipy.special only.  The independent QUADPACK
-oracle that checks the KK route lives with the tests.
+g_on_matsubara_grid evaluates the same function at a run of the discrete
+thermal frequencies through a fermionic frequency sum, which is how the
+Lifshitz engine consumes it, one block of l at a time; each entry costs
+O(n) in the sum's body width, and runs are cached per temperature.  The
+reduced BCS gap Delta(T)/Delta(0) is solved at each temperature asked for,
+by bisection of the gap equation, and memoised per temperature; the module
+needs scipy.special only.  The independent QUADPACK oracle that checks the
+KK route lives with the tests.
 """
 
 from __future__ import annotations
