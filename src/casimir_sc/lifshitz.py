@@ -52,6 +52,9 @@ _Y_CUT = 45.0
 # on these panels must give each row of a batch the bits of a one-row call,
 # which not every panel layout does (test_quadrature checks this one).
 _Y_SPLITS = (0.0, 0.5, 1.5, 4.0, 10.0, 22.0, _Y_CUT)
+# The same panels bisected, for the rows the first rule leaves short.
+_Y_SPLITS_FINE = (0.0, 0.25, 0.5, 1.0, 1.5, 2.75, 4.0, 7.0, 10.0, 16.0, 22.0,
+                  33.5, _Y_CUT)
 
 
 @dataclass(frozen=True)
@@ -200,21 +203,42 @@ def _diff_log(y, yl, eps_a, eps_n, eps_s):
 
 
 _COMPOSITE = CompositeKronrod(_Y_SPLITS)
+_FINE = CompositeKronrod(_Y_SPLITS_FINE)
 _BLOCK = 256
+# Rows per pass of the fine rule: no more nodes than a block on the first rule.
+_FINE_ROWS = _BLOCK * _COMPOSITE.nodes.size // _FINE.nodes.size
+
+
+def _integrate(rule, integrand, yl: np.ndarray, params: tuple):
+    """(integral, error) arrays of rule over y in [yl, yl + Y_CUT] per row."""
+    y = yl[:, None] + rule.nodes
+    return rule.integrate(integrand(y, yl[:, None], *(p[:, None] for p in params)))
+
+
+def _accepted(vals: np.ndarray, errs: np.ndarray, rel_tol: float) -> np.ndarray:
+    return (errs <= rel_tol * np.abs(vals)) | (errs <= 1e-300)
 
 
 def _terms(integrand, yl: np.ndarray, params: tuple, rel_tol: float):
     """Yield (integral, error) of int_{yl}^{yl+Y_CUT} integrand dy per row.
 
-    One composite K15 pass covers every row.  A row that misses the
-    tolerance is redone by adaptive bisection on its own scalar slice of the
-    integrand, only once the caller asks for it.
+    One composite K15 pass covers every row.  The rows whose summed error
+    estimate misses the tolerance get one more pass, together, on the
+    bisected panels (at most _FINE_ROWS rows per integrand call), and are
+    accepted by the same rule.  A row that misses it again is redone by
+    adaptive bisection on its own scalar slice of the integrand, only once
+    the caller asks for it.  Both rules give a row the same bits in any
+    batch, so the split into blocks and passes cannot move a value.
     """
-    y = yl[:, None] + _COMPOSITE.nodes
-    vals, errs = _COMPOSITE.integrate(
-        integrand(y, yl[:, None], *(p[:, None] for p in params)))
-    for i, (val, err) in enumerate(zip(vals.tolist(), errs.tolist())):
-        if err <= rel_tol * abs(val) or err <= 1e-300:
+    vals, errs = _integrate(_COMPOSITE, integrand, yl, params)
+    missed = np.flatnonzero(~_accepted(vals, errs, rel_tol))
+    for first in range(0, missed.size, _FINE_ROWS):
+        rows = missed[first:first + _FINE_ROWS]
+        vals[rows], errs[rows] = _integrate(_FINE, integrand, yl[rows],
+                                            tuple(p[rows] for p in params))
+    done = _accepted(vals, errs, rel_tol)
+    for i, (val, err, ok) in enumerate(zip(vals.tolist(), errs.tolist(), done.tolist())):
+        if ok:
             yield val, err
             continue
         yl_i, row = yl[i], [p[i] for p in params]

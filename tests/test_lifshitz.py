@@ -2,6 +2,7 @@ import inspect
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from casimir_sc.lifshitz import (
     zero_mode_reflections,
 )
 from casimir_sc.materials import GOLD, LEAD, default_gap, drude_eps, g_zero_limit
+from casimir_sc.quadrature import adaptive_quad
 from casimir_sc.sc_state import Phase, shifted_tc
 
 from oracles import (
@@ -257,6 +259,67 @@ def test_block_size_does_not_change_series(monkeypatch):
     monkeypatch.setattr(lifshitz_mod, "_BLOCK", 7)
     assert free_energy_difference(GOLD, LEAD, T200, 70.0, CFG) == diff
     assert free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, T200, 200.0, CFG) == fs
+
+
+def _first_block(monkeypatch, field_oe):
+    """The arguments of the first _terms call of the 70 nm difference series."""
+    calls = []
+    terms = lifshitz_mod._terms
+
+    def record(*args):
+        calls.append(args)
+        return terms(*args)
+
+    monkeypatch.setattr(lifshitz_mod, "_terms", record)
+    free_energy_difference(GOLD, LEAD, shifted_tc(LEAD, field_oe), 70.0, CFG)
+    return calls[0]
+
+
+@pytest.mark.parametrize("field_oe", [200.0, 775.0])
+def test_fine_pass_rows_are_accurate(monkeypatch, field_oe):
+    """The rows of a block that the 6-panel rule flags and the bisected rule
+    accepts are served from the bisected rule, within rel 1e-9 of a 1e-14
+    adaptive integral and with an error estimate that bounds the deviation."""
+    integrand, yl, params, rel_tol = _first_block(monkeypatch, field_oe)
+    vals, errs = lifshitz_mod._integrate(lifshitz_mod._COMPOSITE, integrand, yl, params)
+    flagged = np.flatnonzero(~lifshitz_mod._accepted(vals, errs, rel_tol))
+    fine, fine_errs = lifshitz_mod._integrate(lifshitz_mod._FINE, integrand, yl[flagged],
+                                              tuple(p[flagged] for p in params))
+    ok = lifshitz_mod._accepted(fine, fine_errs, rel_tol)
+    assert ok.any()
+    served = list(lifshitz_mod._terms(integrand, yl, params, rel_tol))
+    for i, val, err in zip(flagged[ok], fine[ok], fine_errs[ok]):
+        assert served[i] == (val, err)
+        row = [p[i] for p in params]
+        ref, _ = adaptive_quad(lambda z: integrand(yl[i] + z, yl[i], *row),
+                               0.0, lifshitz_mod._Y_CUT, rel_tol=1e-14, abs_tol=1e-300,
+                               breakpoints=lifshitz_mod._Y_SPLITS[1:-1], max_panels=4000)
+        deviation = abs(val - ref)
+        assert deviation <= 1e-9 * abs(ref)
+        assert err >= deviation
+
+
+@pytest.mark.parametrize("field_oe, terms_used, delta_f_fn, fallbacks",
+                         [(200.0, 4204, 18.580427126530353, 36),
+                          (775.0, 18013, 56.77679086961815, 179)])
+def test_fine_pass_keeps_series(monkeypatch, field_oe, terms_used, delta_f_fn,
+                                fallbacks):
+    """Serving flagged rows from the bisected rule instead of adaptive_quad
+    leaves the 70 nm series where the per-row refinement had it, and only
+    about a tenth of the rows that the 6-panel rule flags (359 and 1,763)
+    still fall back to adaptive_quad."""
+    calls = []
+    adaptive = lifshitz_mod.adaptive_quad
+
+    def count(*args, **kwargs):
+        calls.append(args)
+        return adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(lifshitz_mod, "adaptive_quad", count)
+    res = delta_force_pfa(GOLD, LEAD, 150.0, shifted_tc(LEAD, field_oe), 70.0, CFG)
+    assert len(calls) <= fallbacks
+    assert res.terms_used == terms_used
+    assert res.delta_f_fn == pytest.approx(delta_f_fn, rel=1e-12)
 
 
 def test_g_requested_once_per_block(monkeypatch):
