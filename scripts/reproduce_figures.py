@@ -13,7 +13,10 @@ import pathlib
 import sys
 import time
 
-from casimir_sc.cli import main
+# Run from a checkout without installing: import the package from its src/.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from casimir_sc.cli import main  # noqa: E402
 
 
 def run(label: str, argv: list[str]) -> None:

@@ -50,11 +50,8 @@ _MAX_EXACT_TERMS = 200_000
 _Y_CUT = 45.0
 # The series may not depend on its split into blocks of l: the composite rule
 # on these panels must give each row of a batch the bits of a one-row call,
-# which not every panel layout does (test_quadrature checks this one).
+# which not every panel layout does (test_quadrature checks every rung).
 _Y_SPLITS = (0.0, 0.5, 1.5, 4.0, 10.0, 22.0, _Y_CUT)
-# The same panels bisected, for the rows the first rule leaves short.
-_Y_SPLITS_FINE = (0.0, 0.25, 0.5, 1.0, 1.5, 2.75, 4.0, 7.0, 10.0, 16.0, 22.0,
-                  33.5, _Y_CUT)
 
 
 @dataclass(frozen=True)
@@ -202,11 +199,19 @@ def _diff_log(y, yl, eps_a, eps_n, eps_s):
 # Matsubara series
 
 
-_COMPOSITE = CompositeKronrod(_Y_SPLITS)
-_FINE = CompositeKronrod(_Y_SPLITS_FINE)
+def _ladder(edges: tuple) -> list:
+    """Rung 0 is the rule on edges, rung 1 its bisection, and rung k = 2 .. 39
+    the bisection with its first panel split at 2^-j of its width, j = 1 .. k-1
+    (the last first panel is about 1e-12 wide): a row the bisected rule leaves
+    short carries nearly all its error next to its lower limit y_l."""
+    fine = tuple(sorted({*edges, *(0.5 * (a + b) for a, b in zip(edges, edges[1:]))}))
+    graded = ((0.0, *(fine[1] * 0.5 ** j for j in range(k, 0, -1)), *fine[1:])
+              for k in range(39))
+    return [CompositeKronrod(e) for e in (edges, *graded)]
+
+
+_LADDER = _ladder(_Y_SPLITS)
 _BLOCK = 256
-# Rows per pass of the fine rule: no more nodes than a block on the first rule.
-_FINE_ROWS = _BLOCK * _COMPOSITE.nodes.size // _FINE.nodes.size
 
 
 def _integrate(rule, integrand, yl: np.ndarray, params: tuple):
@@ -220,31 +225,27 @@ def _accepted(vals: np.ndarray, errs: np.ndarray, rel_tol: float) -> np.ndarray:
 
 
 def _terms(integrand, yl: np.ndarray, params: tuple, rel_tol: float):
-    """Yield (integral, error) of int_{yl}^{yl+Y_CUT} integrand dy per row.
+    """(integral, error) arrays of int_{yl}^{yl+Y_CUT} integrand dy, one entry per row.
 
-    One composite K15 pass covers every row.  The rows whose summed error
-    estimate misses the tolerance get one more pass, together, on the
-    bisected panels (at most _FINE_ROWS rows per integrand call), and are
-    accepted by the same rule.  A row that misses it again is redone by
-    adaptive bisection on its own scalar slice of the integrand, only once
-    the caller asks for it.  Both rules give a row the same bits in any
-    batch, so the split into blocks and passes cannot move a value.
+    Every row starts on the first rung of _LADDER.  The rows whose summed K15
+    error estimate misses rel_tol times their value move up to the next rung
+    together, in passes of no more nodes than a block on the first rung, until
+    a rung accepts them.  Every rung gives a row the same bits in any batch,
+    so the split into blocks and passes cannot move a value.  A row that
+    misses the last rung raises ConvergenceError.
     """
-    vals, errs = _integrate(_COMPOSITE, integrand, yl, params)
-    missed = np.flatnonzero(~_accepted(vals, errs, rel_tol))
-    for first in range(0, missed.size, _FINE_ROWS):
-        rows = missed[first:first + _FINE_ROWS]
-        vals[rows], errs[rows] = _integrate(_FINE, integrand, yl[rows],
-                                            tuple(p[rows] for p in params))
-    done = _accepted(vals, errs, rel_tol)
-    for i, (val, err, ok) in enumerate(zip(vals.tolist(), errs.tolist(), done.tolist())):
-        if ok:
-            yield val, err
-            continue
-        yl_i, row = yl[i], [p[i] for p in params]
-        yield adaptive_quad(lambda z: integrand(yl_i + z, yl_i, *row),
-                            0.0, _Y_CUT, rel_tol=rel_tol, abs_tol=1e-300,
-                            breakpoints=_Y_SPLITS[1:-1], max_panels=400)
+    vals, errs, rows = np.empty(yl.size), np.empty(yl.size), np.arange(yl.size)
+    for rule in _LADDER:
+        step = _BLOCK * _LADDER[0].nodes.size // rule.nodes.size
+        for first in range(0, rows.size, step):
+            part = rows[first:first + step]
+            vals[part], errs[part] = _integrate(rule, integrand, yl[part],
+                                                tuple(p[part] for p in params))
+        rows = rows[~_accepted(vals[rows], errs[rows], rel_tol)]
+        if not rows.size:
+            return vals, errs
+    raise ConvergenceError(f"wavevector integral at y_l = {yl[rows[0]]:.6g} missed "
+                           f"the tolerance on every rule", error_estimate=float(errs[rows[0]]))
 
 
 def _scaled_yl(xi, d: float):
@@ -263,8 +264,9 @@ def _term_stream(integrand, params, T: float, d: float, cfg: EngineConfig,
     for first in range(1, l_stop + 1, _BLOCK):
         l = np.arange(first, min(first + _BLOCK, l_stop + 1))
         xi = h * l
-        yield from _terms(integrand, _scaled_yl(xi, d), params(l, xi),
-                          cfg.rel_tol_quadrature)
+        vals, errs = _terms(integrand, _scaled_yl(xi, d), params(l, xi),
+                            cfg.rel_tol_quadrature)
+        yield from zip(vals.tolist(), errs.tolist())
 
 
 def _matsubara_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
@@ -306,7 +308,8 @@ def _full_free_energy(integrand, params, zero_integrand, T: float, d: float,
     matsubara_cap_full * c/d."""
     xi_cap = cfg.matsubara_cap_full * (CONST.hbar_c / d)
     l_cap = int(math.ceil(xi_cap / (2.0 * math.pi * CONST.k_b * T)))
-    s0, e0 = next(_terms(zero_integrand, np.zeros(1), (), cfg.rel_tol_quadrature))
+    s0, e0 = (float(a[0]) for a in _terms(zero_integrand, np.zeros(1), (),
+                                         cfg.rel_tol_quadrature))
     if l_cap > _MAX_EXACT_TERMS:
         return _free_energy_low_t(integrand, params, s0, e0, T, d, cfg, l_cap)
     return _matsubara_sum(integrand, params, T, d, cfg, l_cap, 10 * l_cap + 1000,
@@ -324,9 +327,8 @@ def _free_energy_low_t(integrand, params, s0: float, e0: float, T: float,
     pref = CONST.k_b * T / (8.0 * math.pi * d * d)
 
     def s_of_xi(xi: np.ndarray) -> np.ndarray:
-        terms = _terms(integrand, _scaled_yl(xi, d), params(None, xi),
-                       cfg.rel_tol_quadrature)
-        return np.array([val for val, _ in terms])
+        return _terms(integrand, _scaled_yl(xi, d), params(None, xi),
+                      cfg.rel_tol_quadrature)[0]
 
     xi_top = 2.0 * cfg.matsubara_cap_full * CONST.hbar_c / d
     pts = list(np.geomspace(h, xi_top / 2.0, 24))

@@ -316,19 +316,17 @@ def _evaluate_row(cfg: RunConfig, variable: str, x: float) -> SweepRow:
                         error=str(exc))
 
 
-def run_sweep(cfg: RunConfig, variable: Optional[str] = None,
-              rows: Optional[list] = None) -> list[SweepRow]:
+def run_sweep(cfg: RunConfig, rows: Optional[list] = None) -> list[SweepRow]:
     """Evaluate all sweep rows in grid order; failures are recorded, not raised.
 
     Each row is appended to `rows` (a new list by default) as soon as it is
     done, so a caller that is interrupted still holds the finished rows.
     """
-    var = variable or cfg.sweep.variable
-    if var not in SWEEP_VARIABLES:
-        raise ConfigError(f"unknown sweep variable {var!r}")
+    if cfg.sweep.variable not in SWEEP_VARIABLES:
+        raise ConfigError(f"unknown sweep variable {cfg.sweep.variable!r}")
     rows = [] if rows is None else rows
     for x in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.points):
-        rows.append(_evaluate_row(cfg, var, float(x)))
+        rows.append(_evaluate_row(cfg, cfg.sweep.variable, float(x)))
     return rows
 
 

@@ -133,8 +133,8 @@ def superconducting_free_energy_direct(material_a: MaterialParams,
         g = g_on_matsubara_grid(material_b, gap, T, l.size - 1, int(l[0]))
         return drude_eps(material_a, xi), eps_bcs(material_b, xi, g)
 
-    s0, _ = next(lifshitz._terms(lifshitz._tm_zero_log, np.zeros(1), (),
-                                 cfg.rel_tol_quadrature))
+    s0 = lifshitz._terms(lifshitz._tm_zero_log, np.zeros(1), (),
+                         cfg.rel_tol_quadrature)[0][0]
     acc = NeumaierSum()
     acc.add(0.5 * s0)
     for sl, _ in lifshitz._term_stream(lifshitz._pair_log, params, T, d, cfg, terms):

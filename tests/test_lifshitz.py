@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import casimir_sc.lifshitz as lifshitz_mod
 from casimir_sc.constants import CONST
-from casimir_sc.errors import DomainError, PfaAccuracyWarning
+from casimir_sc.errors import ConvergenceError, DomainError, PfaAccuracyWarning
 from casimir_sc.lifshitz import (
     EngineConfig,
     delta_force_pfa,
@@ -277,26 +277,27 @@ def _first_block(monkeypatch, field_oe):
 
 @pytest.mark.parametrize("field_oe", [200.0, 775.0])
 def test_fine_pass_rows_are_accurate(monkeypatch, field_oe):
-    """The rows of a block that the 6-panel rule flags and the bisected rule
-    accepts are served from the bisected rule, within rel 1e-9 of a 1e-14
-    adaptive integral and with an error estimate that bounds the deviation."""
+    """Every row of a block that the 6-panel rule flags is served from a finer
+    rung of the ladder, the rows that used to fall back to adaptive_quad
+    included, within rel 1e-9 of a 1e-14 adaptive integral and with an error
+    estimate that bounds the deviation.  The other rows keep the first rung's
+    bits."""
     integrand, yl, params, rel_tol = _first_block(monkeypatch, field_oe)
-    vals, errs = lifshitz_mod._integrate(lifshitz_mod._COMPOSITE, integrand, yl, params)
-    flagged = np.flatnonzero(~lifshitz_mod._accepted(vals, errs, rel_tol))
-    fine, fine_errs = lifshitz_mod._integrate(lifshitz_mod._FINE, integrand, yl[flagged],
-                                              tuple(p[flagged] for p in params))
-    ok = lifshitz_mod._accepted(fine, fine_errs, rel_tol)
-    assert ok.any()
-    served = list(lifshitz_mod._terms(integrand, yl, params, rel_tol))
-    for i, val, err in zip(flagged[ok], fine[ok], fine_errs[ok]):
-        assert served[i] == (val, err)
+    vals, errs = lifshitz_mod._integrate(lifshitz_mod._LADDER[0], integrand, yl, params)
+    flagged = ~lifshitz_mod._accepted(vals, errs, rel_tol)
+    fine, fine_errs = lifshitz_mod._integrate(lifshitz_mod._LADDER[1], integrand, yl, params)
+    assert (flagged & ~lifshitz_mod._accepted(fine, fine_errs, rel_tol)).any()
+    served, served_errs = lifshitz_mod._terms(integrand, yl, params, rel_tol)
+    assert np.array_equal(served[~flagged], vals[~flagged])
+    assert np.array_equal(served_errs[~flagged], errs[~flagged])
+    for i in np.flatnonzero(flagged):
         row = [p[i] for p in params]
         ref, _ = adaptive_quad(lambda z: integrand(yl[i] + z, yl[i], *row),
                                0.0, lifshitz_mod._Y_CUT, rel_tol=1e-14, abs_tol=1e-300,
                                breakpoints=lifshitz_mod._Y_SPLITS[1:-1], max_panels=4000)
-        deviation = abs(val - ref)
+        deviation = abs(served[i] - ref)
         assert deviation <= 1e-9 * abs(ref)
-        assert err >= deviation
+        assert served_errs[i] >= deviation
 
 
 @pytest.mark.parametrize("field_oe, terms_used, delta_f_fn, fallbacks",
@@ -304,22 +305,44 @@ def test_fine_pass_rows_are_accurate(monkeypatch, field_oe):
                           (775.0, 18013, 56.77679086961815, 179)])
 def test_fine_pass_keeps_series(monkeypatch, field_oe, terms_used, delta_f_fn,
                                 fallbacks):
-    """Serving flagged rows from the bisected rule instead of adaptive_quad
-    leaves the 70 nm series where the per-row refinement had it, and only
-    about a tenth of the rows that the 6-panel rule flags (359 and 1,763)
-    still fall back to adaptive_quad."""
+    """The rule ladder leaves the 70 nm series where the per-row adaptive
+    refinement had it and makes no adaptive_quad call.  The rows that pass
+    the bisected rule's rung are exactly those that used to fall back to
+    adaptive_quad: about a tenth of the rows the 6-panel rule flags (359
+    and 1,763)."""
     calls = []
+    beyond_fine = []
     adaptive = lifshitz_mod.adaptive_quad
+    integrate = lifshitz_mod._integrate
 
     def count(*args, **kwargs):
         calls.append(args)
         return adaptive(*args, **kwargs)
 
+    def record(rule, integrand, yl, params):
+        if rule is lifshitz_mod._LADDER[2]:
+            beyond_fine.append(yl.size)
+        return integrate(rule, integrand, yl, params)
+
     monkeypatch.setattr(lifshitz_mod, "adaptive_quad", count)
+    monkeypatch.setattr(lifshitz_mod, "_integrate", record)
     res = delta_force_pfa(GOLD, LEAD, 150.0, shifted_tc(LEAD, field_oe), 70.0, CFG)
-    assert len(calls) <= fallbacks
+    assert not calls
+    assert sum(beyond_fine) == fallbacks
     assert res.terms_used == terms_used
     assert res.delta_f_fn == pytest.approx(delta_f_fn, rel=1e-12)
+
+
+def test_terms_raise_on_unconverged_row():
+    """A row that no rung of the ladder accepts raises ConvergenceError
+    naming its y_l; the other rows do not hide it."""
+    yl = np.array([0.5, 1.25, 2.0])
+
+    def integrand(y, yl_col):
+        return np.where(yl_col == 1.25, np.nan, y * np.exp(-y))
+
+    with pytest.raises(ConvergenceError, match=r"y_l = 1\.25"):
+        lifshitz_mod._terms(integrand, yl, (), CFG.rel_tol_quadrature)
 
 
 def test_g_requested_once_per_block(monkeypatch):

