@@ -306,10 +306,10 @@ def test_fine_pass_rows_are_accurate(monkeypatch, field_oe):
 def test_fine_pass_keeps_series(monkeypatch, field_oe, terms_used, delta_f_fn,
                                 fallbacks):
     """The rule ladder leaves the 70 nm series where the per-row adaptive
-    refinement had it and makes no adaptive_quad call.  The rows that pass
-    the bisected rule's rung are exactly those that used to fall back to
-    adaptive_quad: about a tenth of the rows the 6-panel rule flags (359
-    and 1,763)."""
+    refinement had it and makes no adaptive_quad call.  The rows that the
+    bisected rule leaves short, and so reach the third rung, are exactly
+    those that used to fall back to adaptive_quad: about a tenth of the rows
+    the 6-panel rule flags (359 and 1,763)."""
     calls = []
     beyond_fine = []
     adaptive = lifshitz_mod.adaptive_quad
