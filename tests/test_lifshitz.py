@@ -1,6 +1,7 @@
 import inspect
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,15 +282,19 @@ def test_fine_pass_rows_are_accurate(monkeypatch, field_oe):
     rung of the ladder, the rows that used to fall back to adaptive_quad
     included, within rel 1e-9 of a 1e-14 adaptive integral and with an error
     estimate that bounds the deviation.  The other rows keep the first rung's
-    bits."""
+    bits, and the flagged rows the bisected rule accepts keep its bits."""
     integrand, yl, params, rel_tol = _first_block(monkeypatch, field_oe)
     vals, errs = lifshitz_mod._integrate(lifshitz_mod._LADDER[0], integrand, yl, params)
     flagged = ~lifshitz_mod._accepted(vals, errs, rel_tol)
     fine, fine_errs = lifshitz_mod._integrate(lifshitz_mod._LADDER[1], integrand, yl, params)
-    assert (flagged & ~lifshitz_mod._accepted(fine, fine_errs, rel_tol)).any()
+    ok1 = flagged & lifshitz_mod._accepted(fine, fine_errs, rel_tol)
+    assert ok1.any()
+    assert (flagged & ~ok1).any()
     served, served_errs = lifshitz_mod._terms(integrand, yl, params, rel_tol)
     assert np.array_equal(served[~flagged], vals[~flagged])
     assert np.array_equal(served_errs[~flagged], errs[~flagged])
+    assert np.array_equal(served[ok1], fine[ok1])
+    assert np.array_equal(served_errs[ok1], fine_errs[ok1])
     for i in np.flatnonzero(flagged):
         row = [p[i] for p in params]
         ref, _ = adaptive_quad(lambda z: integrand(yl[i] + z, yl[i], *row),
@@ -331,6 +336,32 @@ def test_fine_pass_keeps_series(monkeypatch, field_oe, terms_used, delta_f_fn,
     assert sum(beyond_fine) == fallbacks
     assert res.terms_used == terms_used
     assert res.delta_f_fn == pytest.approx(delta_f_fn, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, T, rrr_pb, terms_used, delta_f_fn",
+                         [(10.5, 7.0, 1e4, 13074, 243229.5423130363),
+                          (1000.0, 1.0, 1.0, 2259, 0.5115448757204183)])
+def test_ladder_keeps_series_at_domain_edges(d, T, rrr_pb, terms_used, delta_f_fn):
+    """Near the smallest gap and at a large one the ladder keeps the series
+    that per-row adaptive refinement gave (153 and 16 rows went there)."""
+    lead = replace(LEAD, rrr=rrr_pb)
+    res = delta_force_pfa(GOLD, lead, 150.0, T, d, CFG)
+    assert res.terms_used == terms_used
+    assert res.delta_f_fn == pytest.approx(delta_f_fn, rel=1e-12)
+
+
+@pytest.mark.parametrize("rel_tol", [1e-16, 1e-20])
+def test_terms_meet_tolerance_to_double_resolution(monkeypatch, rel_tol):
+    """Every row of the first 775 Oe block, and the y log y head at y_l = 0,
+    meets a tolerance down to double resolution; a tighter one is held to it."""
+    integrand, yl, params, default_tol = _first_block(monkeypatch, 775.0)
+    ref, _ = lifshitz_mod._terms(integrand, yl, params, default_tol)
+    vals, errs = lifshitz_mod._terms(integrand, yl, params, rel_tol)
+    assert np.all(errs <= max(rel_tol, np.finfo(float).eps) * np.abs(vals))
+    assert vals == pytest.approx(ref, rel=1e-12)
+    head, head_err = lifshitz_mod._terms(lifshitz_mod._tm_zero_log, np.zeros(1), (), rel_tol)
+    assert head_err[0] <= np.finfo(float).eps * abs(head[0])
+    assert head[0] == pytest.approx(-1.2020569031595942, rel=1e-15)  # -zeta(3)
 
 
 def test_terms_raise_on_unconverged_row():
