@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -169,18 +170,45 @@ def test_gap_knots_match_bruteforce_solver():
                                              rel=1e-13, abs=0.0), t
 
 
-def test_import_leaves_out_scipy_solvers():
-    """The materials layer needs scipy.special only; scipy.optimize,
-    scipy.interpolate and scipy.linalg cost a fresh process ~0.4 s."""
-    code = ("import sys, casimir_sc; casimir_sc.default_gap(7.2).ratio(0.5); "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', "
-            "'scipy.linalg') if m in sys.modules))")
+def test_import_and_point_run_load_no_scipy():
+    """The program needs numpy only: importing the CLI, solving the gap and
+    a whole `point` run leave no scipy module in sys.modules (importing
+    scipy.special alone costs a fresh process about 0.2 s)."""
+    code = """
+import contextlib, io, sys
+import casimir_sc.cli
+casimir_sc.default_gap(7.2).ratio(0.5)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = casimir_sc.cli.main(["point"])
+print(code, "delta_f_fN" in out.getvalue(),
+      sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
     src = os.path.dirname(os.path.dirname(materials.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120, env=env)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "0 True []"
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 4, 6])
+def test_psi_matches_mpmath(k):
+    """The asymptotic polygamma is within 4 ulp of mpmath on its whole
+    domain x >= 60.5, edge included, and psi(a + l) - psi(a) at the
+    smallest wing argument is as good as the difference itself allows."""
+    xs = np.geomspace(60.5, 1e7, 97)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.psi(k, mpmath.mpf(x))) for x in xs])
+    got = materials._psi(k, xs)
+    assert got[0] == materials._psi(k, 60.5)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+    assert np.allclose(got, want, rtol=1e-15, atol=0)
+    a = 61.5
+    for l in 10.0 ** np.arange(7):
+        with mpmath.workdps(40):
+            diff = float(mpmath.psi(k, a + l) - mpmath.psi(k, a))
+        assert materials._psi(k, a + l) - materials._psi(k, a) == pytest.approx(
+            diff, rel=5e-14), l
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +355,20 @@ def test_g_grid_run_is_slice_of_longer_grid(field_oe):
 
 @pytest.mark.parametrize("field_oe", [30.125, 200.0, 775.0])
 def test_g_grid_matches_exact_cross_sum(field_oe):
-    """The cross sum split into exact ends and a closed-form middle stays
-    within 1e-5 of summing every cross term, around the split at l = 2e
-    and out to the 775 Oe series length."""
+    """Up to l = 2e the closed-form middle is exactly 0, so the grid and the
+    oracle differ only in rounding and in their polygammas (the asymptotic
+    _psi against scipy's), and every entry agrees to 1e-13; at 30.125 and
+    200 Oe n = 61, so the wings start at the smallest argument _psi takes.
+    Past the split the cross sum's closed-form middle stays within 1e-5 of
+    summing every cross term, out to the 775 Oe series length."""
     temperature = shifted_tc(LEAD, field_oe)
     delta = bcs_gap(GAP, temperature, LEAD.tc)
     step = 2.0 * math.pi * CONST.k_b * temperature
     e = materials._CROSS_EXACT * (int(max(60.0 * delta / step, 60.0)) + 1)
-    for l in (1, 5, 2 * e - 1, 2 * e, 2 * e + 1, 2 * e + 2, 5000, 18000):
+    got = g_on_matsubara_grid(LEAD, GAP, temperature, 2 * e)
+    want = g_matsubara_exact_cross(LEAD, GAP, temperature, 2 * e)
+    assert np.allclose(got[1:], want[1:], rtol=1e-13, atol=0)
+    for l in (2 * e + 1, 2 * e + 2, 5000, 18000):
         got = g_on_matsubara_grid(LEAD, GAP, temperature, 0, l_first=l)[0]
         want = g_matsubara_exact_cross(LEAD, GAP, temperature, 0, l_first=l)[0]
         assert got == pytest.approx(want, rel=1e-5), l
