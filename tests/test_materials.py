@@ -358,7 +358,7 @@ def test_g_grid_matches_exact_cross_sum(field_oe):
     """Up to l = 2e the closed-form middle is exactly 0, so the grid and the
     oracle differ only in rounding and in their polygammas (the asymptotic
     _psi against scipy's), and every entry agrees to 1e-13; at 30.125 and
-    200 Oe n = 61, so the wings start at the smallest argument _psi takes.
+    200 Oe n = 61, so the wings start at the smallest argument _psi gets.
     Past the split the cross sum's closed-form middle stays within 1e-5 of
     summing every cross term, out to the 775 Oe series length."""
     temperature = shifted_tc(LEAD, field_oe)
