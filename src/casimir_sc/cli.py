@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 from . import __version__
 from .errors import ConfigError, ConvergenceError, DomainError
 from .sc_state import ModulationSpec
-from .sweeps import (RunConfig, fmt_float, g_function_table, load_config,
-                     point_eval, render_rows, run_sweep, waveform_samples)
+from .sweeps import (RunConfig, g_function_table, load_config, point_eval,
+                     render_point, render_rows, run_sweep, waveform_samples)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -28,6 +28,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rel-tol", type=float, dest="rel_tol",
                    help="sets both quadrature and series tolerances")
     p.add_argument("--output", dest="output", help="output file (default stdout)")
+
+
+def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", dest="format", choices=("csv", "json"))
 
 
@@ -48,13 +51,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"casimir-sc {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sweep-field", help="force jump vs applied field (Oe)")
-    _add_common(p)
-    _add_sweep_bounds(p)
-
-    p = sub.add_parser("sweep-gap", help="force jump vs separation (nm)")
-    _add_common(p)
-    _add_sweep_bounds(p)
+    for name, x in (("sweep-field", "applied field (Oe)"), ("sweep-gap", "separation (nm)")):
+        p = sub.add_parser(name, help=f"force jump vs {x}")
+        _add_common(p)
+        _add_format(p)
+        _add_sweep_bounds(p)
 
     p = sub.add_parser("g-function", help="BCS correction g(xi) table")
     _add_common(p)
@@ -69,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("point", help="single (T, H, d) evaluation")
     _add_common(p)
+    _add_format(p)
     p.add_argument("--skip-force", action="store_true",
                    help="report only the shifted transition temperature")
     return ap
@@ -137,12 +139,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "point":
             cfg = _config_from_args(args)
             result = point_eval(cfg, include_force=not args.skip_force)
-            lines = []
-            for key in sorted(result):
-                val = result[key]
-                rendered = fmt_float(val) if isinstance(val, float) else str(val)
-                lines.append(f"{key}={rendered}")
-            _emit("\n".join(lines) + "\n", cfg.output_path)
+            _emit(render_point(cfg, result), cfg.output_path)
             return 0
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:

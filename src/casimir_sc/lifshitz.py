@@ -7,9 +7,9 @@ Free energy per unit area between two thick slabs at separation d:
 
 in the scaled variable y = 2 d q_l, y_l = 2 d xi_l / (hbar c).  Slab "a" is
 the sphere coating (always normal); slab "b" carries the normal or
-superconducting phase.  The l = 0 limits are taken analytically: a Drude
-metal loses its TE reflection while a superconductor keeps a plasma-like one
-with effective wavenumber Omega sqrt(g(0+;T)) / (hbar c).
+superconducting phase.  The l = 0 term is taken in its analytic limit: the
+Drude slab a has no TE zero mode, so only the saturated TM pair remains,
+whatever the phase of slab b.
 
 The force jump across the transition follows from the proximity force
 approximation, Delta F = 2 pi R [F_normal - F_super], with error bound d/R.
@@ -33,7 +33,6 @@ from .materials import (
     drude_eps,
     eps_bcs,
     g_on_matsubara_grid,
-    g_zero_limit,
 )
 from .quadrature import CompositeKronrod, NeumaierSum, adaptive_quad
 from .sc_state import Phase
@@ -73,12 +72,6 @@ class EngineConfig:
 
 
 @dataclass(frozen=True)
-class ReflectionPair:
-    r_te: float
-    r_tm: float
-
-
-@dataclass(frozen=True)
 class FreeEnergyResult:
     value: float          # eV / nm^2
     terms_used: int
@@ -92,54 +85,6 @@ class DeltaForceResult:
     pfa_bound: float      # d / R
     terms_used: int
     error_estimate: float
-
-
-# ---------------------------------------------------------------------------
-# elementary operations
-
-
-def matsubara_xi(l: int, T: float) -> float:
-    """xi_l = 2 pi l k_B T in eV."""
-    if T <= 0.0:
-        raise DomainError("matsubara_xi requires T > 0")
-    if l < 0:
-        raise DomainError("matsubara_xi requires l >= 0")
-    return 2.0 * math.pi * l * CONST.k_b * T
-
-
-def fresnel_te(eps: float, xi: float, k_perp: float) -> float:
-    """TE reflection (q - s)/(q + s) on the imaginary axis."""
-    kappa = xi / CONST.hbar_c
-    q = math.sqrt(kappa * kappa + k_perp * k_perp)
-    s = math.sqrt(eps * kappa * kappa + k_perp * k_perp)
-    return (q - s) / (q + s)
-
-
-def fresnel_tm(eps: float, xi: float, k_perp: float) -> float:
-    """TM reflection (eps q - s)/(eps q + s) on the imaginary axis."""
-    kappa = xi / CONST.hbar_c
-    q = math.sqrt(kappa * kappa + k_perp * k_perp)
-    s = math.sqrt(eps * kappa * kappa + k_perp * k_perp)
-    return (eps * q - s) / (eps * q + s)
-
-
-def zero_mode_reflections(material: MaterialParams, phase: Phase, T: float,
-                          k_perp: float, gap: Optional[GapModel] = None) -> ReflectionPair:
-    """Analytic l = 0 limits; never evaluated by plugging xi = 0 numerically.
-
-    Drude metals: (0, 1).  Superconductors keep a plasma-like TE reflection
-    built from the condensate weight g(0+; T).
-    """
-    if k_perp <= 0.0:
-        raise DomainError("zero_mode_reflections requires k_perp > 0")
-    if phase is Phase.SUPERCONDUCTING:
-        if gap is None:
-            gap = default_gap(material.tc)
-        g0 = g_zero_limit(material, gap, T)
-        ks = material.omega_p * math.sqrt(g0) / CONST.hbar_c
-        root = math.sqrt(k_perp * k_perp + ks * ks)
-        return ReflectionPair(r_te=(k_perp - root) / (k_perp + root), r_tm=1.0)
-    return ReflectionPair(r_te=0.0, r_tm=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +267,8 @@ def _free_energy_low_t(integrand, params, s0: float, e0: float, T: float,
                        d: float, cfg: EngineConfig, l_cap: int) -> FreeEnergyResult:
     """Midpoint Euler-Maclaurin form of the Matsubara sum for tiny T.
 
-    sum_{l>=1} S(l h) = (1/h) int_{h/2}^inf S + O(h) corrections; used only
-    when the exact ascending sum would exceed the term budget.
+    sum_{l>=1} S(l h) = (1/h) int_{h/2}^inf S + (h/24) S'(h/2) + O(h^3);
+    used only when the exact ascending sum would exceed the term budget.
     """
     h = 2.0 * math.pi * CONST.k_b * T
     pref = CONST.k_b * T / (8.0 * math.pi * d * d)
@@ -340,7 +285,7 @@ def _free_energy_low_t(integrand, params, s0: float, e0: float, T: float,
     step = h / 4.0
     above, below = s_of_xi(np.array([h / 2.0 + step, h / 2.0 - step]))
     sprime = (above - below) / (2.0 * step)
-    series = body / h - (h / 24.0) * sprime
+    series = body / h + (h / 24.0) * sprime
     value = pref * (0.5 * s0 + series)
     return FreeEnergyResult(value=value, terms_used=l_cap,
                             error_estimate=abs(pref) * (0.5 * e0 + berr / h))

@@ -59,7 +59,6 @@ class MaterialParams:
     tc: float = 0.0
     hc0: float = 0.0
     lambda0: Optional[float] = None
-    ell_over_xi0: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.omega_p <= 0.0:
@@ -87,15 +86,8 @@ class MaterialParams:
 GOLD = MaterialParams(name="gold", omega_p=9.0, gamma0=0.035, rrr=1.0)
 LEAD = MaterialParams(
     name="lead", omega_p=7.36, gamma0=0.200, rrr=2.0,
-    tc=7.2, hc0=800.0, lambda0=35.0, ell_over_xi0=0.07,
+    tc=7.2, hc0=800.0, lambda0=35.0,
 )
-
-REGISTRY: dict[str, MaterialParams] = {
-    "gold": GOLD,
-    "lead": LEAD,
-    "au": GOLD,
-    "pb": LEAD,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +236,7 @@ def drude_eps(material: MaterialParams, xi):
     float or an array."""
     if np.any(xi <= 0.0):
         raise DomainError("drude_eps requires xi > 0; the static limit is "
-                          "handled by the zero-mode reflection formulas")
+                          "the Lifshitz series' analytic zero mode")
     return 1.0 + material.omega_p ** 2 / (xi * (xi + material.gamma))
 
 

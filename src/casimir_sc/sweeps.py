@@ -1,8 +1,10 @@
 """Run configuration, parameter sweeps, and machine-readable output.
 
-Sweeps evaluate the force jump row by row at T = shifted_tc(H), write a
-deterministic CSV (or JSON) with a config-echo header, and keep going past
-rows that fail to converge, marking them in the file.
+A sweep row is the single point of the configuration with the field, gap or
+temperature set to x; a point runs at temperature_k if given, else at
+T = shifted_tc(H).  Sweeps write a deterministic CSV (or JSON) with a
+config-echo header, and keep going past rows that fail to converge, marking
+them in the file.
 """
 
 from __future__ import annotations
@@ -239,7 +241,7 @@ def validate_config(cfg: RunConfig) -> None:
 
 def config_echo(cfg: RunConfig) -> dict:
     """Flat, sorted view of the resolved configuration for output headers."""
-    echo = {
+    return {
         "compute_full": cfg.compute_full,
         "constants_version": CONSTANTS_VERSION,
         "field_oe": cfg.field_oe,
@@ -258,7 +260,6 @@ def config_echo(cfg: RunConfig) -> dict:
         "sweep_variable": cfg.sweep.variable,
         "temperature_k": cfg.temperature_k,
     }
-    return echo
 
 
 # ---------------------------------------------------------------------------
@@ -286,33 +287,37 @@ def _fmt_value(v) -> str:
 # sweep driver
 
 
+# The RunConfig field each sweep variable sets on its row.
+_SWEEP_FIELDS = dict(zip(SWEEP_VARIABLES, ("field_oe", "gap_nm", "temperature_k")))
+
+
+def _evaluate(cfg: RunConfig) -> tuple:
+    """(T, force jump, F_n, F_s) at cfg's resolved temperature and gap;
+    F_n and F_s are NaN unless cfg.compute_full."""
+    temperature = cfg.resolved_temperature()
+    res = delta_force_pfa(cfg.material_a, cfg.material_b, cfg.radius_um,
+                          temperature, cfg.gap_nm, cfg.engine)
+    f_normal = f_super = float("nan")
+    if cfg.compute_full:
+        f_normal = free_energy(cfg.material_a, cfg.material_b, Phase.NORMAL,
+                               temperature, cfg.gap_nm, cfg.engine).value
+        f_super = f_normal - res.diff_ev_nm2
+    return temperature, res, f_normal, f_super
+
+
 def _evaluate_row(cfg: RunConfig, variable: str, x: float) -> SweepRow:
-    pb = cfg.material_b
-    if variable == "field_Oe":
-        t_prime = shifted_tc(pb, x)
-        temperature, d = t_prime, cfg.gap_nm
-    elif variable == "gap_nm":
-        t_prime = shifted_tc(pb, cfg.field_oe)
-        temperature, d = t_prime, x
-    else:  # temperature_K
-        t_prime = shifted_tc(pb, cfg.field_oe)
-        temperature, d = x, cfg.gap_nm
+    """The point of cfg with the sweep variable set to x."""
+    cfg = replace(cfg, **{_SWEEP_FIELDS[variable]: x})
+    t_prime = shifted_tc(cfg.material_b, cfg.field_oe)
     try:
-        res = delta_force_pfa(cfg.material_a, pb, cfg.radius_um,
-                              temperature, d, cfg.engine)
-        if cfg.compute_full:
-            f_normal = free_energy(cfg.material_a, pb, Phase.NORMAL,
-                                   temperature, d, cfg.engine).value
-            f_super = f_normal - res.diff_ev_nm2
-        else:
-            f_normal = f_super = float("nan")
+        _, res, f_normal, f_super = _evaluate(cfg)
         return SweepRow(x=x, t_prime_c_k=t_prime, delta_f_fn=res.delta_f_fn,
                         f_normal_ev_nm2=f_normal, f_super_ev_nm2=f_super,
                         terms_used=res.terms_used, pfa_bound=res.pfa_bound)
     except (ConvergenceError, DomainError) as exc:
         return SweepRow(x=x, t_prime_c_k=t_prime, delta_f_fn=float("nan"),
                         f_normal_ev_nm2=float("nan"), f_super_ev_nm2=float("nan"),
-                        terms_used=0, pfa_bound=d / (cfg.radius_um * 1000.0),
+                        terms_used=0, pfa_bound=cfg.gap_nm / (cfg.radius_um * 1000.0),
                         error=str(exc))
 
 
@@ -322,11 +327,15 @@ def run_sweep(cfg: RunConfig, rows: Optional[list] = None) -> list[SweepRow]:
     Each row is appended to `rows` (a new list by default) as soon as it is
     done, so a caller that is interrupted still holds the finished rows.
     """
-    if cfg.sweep.variable not in SWEEP_VARIABLES:
-        raise ConfigError(f"unknown sweep variable {cfg.sweep.variable!r}")
+    variable = cfg.sweep.variable
+    if variable not in SWEEP_VARIABLES:
+        raise ConfigError(f"unknown sweep variable {variable!r}")
+    if cfg.temperature_k is not None and variable != "gap_nm":
+        raise ConfigError(f"temperature_k cannot be set for a {variable} sweep, "
+                          "whose rows each set their own temperature")
     rows = [] if rows is None else rows
     for x in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.points):
-        rows.append(_evaluate_row(cfg, cfg.sweep.variable, float(x)))
+        rows.append(_evaluate_row(cfg, variable, float(x)))
     return rows
 
 
@@ -370,23 +379,23 @@ def _render_csv(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
     return out.getvalue()
 
 
-def _json_value(v):
+def _json_fields(values: dict) -> dict:
     """Strict JSON has no NaN or infinity; such values are written as null."""
-    if isinstance(v, float) and not math.isfinite(v):
-        return None
-    return v
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in values.items()}
+
+
+def _json_line(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _render_json(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
-    payload = {
+    return _json_line({
         "tool": f"casimir-sc v{_pkg_version}",
-        "config": {k: _json_value(v) for k, v in config_echo(cfg).items()},
+        "config": _json_fields(config_echo(cfg)),
         "rows_converged": sum(1 for r in rows if r.error is None),
-        "rows": [{k: _json_value(v) for k, v in dataclasses.asdict(r).items()}
-                 for r in rows],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
+        "rows": [_json_fields(dataclasses.asdict(r)) for r in rows],
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +407,15 @@ def point_eval(cfg: RunConfig, include_force: bool = True) -> dict:
 
     With include_force=False this is a sub-millisecond lookup.
     """
-    t_prime = shifted_tc(cfg.material_b, cfg.field_oe)
     result = {
         "field_oe": cfg.field_oe,
         "gap_nm": cfg.gap_nm,
         "radius_um": cfg.radius_um,
-        "t_prime_c_K": t_prime,
+        "t_prime_c_K": shifted_tc(cfg.material_b, cfg.field_oe),
     }
     if not include_force:
         return result
-    temperature = cfg.temperature_k if cfg.temperature_k is not None else t_prime
-    res = delta_force_pfa(cfg.material_a, cfg.material_b, cfg.radius_um,
-                          temperature, cfg.gap_nm, cfg.engine)
+    temperature, res, f_normal, f_super = _evaluate(cfg)
     result.update({
         "temperature_K": temperature,
         "delta_f_fN": res.delta_f_fn,
@@ -417,11 +423,16 @@ def point_eval(cfg: RunConfig, include_force: bool = True) -> dict:
         "terms_used": res.terms_used,
     })
     if cfg.compute_full:
-        fn = free_energy(cfg.material_a, cfg.material_b, Phase.NORMAL,
-                         temperature, cfg.gap_nm, cfg.engine)
-        result["f_normal_eV_nm2"] = fn.value
-        result["f_super_eV_nm2"] = fn.value - res.diff_ev_nm2
+        result.update(f_normal_eV_nm2=f_normal, f_super_eV_nm2=f_super)
     return result
+
+
+def render_point(cfg: RunConfig, result: dict) -> str:
+    """point_eval's result as sorted key=value lines, or one JSON object."""
+    if cfg.output_format == "json":
+        return _json_line(_json_fields(result))
+    return "".join(f"{key}={fmt_float(val) if isinstance(val, float) else val}\n"
+                   for key, val in sorted(result.items()))
 
 
 # ---------------------------------------------------------------------------

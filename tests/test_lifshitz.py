@@ -16,13 +16,9 @@ from casimir_sc.lifshitz import (
     delta_force_pfa,
     free_energy,
     free_energy_difference,
-    fresnel_te,
-    fresnel_tm,
     ideal_mirror_free_energy,
-    matsubara_xi,
-    zero_mode_reflections,
 )
-from casimir_sc.materials import GOLD, LEAD, default_gap, drude_eps, g_zero_limit
+from casimir_sc.materials import GOLD, LEAD, default_gap, drude_eps, eps_bcs, g_zero_limit
 from casimir_sc.quadrature import adaptive_quad
 from casimir_sc.sc_state import Phase, shifted_tc
 
@@ -43,36 +39,23 @@ GOLDEN_DIFF = 1.2304789924686617e-10
 
 
 # ---------------------------------------------------------------------------
-# Matsubara frequencies
-
-
-def test_matsubara_examples():
-    assert matsubara_xi(0, 6.24) == 0.0
-    xi1 = matsubara_xi(1, 6.24)
-    assert xi1 == pytest.approx(2.0 * math.pi * CONST.k_b * 6.24, rel=1e-15)
-    assert xi1 == pytest.approx(3.379e-3, rel=2e-4)
-    assert matsubara_xi(2, 6.24) == 2.0 * xi1
-
-
-def test_matsubara_domain():
-    with pytest.raises(DomainError):
-        matsubara_xi(1, 0.0)
-    with pytest.raises(DomainError):
-        matsubara_xi(-1, 1.0)
-
-
-# ---------------------------------------------------------------------------
 # Fresnel coefficients
 
 
+def fresnel(eps, xi, k_perp):
+    """The engine's (r_te, r_tm) at imaginary frequency xi (eV) and k_perp
+    (1/nm): _fresnel in scaled variables, y = 2 d q and y_l = 2 d xi/(hbar c),
+    at d = 1/2 nm."""
+    kappa = xi / CONST.hbar_c
+    return lifshitz_mod._fresnel(eps, math.hypot(kappa, k_perp), kappa)
+
+
 def test_fresnel_vacuum_reflects_nothing():
-    assert fresnel_te(1.0, 0.1, 0.01) == 0.0
-    assert fresnel_tm(1.0, 0.1, 0.01) == 0.0
+    assert fresnel(1.0, 0.1, 0.01) == (0.0, 0.0)
 
 
 def test_fresnel_ideal_mirror_limit():
-    te = fresnel_te(1e14, 0.1, 0.01)
-    tm = fresnel_tm(1e14, 0.1, 0.01)
+    te, tm = fresnel(1e14, 0.1, 0.01)
     assert te == pytest.approx(-1.0, abs=1e-4)
     assert tm == pytest.approx(1.0, abs=1e-4)
 
@@ -81,8 +64,9 @@ def test_fresnel_against_mpmath():
     eps = drude_eps(GOLD, 0.1)
     k_perp = 1.0 / 140.0
     te_ref, tm_ref = fresnel_mpmath(eps, 0.1, k_perp)
-    assert fresnel_te(eps, 0.1, k_perp) == pytest.approx(te_ref, rel=1e-13)
-    assert fresnel_tm(eps, 0.1, k_perp) == pytest.approx(tm_ref, rel=1e-13)
+    te, tm = fresnel(eps, 0.1, k_perp)
+    assert te == pytest.approx(te_ref, rel=1e-13)
+    assert tm == pytest.approx(tm_ref, rel=1e-13)
 
 
 @settings(max_examples=500, deadline=None)
@@ -90,8 +74,7 @@ def test_fresnel_against_mpmath():
        st.floats(min_value=1e-6, max_value=50.0),
        st.floats(min_value=1e-6, max_value=1.0))
 def test_fresnel_bounds(eps, xi, k_perp):
-    te = fresnel_te(eps, xi, k_perp)
-    tm = fresnel_tm(eps, xi, k_perp)
+    te, tm = fresnel(eps, xi, k_perp)
     assert -1.0 < te <= 0.0
     assert 0.0 <= tm < 1.0
 
@@ -100,41 +83,33 @@ def test_fresnel_bounds(eps, xi, k_perp):
 # zero mode
 
 
+def zero_mode_shift(eps_b, yl, d=70.0):
+    """int _pair_log dy / int _tm_zero_log dy - 1 over the l = 0 range, for
+    gold against eps_b(xi) at y_l = 2 d xi/(hbar c), both on the engine's rule."""
+    xi = yl * CONST.hbar_c / (2.0 * d)
+    pair = lifshitz_mod._terms(lifshitz_mod._pair_log, np.array([yl]),
+                               (np.array([drude_eps(GOLD, xi)]), np.array([eps_b(xi)])),
+                               1e-12)[0][0]
+    zero = lifshitz_mod._terms(lifshitz_mod._tm_zero_log, np.zeros(1), (), 1e-12)[0][0]
+    return pair / zero - 1.0
+
+
 def test_zero_mode_drude():
-    for k in (1e-4, 1e-2, 1.0):
-        pair = zero_mode_reflections(GOLD, Phase.NORMAL, 6.24, k)
-        assert pair.r_te == 0.0 and pair.r_tm == 1.0
-    pair = zero_mode_reflections(LEAD, Phase.NORMAL, 6.24, 0.01)
-    assert pair.r_te == 0.0 and pair.r_tm == 1.0
-
-
-def test_zero_mode_bcs_closed_form():
-    gap = default_gap(LEAD.tc)
-    g0 = g_zero_limit(LEAD, gap, 0.72)
-    ks = LEAD.omega_p * math.sqrt(g0) / CONST.hbar_c
-    k_perp = 1e-2
-    expected = (k_perp - math.hypot(k_perp, ks)) / (k_perp + math.hypot(k_perp, ks))
-    pair = zero_mode_reflections(LEAD, Phase.SUPERCONDUCTING, 0.72, k_perp, gap)
-    assert pair.r_tm == 1.0
-    assert pair.r_te == pytest.approx(expected, rel=1e-12)
-    assert pair.r_te < 0.0
-
-
-def test_zero_mode_bcs_vanishes_at_large_k():
-    pair = zero_mode_reflections(LEAD, Phase.SUPERCONDUCTING, 0.72, 1e3)
-    assert -1e-5 < pair.r_te < 0.0
+    """Drude slabs lose their TE zero mode and saturate the TM one: the l = 0
+    term _tm_zero_log is the y_l -> 0+ limit of _pair_log, to O(y_l)."""
+    for yl in (1e-4, 1e-6, 1e-8):
+        assert abs(zero_mode_shift(lambda xi: drude_eps(LEAD, xi), yl)) < 100.0 * yl
 
 
 def test_zero_mode_difference_structure():
-    """The l=0 term cancels in the phase difference for a Drude-modeled
-    sphere: gold has no TE zero mode and both lead phases saturate TM."""
-    au = zero_mode_reflections(GOLD, Phase.NORMAL, T200, 0.01)
-    pb_n = zero_mode_reflections(LEAD, Phase.NORMAL, T200, 0.01)
-    pb_s = zero_mode_reflections(LEAD, Phase.SUPERCONDUCTING, T200, 0.01)
-    assert au.r_te * pb_n.r_te == au.r_te * pb_s.r_te == 0.0
-    assert au.r_tm * pb_n.r_tm == au.r_tm * pb_s.r_tm == 1.0
-    # the superconducting TE zero mode itself is the nonzero signature
-    assert pb_s.r_te < 0.0 and pb_n.r_te == 0.0
+    """The l = 0 term cancels in the phase difference for a Drude-modeled
+    sphere: superconducting lead keeps a TE zero mode, but gold has none, so
+    _pair_log tends to the same _tm_zero_log in both phases of lead."""
+    g0 = g_zero_limit(LEAD, default_gap(LEAD.tc), T200)
+    shifts = [abs(zero_mode_shift(lambda xi: eps_bcs(LEAD, xi, g0), yl))
+              for yl in (1e-4, 1e-6, 1e-8)]
+    assert shifts[0] > 10.0 * shifts[1] > 100.0 * shifts[2]
+    assert shifts[2] < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +375,7 @@ def test_low_temperature_series_path_consistency(monkeypatch):
     exact = free_energy(GOLD, LEAD, Phase.NORMAL, 1.0, 100.0, CFG)
     monkeypatch.setattr(lifshitz_mod, "_MAX_EXACT_TERMS", 1000)
     integral_form = free_energy(GOLD, LEAD, Phase.NORMAL, 1.0, 100.0, CFG)
-    assert integral_form.value == pytest.approx(exact.value, rel=1e-5)
+    assert integral_form.value == pytest.approx(exact.value, rel=5e-8)
 
 
 def test_low_temperature_superconductor_matches_direct_series(monkeypatch):

@@ -13,7 +13,6 @@ from casimir_sc.errors import DomainError
 from casimir_sc.materials import (
     GOLD,
     LEAD,
-    REGISTRY,
     MaterialParams,
     _mb_ratio,
     bcs_gap,
@@ -45,7 +44,6 @@ TWO_D0 = 2.0 * GAP.delta0
 
 
 def test_registry_defaults():
-    assert REGISTRY["au"] is GOLD and REGISTRY["pb"] is LEAD
     assert GOLD.omega_p == 9.0 and GOLD.gamma0 == 0.035 and GOLD.rrr == 1.0
     assert LEAD.omega_p == 7.36 and LEAD.gamma0 == 0.200 and LEAD.rrr == 2.0
     assert LEAD.tc == 7.2 and LEAD.hc0 == 800.0 and LEAD.lambda0 == 35.0

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -424,6 +427,49 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def test_cli_point_json_format(capsys):
+    assert cli_main(["point", "--rel-tol", "1e-6"]) == 0
+    lines = dict(ln.split("=", 1) for ln in capsys.readouterr().out.splitlines())
+    assert cli_main(["point", "--rel-tol", "1e-6", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert sorted(payload) == sorted(lines)
+    for key, val in payload.items():
+        assert val == (int(lines[key]) if isinstance(val, int) else float(lines[key]))
+
+
+@pytest.mark.parametrize("command", ["g-function", "waveform"])
+def test_cli_format_only_where_honoured(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, "--format", "json"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
+def test_gap_sweep_row_honours_temperature(tmp_path, capsys):
+    """A gap-sweep row is point at the row's gap, --temperature-k included."""
+    out = tmp_path / "sweep.csv"
+    assert cli_main(["sweep-gap", "--temperature-k", "3", "--start", "40",
+                     "--stop", "70", "--points", "2", "--no-full",
+                     "--rel-tol", "1e-6", "--output", str(out)]) == 0
+    row = [ln for ln in out.read_text().splitlines() if ln.startswith("7.0e+01,")]
+    assert cli_main(["point", "--temperature-k", "3", "--rel-tol", "1e-6"]) == 0
+    point = dict(ln.split("=", 1) for ln in capsys.readouterr().out.splitlines())
+    assert point["temperature_K"] == "3.0e+00"
+    _, t_prime, delta_f, _, _, terms, bound = row[0].split(",")
+    assert (t_prime, delta_f, terms, bound) == (
+        point["t_prime_c_K"], point["delta_f_fN"], point["terms_used"], point["pfa_bound"])
+
+
+def test_temperature_k_refused_where_rows_set_temperature(capsys):
+    assert cli_main(["sweep-field", "--temperature-k", "3"]) == 1
+    assert "temperature_k" in capsys.readouterr().err
+    cfg = coarse_config(temperature_k=3.0, sweep=SweepSpec("temperature_K", 4.0, 6.0, 2))
+    with pytest.raises(ConfigError, match="temperature_k"):
+        run_sweep(cfg)
+
+
 def test_cli_interrupt_keeps_finished_rows(monkeypatch, tmp_path, capsys):
     done = []
 
@@ -465,3 +511,23 @@ def test_free_energy_columns_present_when_full(tmp_path):
         f_normal, f_super = float(fields[3]), float(fields[4])
         assert f_normal < 0.0 and f_super < 0.0
         assert f_super < f_normal  # superconducting state binds more strongly
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracer
+
+
+def test_tracer_wraps_existing_names(tmp_path):
+    """perfbench/trace_child.py wraps layer entry points by module attribute
+    name; a deleted or renamed one fails its start-up."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "trace_child.py"),
+         str(tmp_path / "spans.json"), "t", "--", "point", "--skip-force"],
+        capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert last["exit"] == 0
+    assert "cli.main_s" in last["metrics"]
