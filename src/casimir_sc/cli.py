@@ -17,17 +17,22 @@ from .sweeps import (RunConfig, g_function_table, load_config, point_eval,
                      render_point, render_rows, run_sweep, waveform_samples)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_shared(p: argparse.ArgumentParser) -> None:
+    """The flags every subcommand honours, g-function included."""
     p.add_argument("--config", metavar="PATH", help="flat key=value config file")
+    p.add_argument("--rrr-pb", type=float, dest="rrr_pb")
+    p.add_argument("--output", dest="output", help="output file (default stdout)")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_shared(p)
     p.add_argument("--gap-nm", type=float, dest="gap_nm")
     p.add_argument("--radius-um", type=float, dest="radius_um")
     p.add_argument("--field-oe", type=float, dest="field_oe")
     p.add_argument("--temperature-k", type=float, dest="temperature_k")
-    p.add_argument("--rrr-pb", type=float, dest="rrr_pb")
     p.add_argument("--rrr-au", type=float, dest="rrr_au")
     p.add_argument("--rel-tol", type=float, dest="rel_tol",
                    help="sets both quadrature and series tolerances")
-    p.add_argument("--output", dest="output", help="output file (default stdout)")
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -58,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_sweep_bounds(p)
 
     p = sub.add_parser("g-function", help="BCS correction g(xi) table")
-    _add_common(p)
+    _add_shared(p)
     p.add_argument("--t-over-tc", type=float, action="append", dest="t_over_tc",
                    help="reduced temperature (repeatable; default 0.1 and 0.9)")
 

@@ -34,17 +34,15 @@ from .materials import (
     eps_bcs,
     g_on_matsubara_grid,
 )
-from .quadrature import CompositeKronrod, NeumaierSum, adaptive_quad
+# adaptive_quad is unused here but stays a module attribute, which
+# perfbench/trace_child.py wraps by name.
+from .quadrature import CompositeKronrod, NeumaierSum, adaptive_quad  # noqa: F401
 from .sc_state import Phase
 
 
 # ---------------------------------------------------------------------------
 # configuration and result types
 
-
-# Beyond this many Matsubara terms a full series (normal or ideal mirrors) is
-# evaluated in its midpoint Euler-Maclaurin integral form (far below 1 K).
-_MAX_EXACT_TERMS = 200_000
 
 _Y_CUT = 45.0
 # The series may not depend on its split into blocks of l: the composite rule
@@ -249,46 +247,94 @@ def _matsubara_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
                             error_estimate=pref * (err_acc + abs(sl)))
 
 
+# A full series sums its first _HEAD terms exactly, starts its octaves at
+# _NODES intervals and stops past y_l = _Y_STOP, where a term is below e^-48
+# of the first.
+_HEAD = 256
+_NODES = 64
+_Y_STOP = 48.0
+
+
+def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
+                 l_cap: int, head: tuple) -> FreeEnergyResult:
+    """kT/(8 pi d^2) * [head + sum_{l>=1} term_l] on a graded stride.
+
+    The terms l < _HEAD are summed exactly.  Each octave [A, 2A) past them is
+    a trapezoid of stride k, _HEAD/_NODES at the first octave and doubling per
+    octave, plus the Euler-Maclaurin terms (1 - k^2)/12 df' - (1 - k^4)/720 df'''
+    that turn it into the unit-step sum.  f' and f''' come from central
+    differences of the integer-l terms at the octave's edges: of unit step up
+    to k = 31, of step k/16 past it, where a unit step would multiply the
+    terms' rounding by k^4/720.  The stride is halved until strides 2k and k
+    agree to rel_tol_series times the sum; k = 1 is the exact sum.  The sum
+    stops at the first octave edge past both y_l = _Y_STOP and l_cap.
+    error_estimate is the strides' disagreements plus the quadrature errors,
+    and terms_used counts the terms evaluated, l = 0 included.
+    """
+    h = 2.0 * math.pi * CONST.k_b * T
+    extent = max(l_cap, math.ceil(_Y_STOP / _scaled_yl(h, d)))
+    acc = NeumaierSum()
+    acc.add(head[0])
+    err = head[1]
+    known = {}
+    for l, (sl, el) in enumerate(_term_stream(integrand, params, T, d, cfg,
+                                              min(_HEAD - 1, extent)), start=1):
+        acc.add(sl)
+        err += el
+        known[l] = (sl, el)
+
+    def terms(ls: range) -> np.ndarray:
+        """(values, errors) of the terms at ls, each evaluated once."""
+        new = np.array([l for l in ls if l not in known], dtype=np.int64)
+        if new.size:
+            xi = h * new
+            vals, errs = _terms(integrand, _scaled_yl(xi, d), params(new, xi),
+                                cfg.rel_tol_quadrature)
+            known.update(zip(new.tolist(), zip(vals.tolist(), errs.tolist())))
+        return np.array([known[l] for l in ls]).T
+
+    def edge(a: int, k: int) -> tuple:
+        """(f', f''') at a for stride k."""
+        p = max(1, k // 16)
+        m2, m1, _, p1, p2 = terms(range(a - 2 * p, a + 2 * p + 1, p))[0]
+        return ((8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * p),
+                (0.5 * (p2 - m2) - (p1 - m1)) / p ** 3)
+
+    def octave(a: int, k: int) -> tuple:
+        """(sum, quadrature error) of the terms a <= l < 2a from stride k."""
+        vals, errs = terms(range(a, 2 * a + 1, k))
+        (d1a, d3a), (d1b, d3b) = edge(a, k), edge(2 * a, k)
+        trapezoid = k * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
+        # (f(a) - f(2a))/2 leaves l = 2a out of the octave.
+        return (trapezoid + 0.5 * (vals[0] - vals[-1])
+                + (1 - k * k) / 12.0 * (d1b - d1a)
+                - (1 - k ** 4) / 720.0 * (d3b - d3a)), k * errs.sum()
+
+    a, k = _HEAD, _HEAD // _NODES
+    while a <= extent:
+        while True:
+            value, quad_err = octave(a, k)
+            miss = 0.0 if k == 1 else abs(value - octave(a, 2 * k)[0])
+            if miss <= cfg.rel_tol_series * abs(acc.value + value):
+                break
+            k //= 2
+        acc.add(value)
+        err += miss + quad_err
+        a, k = 2 * a, 2 * k
+    pref = CONST.k_b * T / (8.0 * math.pi * d * d)
+    return FreeEnergyResult(value=pref * acc.value, terms_used=len(known) + 1,
+                            error_estimate=pref * err)
+
+
 def _full_free_energy(integrand, params, zero_integrand, T: float, d: float,
                       cfg: EngineConfig) -> FreeEnergyResult:
-    """Full series: the l = 0 term at half weight, then l >= 1 up to
-    matsubara_cap_full * c/d."""
+    """Full series: the l = 0 term at half weight, then l >= 1 on a graded
+    stride to past matsubara_cap_full * c/d."""
     xi_cap = cfg.matsubara_cap_full * (CONST.hbar_c / d)
     l_cap = int(math.ceil(xi_cap / (2.0 * math.pi * CONST.k_b * T)))
     s0, e0 = (float(a[0]) for a in _terms(zero_integrand, np.zeros(1), (),
                                          cfg.rel_tol_quadrature))
-    if l_cap > _MAX_EXACT_TERMS:
-        return _free_energy_low_t(integrand, params, s0, e0, T, d, cfg, l_cap)
-    return _matsubara_sum(integrand, params, T, d, cfg, l_cap, 10 * l_cap + 1000,
-                          head=(0.5 * s0, 0.5 * e0))
-
-
-def _free_energy_low_t(integrand, params, s0: float, e0: float, T: float,
-                       d: float, cfg: EngineConfig, l_cap: int) -> FreeEnergyResult:
-    """Midpoint Euler-Maclaurin form of the Matsubara sum for tiny T.
-
-    sum_{l>=1} S(l h) = (1/h) int_{h/2}^inf S + (h/24) S'(h/2) + O(h^3);
-    used only when the exact ascending sum would exceed the term budget.
-    """
-    h = 2.0 * math.pi * CONST.k_b * T
-    pref = CONST.k_b * T / (8.0 * math.pi * d * d)
-
-    def s_of_xi(xi: np.ndarray) -> np.ndarray:
-        return _terms(integrand, _scaled_yl(xi, d), params(None, xi),
-                      cfg.rel_tol_quadrature)[0]
-
-    xi_top = 2.0 * cfg.matsubara_cap_full * CONST.hbar_c / d
-    pts = list(np.geomspace(h, xi_top / 2.0, 24))
-    body, berr = adaptive_quad(s_of_xi, h / 2.0, xi_top,
-                               rel_tol=cfg.rel_tol_series, abs_tol=1e-300,
-                               breakpoints=pts, max_panels=4000)
-    step = h / 4.0
-    above, below = s_of_xi(np.array([h / 2.0 + step, h / 2.0 - step]))
-    sprime = (above - below) / (2.0 * step)
-    series = body / h + (h / 24.0) * sprime
-    value = pref * (0.5 * s0 + series)
-    return FreeEnergyResult(value=value, terms_used=l_cap,
-                            error_estimate=abs(pref) * (0.5 * e0 + berr / h))
+    return _strided_sum(integrand, params, T, d, cfg, l_cap, head=(0.5 * s0, 0.5 * e0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Everything here deliberately avoids the production code paths: different
 integration variables, different libraries, different algebra.  The QUADPACK
 Kramers-Kronig route shares only the gap curve and the constants with the
-production g.  The one exception is superconducting_free_energy_direct,
-which shares the wavevector integrator, the per-l permittivities and g with
-production and differs from it only in its integrand: the superconducting
-series summed on its own, against the production difference series.
+production g.  The two exceptions share the wavevector integrator and the
+per-l permittivities with production.  normal_free_energy_exact differs from
+it only in its summation: every term in ascending order, against the graded
+stride of the production full series.  superconducting_free_energy_direct
+also shares g and differs only in its integrand: the superconducting series
+summed on its own, against the production difference series.
 """
 
 from __future__ import annotations
@@ -118,6 +120,34 @@ def g_matsubara_exact_cross(material: MaterialParams, gap: GapModel, T: float,
         wing = (d2 / step ** 2) * (psi1_a + float(special.polygamma(1, a + l)) + 2.0 * cross_sum)
         out[l - l_first] = body + wing
     return out * (math.pi * t_ev / material.gamma)
+
+
+# A full series taken to y_l = 2 d xi_l / (hbar c) = 48 leaves out terms below
+# e^-48 of its first.
+Y_FULL = 48.0
+
+
+def full_series_extent(T: float, d: float) -> int:
+    """The last l with y_l <= Y_FULL at temperature T and gap d."""
+    return int(Y_FULL * HBAR_C / (2.0 * d * 2.0 * math.pi * K_B * T))
+
+
+def normal_free_energy_exact(material_a: MaterialParams, material_b: MaterialParams,
+                             T: float, d: float, cfg: EngineConfig) -> float:
+    """F_n summed exactly, eV/nm^2: the half-weight l = 0 term, then every l
+    up to full_series_extent in ascending order, on the production terms."""
+
+    def params(l, xi):
+        return drude_eps(material_a, xi), drude_eps(material_b, xi)
+
+    s0 = lifshitz._terms(lifshitz._tm_zero_log, np.zeros(1), (),
+                         cfg.rel_tol_quadrature)[0][0]
+    acc = NeumaierSum()
+    acc.add(0.5 * s0)
+    for sl, _ in lifshitz._term_stream(lifshitz._pair_log, params, T, d, cfg,
+                                       full_series_extent(T, d)):
+        acc.add(sl)
+    return CONST.k_b * T / (8.0 * math.pi * d * d) * acc.value
 
 
 def superconducting_free_energy_direct(material_a: MaterialParams,

@@ -38,7 +38,7 @@ from casimir_sc.sweeps import (
     waveform_samples,
 )
 
-from oracles import g_from_oracle, superconducting_free_energy_direct
+from oracles import full_series_extent, g_from_oracle, superconducting_free_energy_direct
 
 CFG = EngineConfig()
 GAP = default_gap(LEAD.tc)
@@ -140,7 +140,7 @@ def test_criterion_5_difference_vs_subtraction():
         temperature = shifted_tc(LEAD, field)
         fn = free_energy(GOLD, LEAD, Phase.NORMAL, temperature, d, CFG)
         fs = superconducting_free_energy_direct(GOLD, LEAD, temperature, d, CFG,
-                                                fn.terms_used - 1)
+                                                full_series_extent(temperature, d))
         diff = free_energy_difference(GOLD, LEAD, temperature, d, CFG)
         rel = abs(diff.value - (fn.value - fs)) / abs(diff.value)
         worst = max(worst, rel)

@@ -24,8 +24,10 @@ from casimir_sc.sc_state import Phase, shifted_tc
 
 from oracles import (
     fresnel_mpmath,
+    full_series_extent,
     ideal_casimir_energy,
     lifshitz_trapezoid,
+    normal_free_energy_exact,
     superconducting_free_energy_direct,
 )
 
@@ -137,9 +139,12 @@ def test_engine_config_validation():
 
 
 def test_ideal_mirror_matches_closed_form():
+    """At 0.01 K the thermal correction is about 5e-17 of the T = 0 value, so
+    the strided series must meet the closed form to its own accuracy (8e-14;
+    unit-step derivatives at strides of thousands leave it 1e-10 off)."""
     for d in (50.0, 100.0, 200.0):
         res = ideal_mirror_free_energy(0.01, d, CFG)
-        assert res.value == pytest.approx(ideal_casimir_energy(d), rel=1e-2)
+        assert res.value == pytest.approx(ideal_casimir_energy(d), rel=1e-12, abs=0.0)
     assert ideal_casimir_energy(100.0) == pytest.approx(-2.705e-6, rel=1e-3)
 
 
@@ -203,15 +208,17 @@ def test_difference_golden():
 def test_difference_matches_full_subtraction():
     fn = free_energy(GOLD, LEAD, Phase.NORMAL, T200, 70.0, CFG)
     fs = superconducting_free_energy_direct(GOLD, LEAD, T200, 70.0, CFG,
-                                            fn.terms_used - 1)
+                                            full_series_extent(T200, 70.0))
     diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
     assert diff.value == pytest.approx(fn.value - fs, rel=1e-6)
 
 
-def test_difference_uses_far_fewer_terms():
-    fn = free_energy(GOLD, LEAD, Phase.NORMAL, T200, 70.0, CFG)
-    diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
-    assert diff.terms_used < fn.terms_used / 2
+@pytest.mark.parametrize("field_oe", [200.0, 775.0])
+def test_full_series_uses_few_terms(field_oe):
+    """The strided F_n evaluates a few hundred terms per octave of l, where
+    every term up to y_l = 48 is 20,039 at 200 Oe and 98,172 at 775 Oe."""
+    fn = free_energy(GOLD, LEAD, Phase.NORMAL, shifted_tc(LEAD, field_oe), 70.0, CFG)
+    assert fn.terms_used < 2000
 
 
 def test_difference_zero_at_tc():
@@ -371,21 +378,50 @@ def test_g_requested_once_per_block(monkeypatch):
     assert res.terms_used - 1 <= runs[-1][1] < res.terms_used + lifshitz_mod._BLOCK
 
 
-def test_low_temperature_series_path_consistency(monkeypatch):
-    exact = free_energy(GOLD, LEAD, Phase.NORMAL, 1.0, 100.0, CFG)
-    monkeypatch.setattr(lifshitz_mod, "_MAX_EXACT_TERMS", 1000)
-    integral_form = free_energy(GOLD, LEAD, Phase.NORMAL, 1.0, 100.0, CFG)
-    assert integral_form.value == pytest.approx(exact.value, rel=5e-8)
+@pytest.mark.parametrize("field_oe", [200.0, 775.0])
+def test_strided_full_series_matches_exact_sum(field_oe):
+    """F_n on the graded stride against every term up to y_l = 48 summed in
+    ascending order (20,039 and 98,172 terms), with an error estimate that
+    bounds the deviation.  At rel_tol_series 1e-13 the stride check halves
+    strides until the sum meets the exact one to 1e-14 (a stride that does
+    not adapt stays 8.6e-14 off)."""
+    T = shifted_tc(LEAD, field_oe)
+    fn = free_energy(GOLD, LEAD, Phase.NORMAL, T, 70.0, CFG)
+    exact = normal_free_energy_exact(GOLD, LEAD, T, 70.0, CFG)
+    assert fn.value == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert fn.error_estimate >= abs(fn.value - exact)
+    tight = free_energy(GOLD, LEAD, Phase.NORMAL, T, 70.0, replace(CFG, rel_tol_series=1e-13))
+    assert tight.value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
-def test_low_temperature_superconductor_matches_direct_series(monkeypatch):
-    """Where F_n takes its Euler-Maclaurin integral form, F_s = F_n - diff
-    still matches the directly summed superconducting series: the difference
-    series is an exact sum, so only F_n's integral form is off."""
-    exact = free_energy(GOLD, LEAD, Phase.NORMAL, 2.0, 150.0, CFG)
+@pytest.mark.parametrize("field_oe", [200.0, 775.0])
+def test_full_series_error_bounds_refinement(field_oe):
+    """F_n's error estimate bounds the shift seen when both tolerances are
+    halved and matsubara_cap_full is doubled."""
+    T = shifted_tc(LEAD, field_oe)
+    finer = replace(CFG, rel_tol_quadrature=CFG.rel_tol_quadrature / 2,
+                    rel_tol_series=CFG.rel_tol_series / 2,
+                    matsubara_cap_full=2 * CFG.matsubara_cap_full)
+    fn = free_energy(GOLD, LEAD, Phase.NORMAL, T, 70.0, CFG)
+    refined = free_energy(GOLD, LEAD, Phase.NORMAL, T, 70.0, finer)
+    assert fn.error_estimate >= abs(fn.value - refined.value)
+
+
+@pytest.mark.parametrize("T, d", [(0.1, 70.0), (1.0, 10.5)])
+def test_full_series_converges_at_domain_edges(T, d):
+    """Far below T'c(H) and at the smallest gap the strided F_n converges, and
+    a run at rel_tol_series 1e-12 lands within the default run's estimate."""
+    fn = free_energy(GOLD, LEAD, Phase.NORMAL, T, d, CFG)
+    tight = free_energy(GOLD, LEAD, Phase.NORMAL, T, d, replace(CFG, rel_tol_series=1e-12))
+    assert fn.value < 0.0
+    assert abs(fn.value - tight.value) <= fn.error_estimate
+
+
+def test_low_temperature_superconductor_matches_direct_series():
+    """At 2 K, 150 nm, F_s = F_n - diff, with the strided F_n, matches the
+    directly summed superconducting series."""
     direct = superconducting_free_energy_direct(GOLD, LEAD, 2.0, 150.0, CFG,
-                                                exact.terms_used - 1)
-    monkeypatch.setattr(lifshitz_mod, "_MAX_EXACT_TERMS", 1000)
+                                                full_series_extent(2.0, 150.0))
     fs = free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, 2.0, 150.0, CFG)
     assert fs.value == pytest.approx(direct, rel=1e-5)
 

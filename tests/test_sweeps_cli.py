@@ -125,13 +125,15 @@ def test_point_sums_each_series_once(monkeypatch):
     once each, and the waveform's jump is point's force jump."""
     cfg = RunConfig(engine=COARSE)
     summed = []
-    real = lifshitz_mod._matsubara_sum
 
-    def counting(*args, **kwargs):
-        summed.append(args[0].__name__)
-        return real(*args, **kwargs)
+    def counting(real):
+        def count(*args, **kwargs):
+            summed.append(args[0].__name__)
+            return real(*args, **kwargs)
+        return count
 
-    monkeypatch.setattr(lifshitz_mod, "_matsubara_sum", counting)
+    for driver in ("_matsubara_sum", "_strided_sum"):
+        monkeypatch.setattr(lifshitz_mod, driver, counting(getattr(lifshitz_mod, driver)))
     result = point_eval(cfg)
     assert sorted(summed) == ["_diff_log", "_pair_log"]
     temperature = result["temperature_K"]
@@ -445,6 +447,17 @@ def test_cli_format_only_where_honoured(command, capsys):
         cli_main([command, "--format", "json"])
     assert exc.value.code == 2
     assert "--format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--field-oe", "700"), ("--gap-nm", "20"),
+                                         ("--temperature-k", "3"), ("--radius-um", "100"),
+                                         ("--rrr-au", "5"), ("--rel-tol", "1e-4")])
+def test_g_function_refuses_flags_it_ignores(flag, value, capsys):
+    """g-function takes only --config, --rrr-pb, --output and --t-over-tc."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["g-function", "--t-over-tc", "0.5", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_gap_sweep_row_honours_temperature(tmp_path, capsys):
