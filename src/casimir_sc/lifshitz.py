@@ -273,15 +273,7 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
     """
     h = 2.0 * math.pi * CONST.k_b * T
     extent = max(l_cap, math.ceil(_Y_STOP / _scaled_yl(h, d)))
-    acc = NeumaierSum()
-    acc.add(head[0])
-    err = head[1]
     known = {}
-    for l, (sl, el) in enumerate(_term_stream(integrand, params, T, d, cfg,
-                                              min(_HEAD - 1, extent)), start=1):
-        acc.add(sl)
-        err += el
-        known[l] = (sl, el)
 
     def terms(ls: range) -> np.ndarray:
         """(values, errors) of the terms at ls, each evaluated once."""
@@ -310,6 +302,12 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
                 + (1 - k * k) / 12.0 * (d1b - d1a)
                 - (1 - k ** 4) / 720.0 * (d3b - d3a)), k * errs.sum()
 
+    acc = NeumaierSum()
+    acc.add(head[0])
+    vals, errs = terms(range(1, min(_HEAD - 1, extent) + 1))
+    for value in vals.tolist():
+        acc.add(value)
+    err = head[1] + errs.sum()
     a, k = _HEAD, _HEAD // _NODES
     while a <= extent:
         while True:
