@@ -264,7 +264,7 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
     octave, plus the Euler-Maclaurin terms (1 - k^2)/12 df' - (1 - k^4)/720 df'''
     that turn it into the unit-step sum.  f' and f''' come from central
     differences of the integer-l terms at the octave's edges: of unit step up
-    to k = 31, of step k/16 past it, where a unit step would multiply the
+    to k = 16, of step k/16 beyond, where a unit step would multiply the
     terms' rounding by k^4/720.  The stride is halved until strides 2k and k
     agree to rel_tol_series times the sum; k = 1 is the exact sum.  The sum
     stops at the first octave edge past both y_l = _Y_STOP and l_cap.
