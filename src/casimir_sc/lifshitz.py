@@ -320,8 +320,8 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
         err += miss + quad_err
         a, k = 2 * a, 2 * k
     pref = CONST.k_b * T / (8.0 * math.pi * d * d)
-    return FreeEnergyResult(value=pref * acc.value, terms_used=len(known) + 1,
-                            error_estimate=pref * err)
+    return FreeEnergyResult(value=float(pref * acc.value), terms_used=len(known) + 1,
+                            error_estimate=float(pref * err))
 
 
 def _full_free_energy(integrand, params, zero_integrand, T: float, d: float,
