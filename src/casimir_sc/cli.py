@@ -13,8 +13,9 @@ from typing import Optional, Sequence
 from . import __version__
 from .errors import ConfigError, ConvergenceError, DomainError
 from .sc_state import ModulationSpec
-from .sweeps import (RunConfig, g_function_table, load_config, point_eval,
-                     render_point, render_rows, run_sweep, waveform_samples)
+from .sweeps import (CONFIG_KEYS, RunConfig, g_function_table, load_config,
+                     point_eval, render_point, render_rows, run_sweep,
+                     waveform_samples)
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -43,7 +44,7 @@ def _add_sweep_bounds(p: argparse.ArgumentParser) -> None:
     p.add_argument("--start", type=float, dest="sweep_start")
     p.add_argument("--stop", type=float, dest="sweep_stop")
     p.add_argument("--points", type=int, dest="sweep_points")
-    p.add_argument("--no-full", action="store_true",
+    p.add_argument("--no-full", dest="compute_full", action="store_const", const=False,
                    help="skip the per-phase full free-energy columns")
 
 
@@ -56,11 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"casimir-sc {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, x in (("sweep-field", "applied field (Oe)"), ("sweep-gap", "separation (nm)")):
+    for name, x, variable in (("sweep-field", "applied field (Oe)", "field_Oe"),
+                              ("sweep-gap", "separation (nm)", "gap_nm")):
         p = sub.add_parser(name, help=f"force jump vs {x}")
         _add_common(p)
         _add_format(p)
         _add_sweep_bounds(p)
+        p.set_defaults(sweep_variable=variable)
 
     p = sub.add_parser("g-function", help="BCS correction g(xi) table")
     _add_shared(p)
@@ -81,22 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_OVERRIDE_KEYS = ("gap_nm", "radius_um", "field_oe", "temperature_k",
-                  "rrr_pb", "rrr_au", "rel_tol", "output", "format")
-
-
-def _config_from_args(args: argparse.Namespace, variable: Optional[str] = None) -> RunConfig:
-    overrides = {k: getattr(args, k, None) for k in _OVERRIDE_KEYS}
-    for k in ("sweep_start", "sweep_stop", "sweep_points"):
-        if getattr(args, k, None) is not None:
-            overrides[k] = getattr(args, k)
-    if variable is not None:
-        overrides["sweep_variable"] = variable
-    if getattr(args, "no_full", False):
-        overrides["compute_full"] = False
-    return load_config(getattr(args, "config", None), overrides)
-
-
 def _emit(text: str, path: Optional[str]) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -105,8 +92,7 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _run_sweep_command(args: argparse.Namespace, variable: str) -> int:
-    cfg = _config_from_args(args, variable)
+def _run_sweep_command(cfg: RunConfig) -> int:
     rows: list = []
     interrupted = False
     try:
@@ -124,17 +110,16 @@ def _run_sweep_command(args: argparse.Namespace, variable: str) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "sweep-field":
-            return _run_sweep_command(args, "field_Oe")
-        if args.command == "sweep-gap":
-            return _run_sweep_command(args, "gap_nm")
+        # every argument whose dest is a configuration key overrides the file
+        cfg = load_config(args.config,
+                          {k: v for k, v in vars(args).items() if k in CONFIG_KEYS})
+        if args.command in ("sweep-field", "sweep-gap"):
+            return _run_sweep_command(cfg)
         if args.command == "g-function":
-            cfg = _config_from_args(args)
             ts = args.t_over_tc if args.t_over_tc else [0.1, 0.9]
             _emit(g_function_table(cfg, ts), cfg.output_path)
             return 0
         if args.command == "waveform":
-            cfg = _config_from_args(args)
             temperature = cfg.resolved_temperature()
             spec = ModulationSpec(base_temperature=temperature,
                                   h=args.amplitude_oe,
@@ -142,7 +127,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _emit(waveform_samples(cfg, spec, args.samples), cfg.output_path)
             return 0
         if args.command == "point":
-            cfg = _config_from_args(args)
             result = point_eval(cfg, include_force=not args.skip_force)
             _emit(render_point(cfg, result), cfg.output_path)
             return 0

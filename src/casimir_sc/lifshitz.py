@@ -215,14 +215,13 @@ def _term_stream(integrand, params, T: float, d: float, cfg: EngineConfig,
 
 
 def _matsubara_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
-                   l_cap: int, l_stop: int, head: tuple = (0.0, 0.0)) -> FreeEnergyResult:
-    """kT/(8 pi d^2) * [head + sum_{l>=1} term_l], summed in ascending l.
+                   l_cap: int, l_stop: int) -> FreeEnergyResult:
+    """kT/(8 pi d^2) * sum_{l>=1} term_l, summed in ascending l.
 
     Stops after three quiet terms past l_cap.
     """
     acc = NeumaierSum()
-    acc.add(head[0])
-    err_acc = head[1]
+    err_acc = 0.0
     quiet = 0
     l = 0
     sl = 0.0

@@ -10,6 +10,7 @@ them in the file.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -27,7 +28,6 @@ from .materials import GOLD, LEAD, MaterialParams, default_gap, mattis_bardeen_g
 from .sc_state import (ModulationSpec, Phase, field_waveform, force_signal,
                        shifted_tc)
 
-SWEEP_VARIABLES = ("field_Oe", "gap_nm", "temperature_K")
 OUTPUT_FORMATS = ("csv", "json")
 
 CSV_COLUMNS = "x,t_prime_c_K,delta_f_fN,f_normal_eV_nm2,f_super_eV_nm2,terms_used,pfa_bound"
@@ -39,6 +39,15 @@ class SweepSpec:
     start: float = 25.0
     stop: float = 775.0
     points: int = 31
+
+
+# The default sweep of each variable.
+_DEFAULT_SWEEPS = {
+    "field_Oe": SweepSpec(),
+    "gap_nm": SweepSpec(variable="gap_nm", start=40.0, stop=300.0, points=27),
+    "temperature_K": SweepSpec(variable="temperature_K", start=1.0, stop=7.0, points=13),
+}
+SWEEP_VARIABLES = tuple(_DEFAULT_SWEEPS)
 
 
 @dataclass(frozen=True)
@@ -77,20 +86,56 @@ class SweepRow:
 # configuration loading
 
 
-_FILE_KEYS = {
-    "radius_um", "gap_nm", "field_oe", "temperature_k",
-    "rrr_au", "rrr_pb",
-    "rel_tol", "rel_tol_quadrature", "rel_tol_series",
-    "matsubara_cap_full", "matsubara_cap_diff",
-    "sweep_variable", "sweep_start", "sweep_stop", "sweep_points",
-    "output", "format", "compute_full",
+def _flag(val) -> bool:
+    """true/false or 1/0, as a file writes it or as a bool."""
+    text = str(val).lower()
+    if text not in ("true", "false", "1", "0"):
+        raise ValueError(f"needs true/false (got {val!r})")
+    return text in ("true", "1")
+
+
+def _rrr(val) -> float:
+    """A residual resistance ratio, checked here so its error names the key."""
+    rrr = float(val)
+    if not 1.0 <= rrr < math.inf:
+        raise ValueError(f"must be finite and >= 1 (got {rrr})")
+    return rrr
+
+
+# Every configuration key: the type its value is read as, then the RunConfig
+# fields it sets, dotted into material_a, material_b, engine or sweep.  Keys
+# are applied in this order, so the two tolerances given by name override
+# rel_tol.
+CONFIG_KEYS = {
+    "radius_um": (float, "radius_um"),
+    "gap_nm": (float, "gap_nm"),
+    "field_oe": (float, "field_oe"),
+    "temperature_k": (float, "temperature_k"),
+    "rrr_au": (_rrr, "material_a.rrr"),
+    "rrr_pb": (_rrr, "material_b.rrr"),
+    "rel_tol": (float, "engine.rel_tol_quadrature", "engine.rel_tol_series"),
+    "rel_tol_quadrature": (float, "engine.rel_tol_quadrature"),
+    "rel_tol_series": (float, "engine.rel_tol_series"),
+    "matsubara_cap_full": (float, "engine.matsubara_cap_full"),
+    "matsubara_cap_diff": (float, "engine.matsubara_cap_diff"),
+    "sweep_variable": (str, "sweep.variable"),
+    "sweep_start": (float, "sweep.start"),
+    "sweep_stop": (float, "sweep.stop"),
+    "sweep_points": (int, "sweep.points"),
+    "output": (str, "output_path"),
+    "format": (str, "output_format"),
+    "compute_full": (_flag, "compute_full"),
 }
 
-_FLOAT_KEYS = {
-    "radius_um", "gap_nm", "field_oe", "temperature_k", "rrr_au", "rrr_pb",
-    "rel_tol", "rel_tol_quadrature", "rel_tol_series",
-    "matsubara_cap_full", "matsubara_cap_diff", "sweep_start", "sweep_stop",
-}
+
+def _convert(key: str, val, where: str = ""):
+    """val read as key's type; where prefixes the error ("path:line: ")."""
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    try:
+        return CONFIG_KEYS[key][0](val)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}{key}: {exc}") from exc
 
 
 def _parse_config_file(path: str) -> dict:
@@ -109,103 +154,43 @@ def _parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, val = line.partition("=")
         key = key.strip().lower()
-        val = val.strip()
-        if key not in _FILE_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in _FLOAT_KEYS:
-            try:
-                values[key] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {key} needs a number, got {val!r}") from exc
-        elif key == "sweep_points":
-            try:
-                values[key] = int(val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: sweep_points needs an integer") from exc
-        elif key == "compute_full":
-            if val.lower() not in ("true", "false", "0", "1"):
-                raise ConfigError(f"{path}:{lineno}: compute_full needs true/false")
-            values[key] = val.lower() in ("true", "1")
-        else:
-            values[key] = val
+        values[key] = _convert(key, val.strip(), f"{path}:{lineno}: ")
     return values
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
-    """Built-in defaults, then the config file, then explicit overrides."""
-    merged: dict = {}
-    if path is not None:
-        merged.update(_parse_config_file(path))
-    if overrides:
-        for key, val in overrides.items():
-            if val is None:
-                continue
-            if key not in _FILE_KEYS:
-                raise ConfigError(f"unknown configuration key {key!r}")
-            merged[key] = val
+    """Built-in defaults, then the config file, then explicit overrides.
 
-    mat_a = GOLD
-    mat_b = LEAD
-    if "rrr_au" in merged:
-        _check_rrr("rrr_au", merged["rrr_au"])
-        mat_a = replace(mat_a, rrr=float(merged["rrr_au"]))
-    if "rrr_pb" in merged:
-        _check_rrr("rrr_pb", merged["rrr_pb"])
-        mat_b = replace(mat_b, rrr=float(merged["rrr_pb"]))
+    An override may not change the file's sweep_variable: a sweep command
+    sets it, and a file naming another variable was written for another
+    sweep.
+    """
+    values = {} if path is None else _parse_config_file(path)
+    for key, val in (overrides or {}).items():
+        if val is None:
+            continue
+        val = _convert(key, val)
+        if key == "sweep_variable" and values.get(key, val) != val:
+            raise ConfigError(f"sweep_variable={values[key]} in {path} does not "
+                              f"match the {val} sweep")
+        values[key] = val
 
-    engine_kwargs = {}
-    if "rel_tol" in merged:
-        engine_kwargs["rel_tol_quadrature"] = float(merged["rel_tol"])
-        engine_kwargs["rel_tol_series"] = float(merged["rel_tol"])
-    for name in ("rel_tol_quadrature", "rel_tol_series",
-                 "matsubara_cap_full", "matsubara_cap_diff"):
-        if name in merged:
-            engine_kwargs[name] = float(merged[name])
+    # fields[part][name], in table order; part "" is RunConfig itself
+    fields: dict = {}
+    for key in sorted(values, key=list(CONFIG_KEYS).index):
+        for target in CONFIG_KEYS[key][1:]:
+            part, _, name = target.rpartition(".")
+            fields.setdefault(part, {})[name] = values[key]
+    variable = fields.get("sweep", {}).get("variable")
+    base = RunConfig(sweep=_DEFAULT_SWEEPS.get(variable, SweepSpec()))
     try:
-        engine = EngineConfig(**engine_kwargs)
+        parts = {part: replace(getattr(base, part), **kw)
+                 for part, kw in fields.items() if part}
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-
-    sweep_kwargs = {}
-    if "sweep_variable" in merged:
-        sweep_kwargs["variable"] = str(merged["sweep_variable"])
-    if "sweep_start" in merged:
-        sweep_kwargs["start"] = float(merged["sweep_start"])
-    if "sweep_stop" in merged:
-        sweep_kwargs["stop"] = float(merged["sweep_stop"])
-    if "sweep_points" in merged:
-        sweep_kwargs["points"] = int(merged["sweep_points"])
-    sweep = _default_sweep(sweep_kwargs.get("variable", "field_Oe"))
-    sweep = replace(sweep, **sweep_kwargs)
-
-    cfg = RunConfig(
-        material_a=mat_a,
-        material_b=mat_b,
-        radius_um=float(merged.get("radius_um", 150.0)),
-        gap_nm=float(merged.get("gap_nm", 70.0)),
-        field_oe=float(merged.get("field_oe", 200.0)),
-        temperature_k=(float(merged["temperature_k"]) if "temperature_k" in merged else None),
-        sweep=sweep,
-        engine=engine,
-        output_path=merged.get("output"),
-        output_format=str(merged.get("format", "csv")),
-        compute_full=bool(merged.get("compute_full", True)),
-    )
+    cfg = replace(base, **fields.get("", {}), **parts)
     validate_config(cfg)
     return cfg
-
-
-def _default_sweep(variable: str) -> SweepSpec:
-    if variable == "gap_nm":
-        return SweepSpec(variable="gap_nm", start=40.0, stop=300.0, points=27)
-    if variable == "temperature_K":
-        return SweepSpec(variable="temperature_K", start=1.0, stop=7.0, points=13)
-    return SweepSpec()
-
-
-def _check_rrr(name: str, value: float) -> None:
-    if not 1.0 <= value < math.inf:
-        raise ConfigError(f"{name} must be finite and >= 1 (got {value})")
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -240,26 +225,14 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def config_echo(cfg: RunConfig) -> dict:
-    """Flat, sorted view of the resolved configuration for output headers."""
-    return {
-        "compute_full": cfg.compute_full,
-        "constants_version": CONSTANTS_VERSION,
-        "field_oe": cfg.field_oe,
-        "format": cfg.output_format,
-        "gap_nm": cfg.gap_nm,
-        "matsubara_cap_diff": cfg.engine.matsubara_cap_diff,
-        "matsubara_cap_full": cfg.engine.matsubara_cap_full,
-        "radius_um": cfg.radius_um,
-        "rel_tol_quadrature": cfg.engine.rel_tol_quadrature,
-        "rel_tol_series": cfg.engine.rel_tol_series,
-        "rrr_au": cfg.material_a.rrr,
-        "rrr_pb": cfg.material_b.rrr,
-        "sweep_points": cfg.sweep.points,
-        "sweep_start": cfg.sweep.start,
-        "sweep_stop": cfg.sweep.stop,
-        "sweep_variable": cfg.sweep.variable,
-        "temperature_k": cfg.temperature_k,
-    }
+    """Flat view of the resolved configuration for output headers."""
+    echo = {"constants_version": CONSTANTS_VERSION}
+    for key, (_, target, *_) in CONFIG_KEYS.items():
+        # rel_tol's fields are echoed under their own keys, and where the
+        # output goes is no part of the result
+        if key not in ("rel_tol", "output"):
+            echo[key] = functools.reduce(getattr, target.split("."), cfg)
+    return echo
 
 
 # ---------------------------------------------------------------------------

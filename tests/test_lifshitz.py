@@ -178,10 +178,10 @@ def test_series_reject_non_finite_temperature_and_gap(T, d):
 def test_free_energy_golden_and_trapezoid():
     res = free_energy(GOLD, LEAD, Phase.NORMAL, T200, 70.0, CFG)
     assert res.value < 0.0
-    assert res.value == pytest.approx(GOLDEN_F_NORMAL, rel=1e-8)
+    assert res.value == pytest.approx(GOLDEN_F_NORMAL, rel=1e-8, abs=0)
     coarse = lifshitz_trapezoid(lambda xi: drude_eps(GOLD, xi),
                                 lambda xi: drude_eps(LEAD, xi), T200, 70.0)
-    assert res.value == pytest.approx(coarse, rel=5e-4)
+    assert res.value == pytest.approx(coarse, rel=5e-4, abs=0)
 
 
 def test_free_energy_decays_with_gap():
@@ -201,7 +201,7 @@ def test_free_energy_vanishes_at_large_gap():
 
 def test_difference_golden():
     res = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
-    assert res.value == pytest.approx(GOLDEN_DIFF, rel=1e-7)
+    assert res.value == pytest.approx(GOLDEN_DIFF, rel=1e-7, abs=0)
     assert res.value > 0.0
 
 
@@ -210,7 +210,7 @@ def test_difference_matches_full_subtraction():
     fs = superconducting_free_energy_direct(GOLD, LEAD, T200, 70.0, CFG,
                                             full_series_extent(T200, 70.0))
     diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
-    assert diff.value == pytest.approx(fn.value - fs, rel=1e-6)
+    assert diff.value == pytest.approx(fn.value - fs, rel=1e-6, abs=0)
 
 
 @pytest.mark.parametrize("field_oe", [200.0, 775.0])
@@ -231,7 +231,7 @@ def test_difference_truncation_robustness():
                          matsubara_cap_full=30.0, matsubara_cap_diff=120.0)
     a = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
     b = free_energy_difference(GOLD, LEAD, T200, 70.0, tight)
-    assert a.value == pytest.approx(b.value, rel=1e-4)
+    assert a.value == pytest.approx(b.value, rel=1e-4, abs=0)
 
 
 def test_block_size_does_not_change_series(monkeypatch):
@@ -340,7 +340,7 @@ def test_terms_meet_tolerance_to_double_resolution(monkeypatch, rel_tol):
     ref, _ = lifshitz_mod._terms(integrand, yl, params, default_tol)
     vals, errs = lifshitz_mod._terms(integrand, yl, params, rel_tol)
     assert np.all(errs <= max(rel_tol, np.finfo(float).eps) * np.abs(vals))
-    assert vals == pytest.approx(ref, rel=1e-12)
+    assert vals == pytest.approx(ref, rel=1e-12, abs=0)
     head, head_err = lifshitz_mod._terms(lifshitz_mod._tm_zero_log, np.zeros(1), (), rel_tol)
     assert head_err[0] <= np.finfo(float).eps * abs(head[0])
     assert head[0] == pytest.approx(-1.2020569031595942, rel=1e-15)  # -zeta(3)
@@ -423,7 +423,7 @@ def test_low_temperature_superconductor_matches_direct_series():
     direct = superconducting_free_energy_direct(GOLD, LEAD, 2.0, 150.0, CFG,
                                                 full_series_extent(2.0, 150.0))
     fs = free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, 2.0, 150.0, CFG)
-    assert fs.value == pytest.approx(direct, rel=1e-5)
+    assert fs.value == pytest.approx(direct, rel=1e-5, abs=0)
 
 
 # ---------------------------------------------------------------------------

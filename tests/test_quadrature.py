@@ -105,7 +105,7 @@ def test_neumaier_recovers_cancelled_sum():
     for _ in range(10):
         acc.add(1e-17)
     acc.add(-1.0)
-    assert acc.value == pytest.approx(1e-16, rel=1e-6)
+    assert acc.value == pytest.approx(1e-16, rel=1e-6, abs=0)
 
 
 def test_neumaier_matches_fsum_on_series():

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import casimir_sc.cli as cli_mod
 import casimir_sc.lifshitz as lifshitz_mod
 import casimir_sc.materials as materials
 import casimir_sc.sweeps as sweeps_mod
@@ -17,8 +19,10 @@ from casimir_sc.lifshitz import EngineConfig, free_energy_difference
 from casimir_sc.materials import LEAD, default_gap, mattis_bardeen_g
 from casimir_sc.sc_state import ModulationSpec, shifted_tc
 from casimir_sc.sweeps import (
+    CONFIG_KEYS,
     RunConfig,
     SweepSpec,
+    config_echo,
     g_function_table,
     load_config,
     point_eval,
@@ -114,6 +118,99 @@ def test_flags_override_file(tmp_path):
     path.write_text("gap_nm=90\nradius_um=100\n")
     cfg = load_config(str(path), overrides={"gap_nm": 120.0})
     assert cfg.gap_nm == 120.0 and cfg.radius_um == 100.0
+    # a tolerance given by name wins over rel_tol, wherever each is given
+    path.write_text("rel_tol_series=1e-8\n")
+    cfg = load_config(str(path), overrides={"rel_tol": 1e-6})
+    assert (cfg.engine.rel_tol_quadrature, cfg.engine.rel_tol_series) == (1e-6, 1e-8)
+
+
+# A non-default value of every configuration key: as written in a file, and as
+# read back.
+KEY_VALUES = {
+    "radius_um": ("100", 100.0),
+    "gap_nm": ("90", 90.0),
+    "field_oe": ("300", 300.0),
+    "temperature_k": ("3", 3.0),
+    "rrr_au": ("3", 3.0),
+    "rrr_pb": ("4", 4.0),
+    "rel_tol": ("1e-6", (1e-6, 1e-6)),
+    "rel_tol_quadrature": ("1e-7", 1e-7),
+    "rel_tol_series": ("1e-8", 1e-8),
+    "matsubara_cap_full": ("20", 20.0),
+    "matsubara_cap_diff": ("80", 80.0),
+    "sweep_variable": ("gap_nm", "gap_nm"),
+    "sweep_start": ("50", 50.0),
+    "sweep_stop": ("500", 500.0),
+    "sweep_points": ("5", 5),
+    "output": ("out.csv", "out.csv"),
+    "format": ("json", "json"),
+    "compute_full": ("false", False),
+}
+
+
+def _read_back(cfg: RunConfig, key: str):
+    """key's value in cfg: rel_tol and output through the fields they set,
+    every other key through the output header."""
+    if key == "rel_tol":
+        return cfg.engine.rel_tol_quadrature, cfg.engine.rel_tol_series
+    if key == "output":
+        return cfg.output_path
+    return config_echo(cfg)[key]
+
+
+@pytest.mark.parametrize("key", sorted(KEY_VALUES))
+def test_every_key_reads_back_from_a_file(tmp_path, key):
+    assert sorted(KEY_VALUES) == sorted(CONFIG_KEYS)
+    text, value = KEY_VALUES[key]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{key}={text}\n")
+    cfg, default = load_config(str(path)), load_config()
+    read = _read_back(cfg, key)
+    assert read == value and type(read) is type(value)
+    assert _read_back(default, key) != value
+    # no other field moves: rel_tol sets the two tolerances, output is not
+    # echoed, and sweep_variable brings its variable's default sweep
+    echo, default_echo = config_echo(cfg), config_echo(default)
+    moved = {k for k in echo if echo[k] != default_echo[k]}
+    assert moved == {"rel_tol": {"rel_tol_quadrature", "rel_tol_series"},
+                     "output": set(),
+                     "sweep_variable": {"sweep_variable", "sweep_start",
+                                        "sweep_stop", "sweep_points"},
+                     }.get(key, {key})
+
+
+def test_file_sweep_variable_must_match_the_command(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("sweep_variable=temperature_K\nsweep_start=4\nsweep_stop=6\n"
+                    "sweep_points=2\n")
+    for command in ("sweep-field", "sweep-gap"):
+        assert cli_main([command, "--config", str(path)]) == 1
+        assert "sweep_variable=temperature_K" in capsys.readouterr().err
+    path.write_text("sweep_variable=gap_nm\nsweep_start=60\nsweep_stop=80\n"
+                    "sweep_points=2\n")
+    out = tmp_path / "sweep.csv"
+    assert cli_main(["sweep-gap", "--config", str(path), "--no-full",
+                     "--rel-tol", "1e-6", "--output", str(out)]) == 0
+    text = out.read_text()
+    assert "# sweep_variable=gap_nm" in text and "# rows_converged=2/2" in text
+
+
+# Dests of command-line options that are not configuration keys.
+NON_CONFIG_DESTS = {"config", "t_over_tc", "amplitude_oe", "frequency_hz",
+                    "samples", "skip_force"}
+
+
+def test_every_option_dest_is_a_key_or_named():
+    """The CLI passes on every option whose dest is a configuration key; a
+    new option is either a key or named here, never silently dropped."""
+    parser = cli_mod._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if not isinstance(action, argparse._HelpAction):
+                assert action.dest in CONFIG_KEYS or action.dest in NON_CONFIG_DESTS, (
+                    name, action.dest)
 
 
 # ---------------------------------------------------------------------------
