@@ -156,7 +156,14 @@ def _ladder(edges: tuple) -> list:
 
 
 _LADDER = _ladder(_Y_SPLITS)
+# l per term-stream block, per g fetch and per cached g run.
 _BLOCK = 256
+# Nodes per integrand pass: 64 rows of the first rung, so each temporary of
+# _diff_log holds 45 KiB and the allocator keeps it for the next pass.  From
+# about 72 rows on, every pass faults its temporaries in afresh, which costs
+# more than the arithmetic: per 256 rows at 775 Oe, 256-row passes took 800
+# minor faults and 2.5 ms, 64-row passes none and 1.5 ms.
+_PASS_NODES = 64 * _LADDER[0].nodes.size
 
 
 def _integrate(rule, integrand, yl: np.ndarray, params: tuple):
@@ -174,14 +181,16 @@ def _terms(integrand, yl: np.ndarray, params: tuple, rel_tol: float):
 
     Every row starts on the first rung of _LADDER.  The rows whose summed K15
     error estimate misses rel_tol (at least double resolution) times their
-    value move up to the next rung together, in passes of no more nodes than
-    a block on the first rung.  Every rung gives a row the same bits in any
-    batch, so the split into blocks and passes cannot move a value.  A row that
-    misses the last rung raises ConvergenceError, even one the sum never uses.
+    value move up to the next rung together.  Each rung integrates its rows in
+    passes of at most _PASS_NODES nodes (at least one row), so a pass's
+    temporaries stay small enough to reuse memory.  Every rung gives a row the
+    same bits in any batch, so the split into blocks and passes cannot move a
+    value.  A row that misses the last rung raises ConvergenceError, even one
+    the sum never uses.
     """
     vals, errs, rows = np.empty(yl.size), np.empty(yl.size), np.arange(yl.size)
     for rule in _LADDER:
-        step = _BLOCK * _LADDER[0].nodes.size // rule.nodes.size
+        step = max(1, _PASS_NODES // rule.nodes.size)
         for first in range(0, rows.size, step):
             part = rows[first:first + step]
             vals[part], errs[part] = _integrate(rule, integrand, yl[part],

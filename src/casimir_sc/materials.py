@@ -33,6 +33,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import CONST
 from .errors import ConvergenceError, DomainError
@@ -256,6 +257,15 @@ def _fermi(x: np.ndarray) -> np.ndarray:
     return e / (1.0 + e)
 
 
+def _fermi_drop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """f(a) - f(a + b), f(x) = 1/(e^x + 1), for a, b >= 0, as
+    -e^-a expm1(-b) / ((1 + e^-a)(1 + e^-a e^-b)) with a capped at 700 as in
+    _fermi.  The plain difference has a relative error of about eps/b,
+    which is why the small-omega nodes of _mb_nodes did not settle."""
+    ea = np.exp(-np.minimum(a, 700.0))
+    return ea / (1.0 + ea) * -np.expm1(-b) / (1.0 + ea * np.exp(-b))
+
+
 def _mb_nodes(omega: np.ndarray, delta: float, t_ev: float, n: int) -> np.ndarray:
     """R(omega), omega > 0, on n Gauss-Legendre nodes per part.
 
@@ -269,7 +279,7 @@ def _mb_nodes(omega: np.ndarray, delta: float, t_ev: float, n: int) -> np.ndarra
         om = omega[:, None]
         v_max = np.arccosh(1.0 + 2.0 * (42.0 * t_ev) / om)
         e = delta + 0.5 * om * (np.cosh(v_max * x) - 1.0)
-        occ = _fermi(e / t_ev) - _fermi((e + om) / t_ev)
+        occ = _fermi_drop(e / t_ev, om / t_ev)
         coh = (e * (e + om) + delta * delta) / np.sqrt((e + delta) * (e + om + delta))
         out += (2.0 / omega) * (v_max[:, 0] * np.dot(occ * coh, w))
     sel = omega > 2.0 * delta
@@ -439,11 +449,18 @@ _CROSS_EXACT = 4
 
 
 def _g_body(l: np.ndarray, n: int, e: int, delta: float, step: float) -> np.ndarray:
-    """Summed-term part of gamma g(xi_l) / (pi k_B T) for a chunk of l >= 1.
+    """Summed-term part of gamma g(xi_l) / (pi k_B T) for a chunk of
+    consecutive l >= 1.
 
     Twice the n non-cross terms of l, plus the cross terms of the pairs
     (m, l-1-m) with m < e: each pair with m < l-1-m counts twice, the
-    centre m = (l-1)/2 once, and pairs past the centre not at all.
+    centre m = (l-1)/2 once, and pairs past the centre not at all.  So every
+    weight is 2 once l >= 2e.
+
+    w_k = step (k + 1/2) and s_k = sqrt(w_k^2 + Delta^2) are tabled once for
+    every k the chunk reaches, l[0] - e <= k < l[-1] + n.  Row i reads them at
+    l_i .. l_i+n-1 and at its cross partners l_i-1 .. l_i-e as windows of
+    that table, so no (rows x width) array of frequencies is built.
     """
     d2 = delta * delta
 
@@ -451,15 +468,21 @@ def _g_body(l: np.ndarray, n: int, e: int, delta: float, step: float) -> np.ndar
         w = step * (k + 0.5)
         return w, np.sqrt(w * w + d2)
 
-    w0, s0 = ws(np.arange(n))
-    wl, sl = ws(l[:, None] + np.arange(n))
-    noncross = np.sum(1.0 - (w0 * wl - d2) / (s0 * sl), axis=1)
+    w, s = ws(np.arange(l[0] - e, l[-1] + n))
     m = np.arange(e)
     wm, sm = ws(m)
-    partner = l[:, None] - 1 - m
-    wp, sp = ws(partner)
-    weight = np.where(m < partner, 2.0, np.where(m == partner, 1.0, 0.0))
-    cross = np.sum(weight * (-1.0 + (wm * wp + d2) / (sm * sp)), axis=1)
+    rows = l.size
+    wl, sl = (sliding_window_view(a, n)[e:e + rows] for a in (w, s))
+    noncross = np.sum(1.0 - (wm[:n] * wl - d2) / (sm[:n] * sl), axis=1)
+    # Row i's partners, right to left, start at n + rows-1-i in the reversed table.
+    wp, sp = (sliding_window_view(a[::-1], e)[n:n + rows][::-1] for a in (w, s))
+    t = -1.0 + (wm * wp + d2) / (sm * sp)
+    if l[0] >= 2 * e:
+        cross = 2.0 * np.sum(t, axis=1)
+    else:
+        partner = l[:, None] - 1 - m
+        weight = np.where(m < partner, 2.0, np.where(m == partner, 1.0, 0.0))
+        cross = np.sum(weight * t, axis=1)
     return 2.0 * noncross + cross
 
 

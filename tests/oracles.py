@@ -9,6 +9,8 @@ it only in its summation: every term in ascending order, against the graded
 stride of the production full series.  superconducting_free_energy_direct
 also shares g and differs only in its integrand: the superconducting series
 summed on its own, against the production difference series.
+g_body_per_pair is the reverse case, the same arithmetic as production in a
+plainer layout, and must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -120,6 +122,32 @@ def g_matsubara_exact_cross(material: MaterialParams, gap: GapModel, T: float,
         wing = (d2 / step ** 2) * (psi1_a + float(special.polygamma(1, a + l)) + 2.0 * cross_sum)
         out[l - l_first] = body + wing
     return out * (math.pi * t_ev / material.gamma)
+
+
+def g_body_per_pair(l: np.ndarray, n: int, e: int, delta: float, step: float) -> np.ndarray:
+    """materials._g_body written per pair: every frequency is computed on a
+    (rows x width) array of indices, and every cross pair carries its weight.
+
+    Same expressions and the same reduction order as production, which reads
+    the frequencies from per-chunk tables and drops the weights past l = 2e,
+    so the two must agree bit for bit.
+    """
+    d2 = delta * delta
+
+    def ws(k):
+        w = step * (k + 0.5)
+        return w, np.sqrt(w * w + d2)
+
+    w0, s0 = ws(np.arange(n))
+    wl, sl = ws(l[:, None] + np.arange(n))
+    noncross = np.sum(1.0 - (w0 * wl - d2) / (s0 * sl), axis=1)
+    m = np.arange(e)
+    wm, sm = ws(m)
+    partner = l[:, None] - 1 - m
+    wp, sp = ws(partner)
+    weight = np.where(m < partner, 2.0, np.where(m == partner, 1.0, 0.0))
+    cross = np.sum(weight * (-1.0 + (wm * wp + d2) / (sm * sp)), axis=1)
+    return 2.0 * noncross + cross
 
 
 # A full series taken to y_l = 2 d xi_l / (hbar c) = 48 leaves out terms below

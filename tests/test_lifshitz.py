@@ -244,6 +244,19 @@ def test_block_size_does_not_change_series(monkeypatch):
     assert free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, T200, 200.0, CFG) == fs
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+def test_pass_size_does_not_change_series(monkeypatch, rows):
+    """Each rung integrates its rows in passes of _PASS_NODES nodes; passes
+    of one or of seven first-rung rows must not move a single bit of F_n or
+    of the difference series, nor their terms_used."""
+    diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
+    fn = free_energy(GOLD, LEAD, Phase.NORMAL, T200, 70.0, CFG)
+    monkeypatch.setattr(lifshitz_mod, "_PASS_NODES",
+                        rows * lifshitz_mod._LADDER[0].nodes.size)
+    assert free_energy_difference(GOLD, LEAD, T200, 70.0, CFG) == diff
+    assert free_energy(GOLD, LEAD, Phase.NORMAL, T200, 70.0, CFG) == fn
+
+
 def _first_block(monkeypatch, field_oe):
     """The arguments of the first _terms call of the 70 nm difference series."""
     calls = []

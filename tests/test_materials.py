@@ -27,6 +27,7 @@ from casimir_sc.materials import (
 from casimir_sc.sc_state import shifted_tc
 
 from oracles import (
+    g_body_per_pair,
     g_from_oracle,
     g_matsubara_bruteforce,
     g_matsubara_exact_cross,
@@ -238,6 +239,20 @@ def test_mb_ratio_batch_matches_each_omega_alone():
         assert r == pytest.approx(alone, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("t", [0.5, 0.9, 0.999])
+def test_mb_nodes_settle_near_zero_frequency(t):
+    """The thermal occupation f(E) - f(E + omega) is taken without
+    cancellation, so the quasiparticle sum settles down to omega = 1e-13
+    Delta: 1,024 and 2,048 nodes agree to 1e-11.  The plain difference of
+    two Fermi factors left them up to 6e-4 apart there."""
+    temperature = t * LEAD.tc
+    delta = bcs_gap(GAP, temperature, LEAD.tc)
+    omega = np.geomspace(1e-13, 1e-5, 81) * delta
+    coarse = materials._mb_nodes(omega, delta, CONST.k_b * temperature, 1024)
+    fine = materials._mb_nodes(omega, delta, CONST.k_b * temperature, 2048)
+    assert np.allclose(coarse, fine, rtol=1e-11, atol=0.0)
+
+
 # ---------------------------------------------------------------------------
 # g(xi; T)
 
@@ -370,6 +385,29 @@ def test_g_grid_matches_exact_cross_sum(field_oe):
         got = g_on_matsubara_grid(LEAD, GAP, temperature, 0, l_first=l)[0]
         want = g_matsubara_exact_cross(LEAD, GAP, temperature, 0, l_first=l)[0]
         assert got == pytest.approx(want, rel=1e-5), l
+
+
+@pytest.mark.parametrize("field_oe", [30.0, 200.0, 775.0])
+def test_g_grid_keeps_bits_of_per_pair_body(monkeypatch, field_oe):
+    """The frequency tables of _g_body, and its dropped weights past l = 2e,
+    give g the bits of the per-pair body: in blocks that start at l = 0, at
+    1, just below 2e (a chunk on both sides of 2e), at 2e and past 17,000."""
+    temperature = shifted_tc(LEAD, field_oe)
+    delta = bcs_gap(GAP, temperature, LEAD.tc)
+    step = 2.0 * math.pi * CONST.k_b * temperature
+    e = materials._CROSS_EXACT * (int(max(60.0 * delta / step, 60.0)) + 1)
+    runs = [(255, 0), (255, 1), (255, 2 * e - 3), (255, 2 * e), (255, 17001)]
+
+    def grids():
+        g_on_matsubara_grid.cache_clear()
+        return [g_on_matsubara_grid(LEAD, GAP, temperature, *run) for run in runs]
+
+    tabled = grids()
+    monkeypatch.setattr(materials, "_g_body", g_body_per_pair)
+    per_pair = grids()
+    g_on_matsubara_grid.cache_clear()
+    for run, a, b in zip(runs, tabled, per_pair):
+        assert np.array_equal(a, b), run
 
 
 def test_g_grid_runs_are_shared_and_read_only():
