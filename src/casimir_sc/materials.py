@@ -260,8 +260,8 @@ def _fermi(x: np.ndarray) -> np.ndarray:
 def _fermi_drop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """f(a) - f(a + b), f(x) = 1/(e^x + 1), for a, b >= 0, as
     -e^-a expm1(-b) / ((1 + e^-a)(1 + e^-a e^-b)) with a capped at 700 as in
-    _fermi.  The plain difference has a relative error of about eps/b,
-    which is why the small-omega nodes of _mb_nodes did not settle."""
+    _fermi.  The plain difference has a relative error of about eps/b, which
+    would keep the small-omega nodes of _mb_nodes from settling."""
     ea = np.exp(-np.minimum(a, 700.0))
     return ea / (1.0 + ea) * -np.expm1(-b) / (1.0 + ea * np.exp(-b))
 
