@@ -160,9 +160,9 @@ _LADDER = _ladder(_Y_SPLITS)
 _BLOCK = 256
 # Nodes per integrand pass: 64 rows of the first rung, so each temporary of
 # _diff_log holds 45 KiB and the allocator keeps it for the next pass.  From
-# about 72 rows on, every pass faults its temporaries in afresh, which costs
-# more than the arithmetic: per 256 rows at 775 Oe, 256-row passes took 800
-# minor faults and 2.5 ms, 64-row passes none and 1.5 ms.
+# about 72 rows on, every pass faults its temporaries in afresh, costing more
+# than the arithmetic (per 256 rows at 775 Oe, 2-core x86 VM: 800 minor faults
+# and 2.5 ms in 256-row passes, none and 1.5 ms in 64-row passes).
 _PASS_NODES = 64 * _LADDER[0].nodes.size
 
 
