@@ -11,9 +11,11 @@ where g is obtained by analytic continuation of the Mattis-Bardeen
 conductivity.  The production route evaluates g through a Kramers-Kronig
 transform of the real-frequency conductivity ratio R(omega), with the
 zero-frequency condensate delta function carried as the closed-form term
-pi*Delta*tanh(Delta/2kT).  mattis_bardeen_g takes a whole column of xi at
-one temperature: R is evaluated once per node of one composite omega grid
-shared by every xi, so a table costs one pass per temperature.
+pi*Delta*tanh(Delta/2kT).  Each part of R is substituted from its gap edges,
+so every omega settles on at most 256 Gauss-Legendre nodes.
+mattis_bardeen_g takes a whole column of xi at one temperature: R is
+evaluated once per node of one composite omega grid shared by every xi, so
+a table costs one pass per temperature.
 g_on_matsubara_grid evaluates the same function at a run of the discrete
 thermal frequencies through a fermionic frequency sum, which is how the
 Lifshitz engine consumes it, one block of l at a time; each entry costs
@@ -39,7 +41,7 @@ from .constants import CONST
 from .errors import ConvergenceError, DomainError
 # adaptive_quad and exp_tail_quad are unused here but stay module attributes,
 # which perfbench/trace_child.py wraps by name.
-from .quadrature import _XK, _k15, adaptive_quad, exp_tail_quad, gauss_legendre_nodes  # noqa: F401
+from .quadrature import _WK, _XK, _k15, adaptive_quad, exp_tail_quad, gauss_legendre_nodes  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +273,18 @@ def _mb_nodes(omega: np.ndarray, delta: float, t_ev: float, n: int) -> np.ndarra
 
     Quasiparticles: E = delta + (omega/2)(cosh v - 1) absorbs the inverse
     square root of (E - delta)(E - delta + omega) into the measure.  Pair
-    breaking, omega > 2 delta only: E = -omega/2 + (omega/2 - delta) sin(theta).
+    breaking, omega > 2 delta only: [delta - omega, -delta] is split at
+    -omega/2, and each half is taken from its gap edge as E = -delta - dist
+    and E = delta - omega + dist, dist = 2 delta sinh^2 u, so that
+    dE / sqrt(dist (dist + 2 delta)) = 2 du.  Both halves then share the
+    coherence factor 2 r delta + dist (2r - dist) and the far factor
+    sqrt((2r - dist)(2r - dist + 2 delta)), r = omega/2 - delta; only the
+    occupation tanh((E + omega)/2kT) differs, and the two are summed.  The
+    integrand grows like e^2u towards the middle, which Gauss-Legendre
+    resolves in a few dozen nodes however large omega is.  asinh, sinh and
+    tanh are taken through log1p, exp and _fermi: numpy's own each map
+    another 64 KiB of vectorised code on first use, which raised the peak
+    resident memory of a g-function run by 0.15 MB.
     """
     x, w = gauss_legendre_nodes(n)
     out = np.zeros_like(omega)
@@ -282,24 +295,42 @@ def _mb_nodes(omega: np.ndarray, delta: float, t_ev: float, n: int) -> np.ndarra
         occ = _fermi_drop(e / t_ev, om / t_ev)
         coh = (e * (e + om) + delta * delta) / np.sqrt((e + delta) * (e + om + delta))
         out += (2.0 / omega) * (v_max[:, 0] * np.dot(occ * coh, w))
+        del e, occ, coh                # (rows x n) each; the next part needs as many
     sel = omega > 2.0 * delta
     if np.any(sel):
         om = omega[sel][:, None]
-        e = -0.5 * om + (0.5 * om - delta) * np.sin(math.pi * (x - 0.5))
-        occ = 1.0 - 2.0 * _fermi((e + om) / t_ev) if t_ev > 0.0 else 1.0
-        # case-II coherence: |E|(E+omega) - Delta^2 on the negative-E branch
-        num = -(e * (e + om) + delta * delta)
-        den = np.sqrt((delta - e) * (e + om + delta))
-        out[sel] += (math.pi / omega[sel]) * np.dot(occ * num / den, w)
+        two_r = om - 2.0 * delta
+        q = 0.25 * two_r / delta
+        u_max = np.log1p(np.sqrt(q) + q / (1.0 + np.sqrt(1.0 + q)))   # asinh(sqrt(q))
+        dist = np.exp(u_max * x)
+        dist = 0.5 * delta * (dist - 1.0 / dist) ** 2                   # 2 delta sinh^2 u
+        far = two_r - dist
+        coh = (delta * two_r + dist * far) / np.sqrt(far * (far + 2.0 * delta))
+        if t_ev > 0.0:
+            # tanh(z/2kT) = 1 - 2 f(z/kT) at z = E + omega of each half
+            occ = _fermi((delta + dist) / t_ev)
+            occ += _fermi((far + delta) / t_ev)
+            coh *= 2.0 - 2.0 * occ
+        else:
+            coh *= 2.0
+        out[sel] += (2.0 / omega[sel]) * (u_max[:, 0] * np.dot(coh, w))
     return out
+
+
+# Node counts _mb_ratio tries after the first 64, and the agreement it asks
+# of two counts, relative to max(|R|, 1).
+_MB_LADDER, _MB_REL = (128, 256, 512), 1e-11
 
 
 def _mb_ratio(omega: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
     """sigma1_s(omega)/sigma1_n(omega), each omega to its own node count.
 
     Every omega starts at 64 Gauss-Legendre nodes and doubles them until two
-    counts agree to 1e-11 relative; only the unconverged omega go on, up to
-    2048 nodes.  Chunks keep rows x nodes under _G_CHUNK elements.
+    counts agree to _MB_REL max(|R|, 1): the Kramers-Kronig transform takes
+    R - 1, so 1e-11 against the 1 is the scale that matters.  Only the
+    unconverged omega go on; every omega of a g column at any temperature
+    settles by 256 nodes, and one still apart at 512 raises
+    ConvergenceError.  Chunks keep rows x nodes under _G_CHUNK elements.
     """
     omega = np.asarray(omega, dtype=float)
     if delta == 0.0:
@@ -313,14 +344,18 @@ def _mb_ratio(omega: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
     flat = omega.ravel()
     out = ratio(flat, 64)
     todo = np.arange(flat.size)
-    for n in (128, 256, 512, 1024, 2048):
+    for n in _MB_LADDER:
         new = ratio(flat[todo], n)
-        done = np.abs(new - out[todo]) <= 1e-11 * (np.abs(new) + 1e-30)
+        moved = np.abs(new - out[todo])
+        done = moved <= _MB_REL * np.maximum(np.abs(new), 1.0)
         out[todo] = new
-        todo = todo[~done]
-        if not todo.size:
-            break
-    return out.reshape(omega.shape)
+        if done.all():
+            return out.reshape(omega.shape)
+        todo, moved = todo[~done], moved[~done]
+    worst = int(np.argmax(moved))
+    raise ConvergenceError(
+        f"Mattis-Bardeen ratio: {todo.size} omega unsettled at {_MB_LADDER[-1]} nodes, "
+        f"worst omega/2Delta = {flat[todo[worst]] / (2.0 * delta):.17g}", float(moved[worst]))
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +402,14 @@ def _kk_column(xi: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
     w_top, then the tail, all in one parameter s, omega = s up to W and
     W e^(s - W) past it.  R is evaluated once per node, every xi's panel
     integrals and errors come from one K15 pass, and while some xi misses
-    _KK_REL, each panel whose error for such a xi exceeds that xi's goal
+    its goal, each panel whose error for such a xi exceeds that xi's goal
     over the panel count is bisected, R evaluated on the new nodes only.
+
+    The goal is _KK_REL |integral|, floored at _MB_REL times the same
+    integral of max(|R|, 1) in place of R - 1, taken on the first grid: R
+    itself is settled only to that, so near Tc, where the integral is
+    hundreds of times smaller than that of its magnitude, a goal below the
+    floor would bisect panels without end.
     """
     xi2 = xi * xi
     cuts = [_kk_breakpoints(float(x), delta, t_ev) for x in np.unique(xi)]
@@ -380,25 +421,32 @@ def _kk_column(xi: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
         half = 0.5 * (b - a)
         s = (0.5 * (a + b))[:, None] + half[:, None] * _XK
         om = np.where(s > w_top, w_top * np.exp(s - w_top), s)
-        h = (_mb_ratio(om, delta, t_ev) - 1.0) * np.where(s > w_top, om, 1.0)
+        r = _mb_ratio(om, delta, t_ev)
         q = np.empty((2, xi.size, a.size))
+        mag_total = np.zeros(xi.size)
         rows = max(1, _G_CHUNK // (xi.size * _XK.size))
         for i in range(0, a.size, rows):
             c = slice(i, i + rows)
-            q[:, :, c] = _k15(h[c] / (om[c] ** 2 + xi2[:, None, None]), half[c])
-        return q
+            jac = np.where(s[c] > w_top, om[c], 1.0)
+            q[:, :, c] = _k15((r[c] - 1.0) * jac / (om[c] ** 2 + xi2[:, None, None]), half[c])
+            mag = np.maximum(np.abs(r[c]), 1.0) * jac
+            mag_total += np.sum(half[c] * ((mag / (om[c] ** 2 + xi2[:, None, None])) @ _WK),
+                                axis=-1)
+        return q, mag_total
 
     a, b = edges[:-1], edges[1:]
-    q = panels(a, b)                   # (integral, error) x xi x panel
+    q, mag_total = panels(a, b)        # (integral, error) x xi x panel
+    floor = _MB_REL * mag_total
     for _ in range(_KK_ROUNDS):
         total, err = q[0].sum(axis=1), q[1].sum(axis=1)
-        short = ~(err <= _KK_REL * np.abs(total))      # NaN counts as short
+        goal = np.maximum(_KK_REL * np.abs(total), floor)
+        short = ~(err <= goal)                          # NaN counts as short
         if not short.any():
             return (2.0 / math.pi) * xi2 * total
-        split = np.any(q[1, short] > _KK_REL * np.abs(total[short, None]) / a.size, axis=0)
+        split = np.any(q[1, short] > goal[short, None] / a.size, axis=0)
         mid = 0.5 * (a[split] + b[split])
         new_a, new_b = np.r_[a[split], mid], np.r_[mid, b[split]]
-        q = np.concatenate([q[..., ~split], panels(new_a, new_b)], axis=-1)
+        q = np.concatenate([q[..., ~split], panels(new_a, new_b)[0]], axis=-1)
         a, b = np.r_[a[~split], new_a], np.r_[b[~split], new_b]
     raise ConvergenceError(f"Kramers-Kronig g: {int(short.sum())} of {xi.size} xi above "
                            f"rel {_KK_REL:g} after {_KK_ROUNDS} rounds", float(err.max()))

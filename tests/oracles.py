@@ -301,12 +301,15 @@ def _mb_ratio_oracle(omega: float, delta: float, t_ev: float) -> float:
                     return 0.0
                 return occ * (-e * (e + omega) - d2) / math.sqrt(rad)
 
-            # split at the midpoint so each piece has one singular endpoint
-            v1, _ = _sint.quad(f_pb, delta - omega, -0.5 * omega, epsabs=0.0,
-                               epsrel=1e-7, limit=200)
-            v2, _ = _sint.quad(f_pb, -0.5 * omega, -delta, epsabs=0.0,
-                               epsrel=1e-7, limit=200)
-            total += (v1 + v2) / omega
+            # Split at the midpoint so each piece has one singular endpoint,
+            # and 4 Delta and 46 kT in from each edge: at omega ~ 1e6 2 Delta
+            # QAGS over a whole half missed the edge peaks by up to 1e-6 of R.
+            r = 0.5 * omega - delta
+            steps = sorted(c for c in (4.0 * delta, 46.0 * t_ev) if 0.0 < c < r)
+            cuts = [delta - omega, *(delta - omega + c for c in steps), -0.5 * omega,
+                    *(-delta - c for c in reversed(steps)), -delta]
+            total += sum(_sint.quad(f_pb, a, b, epsabs=0.0, epsrel=1e-7, limit=200)[0]
+                         for a, b in zip(cuts[:-1], cuts[1:])) / omega
     return total
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from casimir_sc import materials
 from casimir_sc.constants import CONST
-from casimir_sc.errors import DomainError
+from casimir_sc.errors import ConvergenceError, DomainError
 from casimir_sc.materials import (
     GOLD,
     LEAD,
@@ -27,6 +27,7 @@ from casimir_sc.materials import (
 from casimir_sc.sc_state import shifted_tc
 
 from oracles import (
+    _mb_ratio_oracle,
     g_body_per_pair,
     g_from_oracle,
     g_matsubara_bruteforce,
@@ -215,11 +216,57 @@ def test_psi_matches_mpmath(k):
 
 
 def test_mb_ratio_matches_elliptic_at_t0():
+    # 1e3 to 1e9 Delta reach the Kramers-Kronig tail, where the pair-breaking
+    # integrand is two peaks of width ~ Delta at the ends of an omega-wide range.
     delta = GAP.delta0
-    for frac in (2.5, 4.0, 10.0, 40.0, 120.0):
+    for frac in (2.5, 4.0, 10.0, 40.0, 120.0, 1e3, 1e6, 1e9):
         omega = frac * delta
         mine = float(_mb_ratio(np.array([omega]), delta, 0.0)[0])
-        assert mine == pytest.approx(mb_ratio_t0_elliptic(omega, delta), rel=1e-10)
+        assert mine == pytest.approx(mb_ratio_t0_elliptic(omega, delta), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.9, 0.999])
+def test_mb_ratio_matches_quadpack_oracle(t):
+    """At finite T the ratio agrees with the raw-form QUADPACK oracle, which
+    integrates over E with no substitution, at epsrel 1e-7; below the gap,
+    at the gap edge, and from 3 to 1e6 times past it."""
+    temperature = t * LEAD.tc
+    delta = bcs_gap(GAP, temperature, LEAD.tc)
+    t_ev = CONST.k_b * temperature
+    for frac in (0.01, 1.001, 3.0, 30.0, 1e3, 1e6):
+        omega = frac * 2.0 * delta
+        mine = float(_mb_ratio(np.array([omega]), delta, t_ev)[0])
+        assert mine == pytest.approx(_mb_ratio_oracle(omega, delta, t_ev),
+                                     rel=1e-6, abs=0.0), frac
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9, 0.999])
+def test_g_column_settles_every_ratio_by_256_nodes(t, monkeypatch):
+    """Over the default g-function column no omega of the Kramers-Kronig
+    grid needs more than 256 nodes per part of R, so the 512-node rule and
+    beyond are never built."""
+    counts = {}
+    nodes = materials._mb_nodes
+
+    def counted(omega, delta, t_ev, n):
+        counts[n] = counts.get(n, 0) + omega.size
+        return nodes(omega, delta, t_ev, n)
+
+    monkeypatch.setattr(materials, "_mb_nodes", counted)
+    mattis_bardeen_g(LEAD, GAP, np.geomspace(1e-2, 1e2, 81) * TWO_D0, t * LEAD.tc)
+    assert counts[64] == counts[128] > 0
+    assert max(counts) <= 256, counts
+
+
+def test_mb_ratio_reports_unsettled_omega(monkeypatch):
+    # Node sums that move by n at every count never agree.
+    monkeypatch.setattr(materials, "_mb_nodes",
+                        lambda omega, delta, t_ev, n: np.full(omega.shape, float(n)))
+    delta = GAP.delta0
+    with pytest.raises(ConvergenceError, match=r"2 omega unsettled at 512 nodes, "
+                       r"worst omega/2Delta = 3\b") as info:
+        _mb_ratio(np.array([3.0, 6.0]) * 2.0 * delta, delta, CONST.k_b)
+    assert info.value.error_estimate == 256.0
 
 
 def test_mb_ratio_normal_state_limit():
@@ -296,6 +343,28 @@ def test_g_near_tc_matches_matsubara_grid():
     l = np.array([1, 17, 56])
     g = mattis_bardeen_g(LEAD, GAP, l * h, temperature)
     assert g == pytest.approx(grid[l], rel=1e-8, abs=0.0)
+
+
+def test_g_function_finishes_next_to_tc():
+    """At t = 1 - 1e-6 and 1 - 1e-7 the integral of R - 1 is hundreds of
+    times smaller than that of |R|, so a goal of 1e-9 of it lies below what
+    R is settled to; without the floor on the goal the panel count grew
+    1.6-1.8x per round and the column did not finish in a minute.  Run as a
+    child process, so a regression fails by its timeout instead of hanging."""
+    src = os.path.dirname(os.path.dirname(materials.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run(
+        [sys.executable, "-m", "casimir_sc.cli", "g-function",
+         "--t-over-tc", "0.999999", "--t-over-tc", "0.9999999"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert out.returncode == 0, out.stderr
+    rows = np.array([list(map(float, ln.split(",")))
+                     for ln in out.stdout.splitlines() if ln[:1].isdigit()])
+    assert rows.shape == (81, 3)
+    assert np.all(np.isfinite(rows)) and np.all(rows[:, 1:] > 0.0)
+    # closer to Tc the gap, and with it g, is smaller
+    assert np.all(rows[:, 2] < rows[:, 1])
 
 
 def test_g_nonnegative_and_fig2_ordering():
