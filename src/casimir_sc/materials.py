@@ -317,9 +317,9 @@ def _mb_nodes(omega: np.ndarray, delta: float, t_ev: float, n: int) -> np.ndarra
     return out
 
 
-# Node counts _mb_ratio tries after the first 64, and the agreement it asks
-# of two counts, relative to max(|R|, 1).
-_MB_LADDER, _MB_REL = (128, 256, 512), 1e-11
+# Node counts _mb_ratio tries in turn, and the agreement it asks of two
+# counts, relative to max(|R|, 1).
+_MB_LADDER, _MB_REL = (64, 128, 256, 512), 1e-11
 
 
 def _mb_ratio(omega: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
@@ -342,9 +342,9 @@ def _mb_ratio(omega: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
                                for c in np.split(om, range(rows, om.size, rows))])
 
     flat = omega.ravel()
-    out = ratio(flat, 64)
+    out = ratio(flat, _MB_LADDER[0])
     todo = np.arange(flat.size)
-    for n in _MB_LADDER:
+    for n in _MB_LADDER[1:]:
         new = ratio(flat[todo], n)
         moved = np.abs(new - out[todo])
         done = moved <= _MB_REL * np.maximum(np.abs(new), 1.0)
@@ -427,6 +427,8 @@ def _kk_column(xi: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
         rows = max(1, _G_CHUNK // (xi.size * _XK.size))
         for i in range(0, a.size, rows):
             c = slice(i, i + rows)
+            # The kernel is built twice, not kept: one more (xi x rows x 15)
+            # array alive through _k15 raises the column's peak memory.
             jac = np.where(s[c] > w_top, om[c], 1.0)
             q[:, :, c] = _k15((r[c] - 1.0) * jac / (om[c] ** 2 + xi2[:, None, None]), half[c])
             mag = np.maximum(np.abs(r[c]), 1.0) * jac
@@ -448,8 +450,8 @@ def _kk_column(xi: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
         new_a, new_b = np.r_[a[split], mid], np.r_[mid, b[split]]
         q = np.concatenate([q[..., ~split], panels(new_a, new_b)[0]], axis=-1)
         a, b = np.r_[a[~split], new_a], np.r_[b[~split], new_b]
-    raise ConvergenceError(f"Kramers-Kronig g: {int(short.sum())} of {xi.size} xi above "
-                           f"rel {_KK_REL:g} after {_KK_ROUNDS} rounds", float(err.max()))
+    raise ConvergenceError(f"Kramers-Kronig g: {int(short.sum())} of {xi.size} xi short of "
+                           f"their goal after {_KK_ROUNDS} rounds", float(err.max()))
 
 
 def mattis_bardeen_g(material: MaterialParams, gap: GapModel, xi, T: float):
