@@ -20,14 +20,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .constants import CONST
 from .errors import ConvergenceError, DomainError, PfaAccuracyWarning
 from .materials import (
-    GapModel,
     MaterialParams,
     default_gap,
     drude_eps,
@@ -348,8 +346,7 @@ def _full_free_energy(integrand, params, zero_integrand, T: float, d: float,
 
 
 def free_energy(material_a: MaterialParams, material_b: MaterialParams,
-                phase_b: Phase, T: float, d: float, cfg: EngineConfig,
-                gap_b: Optional[GapModel] = None) -> FreeEnergyResult:
+                phase_b: Phase, T: float, d: float, cfg: EngineConfig) -> FreeEnergyResult:
     """Lifshitz free energy per unit area (eV/nm^2); negative for metals.
 
     Slab a is treated as a normal Drude metal.  With slab b normal this is
@@ -371,7 +368,7 @@ def free_energy(material_a: MaterialParams, material_b: MaterialParams,
         _tm_zero_log, T, d, cfg)
     if not superconducting:
         return fn
-    diff = free_energy_difference(material_a, material_b, T, d, cfg, gap_b=gap_b)
+    diff = free_energy_difference(material_a, material_b, T, d, cfg)
     return FreeEnergyResult(value=fn.value - diff.value, terms_used=fn.terms_used,
                             error_estimate=fn.error_estimate + diff.error_estimate)
 
@@ -387,8 +384,7 @@ def ideal_mirror_free_energy(T: float, d: float, cfg: EngineConfig) -> FreeEnerg
 
 
 def free_energy_difference(material_a: MaterialParams, material_b: MaterialParams,
-                           T: float, d: float, cfg: EngineConfig,
-                           gap_b: Optional[GapModel] = None) -> FreeEnergyResult:
+                           T: float, d: float, cfg: EngineConfig) -> FreeEnergyResult:
     """F_normal - F_super computed term by term in one Matsubara series.
 
     The l = 0 term vanishes identically for a Drude-modeled slab a: its TE
@@ -401,8 +397,7 @@ def free_energy_difference(material_a: MaterialParams, material_b: MaterialParam
         raise DomainError(f"{material_b.name} has no superconducting phase")
     if T >= material_b.tc:
         return FreeEnergyResult(value=0.0, terms_used=0, error_estimate=0.0)
-    if gap_b is None:
-        gap_b = default_gap(material_b.tc)
+    gap_b = default_gap(material_b.tc)
     h = 2.0 * math.pi * CONST.k_b * T
     l_cap = int(math.ceil(cfg.matsubara_cap_diff * (2.0 * gap_b.delta0) / h))
 
@@ -415,8 +410,7 @@ def free_energy_difference(material_a: MaterialParams, material_b: MaterialParam
 
 
 def delta_force_pfa(material_a: MaterialParams, material_b: MaterialParams,
-                    R_um: float, T: float, d: float, cfg: EngineConfig,
-                    gap_b: Optional[GapModel] = None) -> DeltaForceResult:
+                    R_um: float, T: float, d: float, cfg: EngineConfig) -> DeltaForceResult:
     """Sphere-plate force jump 2 pi R [F_n - F_s] in fN, with the d/R bound."""
     if not 0.0 < R_um < math.inf:
         raise DomainError(f"sphere radius R_um must be positive and finite (got {R_um})")
@@ -427,7 +421,7 @@ def delta_force_pfa(material_a: MaterialParams, material_b: MaterialParams,
             f"d/R = {bound:.3e}: proximity-force error bound is larger than 1%",
             PfaAccuracyWarning,
         )
-    diff = free_energy_difference(material_a, material_b, T, d, cfg, gap_b=gap_b)
+    diff = free_energy_difference(material_a, material_b, T, d, cfg)
     force_ev_nm = 2.0 * math.pi * r_nm * diff.value
     return DeltaForceResult(
         delta_f_fn=force_ev_nm * CONST.ev_per_nm_to_fn,

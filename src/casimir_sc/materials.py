@@ -14,7 +14,8 @@ zero-frequency condensate delta function carried as the closed-form term
 pi*Delta*tanh(Delta/2kT).  Each part of R is substituted from its gap edges,
 so every omega settles on at most 256 Gauss-Legendre nodes.
 mattis_bardeen_g takes a whole column of xi at one temperature: R is
-evaluated once per node of one composite omega grid shared by every xi, so
+evaluated once per node of one composite omega grid shared by every xi, an
+octave chain anchored at the gap edge 2 Delta and spanning the column, so
 a table costs one pass per temperature.
 g_on_matsubara_grid evaluates the same function at a run of the discrete
 thermal frequencies through a fermionic frequency sum, which is how the
@@ -362,25 +363,6 @@ def _mb_ratio(omega: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
 # g(xi; T): Kramers-Kronig route (production)
 
 
-def _kk_breakpoints(xi: float, delta: float, t_ev: float) -> tuple[list, float]:
-    """Interior breakpoints on (0, W) and the tail start W."""
-    edge = 2.0 * delta
-    w_top = max(16.0 * edge, 4.0 * xi, 24.0 * t_ev, 8.0 * edge)
-    pts = set()
-    # geometric chain toward omega = 0 resolves both the Lorentzian kernel
-    # (width xi) and the low-frequency logarithm of the thermal ratio
-    lo = max(min(xi, edge) * 1e-4, 1e-14)
-    p = lo
-    while p < w_top:
-        pts.add(p)
-        p *= 8.0
-    for c in (0.25, 0.5, 1.0, 2.0, 4.0):
-        pts.add(c * edge)
-        if xi > 0:
-            pts.add(c * xi)
-    return sorted(p for p in pts if 0.0 < p < w_top), w_top
-
-
 def _condensate(delta: float, t_ev: float) -> float:
     """gamma * g(0+; T) = pi*Delta*tanh(Delta/2kT), the condensate weight."""
     if t_ev > 0.0:
@@ -394,16 +376,34 @@ def _condensate(delta: float, t_ev: float) -> float:
 _KK_TAIL, _KK_REL, _KK_ROUNDS = 32, 1e-9, 60
 
 
+def _kk_edges(xi: np.ndarray, delta: float, t_ev: float) -> tuple[np.ndarray, float]:
+    """Panel edges in s of a g column, and the tail start W.
+
+    0, then 2 Delta 2^k from the power at or below 1e-4 of the lesser of
+    min(xi) and 2 Delta (but not below 1e-14) up to W, then the tail's unit
+    panels.  The ratio 2 holds the kernel 1/(omega^2 + xi^2) of any xi
+    within a factor 4 across a panel, and the low-frequency logarithm of the
+    thermal ratio within log 2, so no xi needs edges of its own.  The chain
+    is anchored at 2 Delta so that the pair-breaking edge is a panel edge
+    and every xi's chain falls on the same points.
+    """
+    edge = 2.0 * delta
+    w_top = max(16.0 * edge, 4.0 * float(xi.max()), 24.0 * t_ev)
+    lo = max(min(float(xi.min()), edge) * 1e-4, 1e-14)
+    chain = np.ldexp(edge, np.arange(math.frexp(lo / edge)[1] - 1, math.frexp(w_top / edge)[1]))
+    return np.r_[0.0, chain[chain < w_top], w_top + np.arange(_KK_TAIL + 1)], w_top
+
+
 def _kk_column(xi: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
     """(2 xi^2/pi) int_0^inf (R(omega) - 1)/(omega^2 + xi^2) domega, xi > 0.
 
     One composite K15 grid serves the whole column, since R does not depend
-    on xi: the union of every xi's _kk_breakpoints up to W, the largest
-    w_top, then the tail, all in one parameter s, omega = s up to W and
-    W e^(s - W) past it.  R is evaluated once per node, every xi's panel
-    integrals and errors come from one K15 pass, and while some xi misses
-    its goal, each panel whose error for such a xi exceeds that xi's goal
-    over the panel count is bisected, R evaluated on the new nodes only.
+    on xi: the octave chain of _kk_edges up to W, then the tail, all in one
+    parameter s, omega = s up to W and W e^(s - W) past it.  R is evaluated
+    once per node, every xi's panel integrals and errors come from one K15
+    pass, and while some xi misses its goal, each panel whose error for such
+    a xi exceeds that xi's goal over the panel count is bisected, R
+    evaluated on the new nodes only.
 
     The goal is _KK_REL |integral|, floored at _MB_REL times the same
     integral of max(|R|, 1) in place of R - 1, taken on the first grid: R
@@ -412,10 +412,7 @@ def _kk_column(xi: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
     floor would bisect panels without end.
     """
     xi2 = xi * xi
-    cuts = [_kk_breakpoints(float(x), delta, t_ev) for x in np.unique(xi)]
-    w_top = max(top for _, top in cuts)
-    edges = np.unique(np.concatenate(
-        [[0.0], *(p for p, _ in cuts), w_top + np.arange(_KK_TAIL + 1)]))
+    edges, w_top = _kk_edges(xi, delta, t_ev)
 
     def panels(a, b):
         half = 0.5 * (b - a)

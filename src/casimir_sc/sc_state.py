@@ -37,12 +37,12 @@ class ModulationSpec:
     frequency: float         # Hz
 
     def __post_init__(self) -> None:
-        if self.base_temperature <= 0.0:
-            raise DomainError("base_temperature must be positive")
-        if self.h <= 0.0:
-            raise DomainError("modulation amplitude h must be positive")
-        if self.frequency <= 0.0:
-            raise DomainError("modulation frequency must be positive")
+        if not 0.0 < self.base_temperature < math.inf:
+            raise DomainError("base_temperature must be positive and finite")
+        if not 0.0 < self.h < math.inf:
+            raise DomainError("modulation amplitude h must be positive and finite")
+        if not 0.0 < self.frequency < math.inf:
+            raise DomainError("modulation frequency must be positive and finite")
 
     @property
     def period(self) -> float:

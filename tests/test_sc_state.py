@@ -168,12 +168,11 @@ def test_field_waveform_two_phases_per_period():
 
 
 def test_modulation_spec_validation():
-    with pytest.raises(DomainError):
-        ModulationSpec(base_temperature=5.0, h=0.0, frequency=300.0)
-    with pytest.raises(DomainError):
-        ModulationSpec(base_temperature=5.0, h=10.0, frequency=0.0)
-    with pytest.raises(DomainError):
-        ModulationSpec(base_temperature=0.0, h=10.0, frequency=300.0)
+    good = dict(base_temperature=5.0, h=10.0, frequency=300.0)
+    for key in good:
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="positive and finite"):
+                ModulationSpec(**{**good, key: bad})
     spec = ModulationSpec(base_temperature=7.5, h=10.0, frequency=300.0)
     with pytest.raises(DomainError):
         field_waveform(spec, LEAD, 0.0)

@@ -491,6 +491,15 @@ def test_cli_gfunction_and_waveform(tmp_path):
     assert "t_s,H_Oe,phase,F_fN" in out2.read_text()
 
 
+@pytest.mark.parametrize("flag, value", [("--amplitude-oe", "nan"), ("--amplitude-oe", "inf"),
+                                         ("--frequency-hz", "nan")])
+def test_cli_waveform_refuses_non_finite_drive(flag, value, capsys):
+    assert cli_main(["waveform", "--samples", "4", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "positive and finite" in captured.err
+
+
 def test_cli_gfunction_near_tc(tmp_path):
     out = tmp_path / "g.csv"
     assert cli_main(["g-function", "--t-over-tc", "0.999", "--output", str(out)]) == 0
