@@ -247,9 +247,8 @@ def test_mb_ratio_matches_quadpack_oracle(t):
 def test_g_column_settles_every_ratio_by_256_nodes(t, monkeypatch):
     """Over the default g-function column no omega of the Kramers-Kronig
     grid needs more than 256 nodes per part of R, so the 512-node rule and
-    beyond are never built; and the one octave grid of the column keeps R
-    to under 2,000 omega (930-1,575 over these t; a union of per-xi
-    breakpoint sets took 8,430-11,220)."""
+    beyond are never built; and the column's one octave grid keeps R to
+    under 2,000 omega (930-1,575 over these t)."""
     counts = {}
     nodes = materials._mb_nodes
 
