@@ -17,10 +17,9 @@ mattis_bardeen_g takes a whole column of xi at one temperature: R is
 evaluated once per node of one composite omega grid shared by every xi, an
 octave chain anchored at the gap edge 2 Delta and spanning the column, so
 a table costs one pass per temperature.
-g_on_matsubara_grid evaluates the same function at a run of the discrete
-thermal frequencies through a fermionic frequency sum, which is how the
-Lifshitz engine consumes it, one block of l at a time; each entry costs
-O(n) in the sum's body width, and runs are cached per temperature.  The
+g_matsubara evaluates the same function at any set of the discrete thermal
+frequencies through a fermionic frequency sum, which is how the Lifshitz
+engine consumes it; each entry costs O(n) in the sum's body width.  The
 reduced BCS gap Delta(T)/Delta(0) is solved at each temperature asked for,
 by bisection of the gap equation, and memoised per temperature.  The
 polygammas both need come from one asymptotic series (_psi), so the module
@@ -36,7 +35,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import CONST
 from .errors import ConvergenceError, DomainError
@@ -496,47 +494,32 @@ _CROSS_EXACT = 4
 
 
 def _g_body(l: np.ndarray, n: int, e: int, delta: float, step: float) -> np.ndarray:
-    """Summed-term part of gamma g(xi_l) / (pi k_B T) for a chunk of
-    consecutive l >= 1.
-
-    Twice the n non-cross terms of l, plus the cross terms of the pairs
-    (m, l-1-m) with m < e: each pair with m < l-1-m counts twice, the
-    centre m = (l-1)/2 once, and pairs past the centre not at all.  So every
-    weight is 2 once l >= 2e.
-
-    w_k = step (k + 1/2) and s_k = sqrt(w_k^2 + Delta^2) are tabled once for
-    every k the chunk reaches, l[0] - e <= k < l[-1] + n.  Row i reads them at
-    l_i .. l_i+n-1 and at its cross partners l_i-1 .. l_i-e as windows of
-    that table, so no (rows x width) array of frequencies is built.
-    """
+    """Summed-term part of gamma g(xi_l) / (pi k_B T) per l >= 1, each row on
+    its own: twice the n non-cross terms of l, plus the cross pairs (m, l-1-m),
+    m < e, weighted 2 for m < l-1-m, 1 at m = (l-1)/2 and 0 past it."""
     d2 = delta * delta
 
     def ws(k):
         w = step * (k + 0.5)
         return w, np.sqrt(w * w + d2)
 
-    w, s = ws(np.arange(l[0] - e, l[-1] + n))
     m = np.arange(e)
     wm, sm = ws(m)
-    rows = l.size
-    wl, sl = (sliding_window_view(a, n)[e:e + rows] for a in (w, s))
+    wl, sl = ws(l[:, None] + m[:n])
     noncross = np.sum(1.0 - (wm[:n] * wl - d2) / (sm[:n] * sl), axis=1)
-    # Row i's partners, right to left, start at n + rows-1-i in the reversed table.
-    wp, sp = (sliding_window_view(a[::-1], e)[n:n + rows][::-1] for a in (w, s))
+    partner = l[:, None] - 1 - m
+    wp, sp = ws(partner)
     t = -1.0 + (wm * wp + d2) / (sm * sp)
-    if l[0] >= 2 * e:
+    if l.min() >= 2 * e:
         cross = 2.0 * np.sum(t, axis=1)
     else:
-        partner = l[:, None] - 1 - m
         weight = np.where(m < partner, 2.0, np.where(m == partner, 1.0, 0.0))
         cross = np.sum(weight * t, axis=1)
     return 2.0 * noncross + cross
 
 
-@lru_cache(maxsize=256)
-def g_on_matsubara_grid(material: MaterialParams, gap: GapModel, T: float,
-                        l_count: int, l_first: int = 0) -> np.ndarray:
-    """g at xi_l = 2 pi k_B T l for l = l_first..l_first + l_count.
+def g_matsubara(material: MaterialParams, gap: GapModel, T: float, l) -> np.ndarray:
+    """g at xi_l = 2 pi k_B T l for every l of an integer array, in any order.
 
     At the discrete frequencies the analytic continuation reduces to the
     fermionic sum
@@ -555,43 +538,46 @@ def g_on_matsubara_grid(material: MaterialParams, gap: GapModel, T: float,
         -(Delta^2/step^2) [psi1(e+1/2) - psi1(l-e+1/2)
                            - (2/l) (psi(l-e+1/2) - psi(e+1/2))],
 
-    step = 2 pi kT, so an entry costs O(n), not O(l).  Why 4n: the wings
-    carry a leading-order bias that the middle's partly cancels, so e sets
-    how far the force jump moves from summing every cross term; at 775 Oe,
-    70 nm the shift is 7.6e-6 at e = n, 8e-7 at 2n, 7.3e-8 at 4n, 4.8e-9
-    at 8n, against the 1e-6 to which the headline values are held.
-
-    The l = 0 entry is the condensate weight g(0+).  Each entry depends on
-    its l alone, so a run of l is bit for bit the same slice of a longer
-    run.  Runs are cached, since every series at one T asks for the same
-    blocks of l; the returned array is read-only.
+    step = 2 pi kT, so an entry costs O(n), not O(l).  Why 4n: the middle
+    partly cancels the wings' leading-order bias, so e sets how far the force
+    jump moves from summing every cross term, at 775 Oe, 70 nm by 7.6e-6 at
+    e = n, 8e-7 at 2n, 7.3e-8 at 4n and 4.8e-9 at 8n, against the 1e-6 the
+    headline values are held to.  An l = 0 entry is the condensate weight
+    g(0+).  Each entry depends on its l alone, bit for bit.
     """
     if T <= 0.0:
-        raise DomainError("g_on_matsubara_grid requires T > 0")
+        raise DomainError("g_matsubara requires T > 0")
+    l = np.asarray(l, dtype=np.int64)
     delta = bcs_gap(gap, T, material.tc)
-    out = np.zeros(l_count + 1)
+    out = np.zeros(l.shape)
     if delta > 0.0:
         t_ev = CONST.k_b * T
         step = 2.0 * math.pi * t_ev
         n = int(max(60.0 * delta / step, 60.0)) + 1
         e = _CROSS_EXACT * n
-        l = np.arange(max(l_first, 1), l_first + l_count + 1)
+        lp = l[l > 0]
         # analytic wings: t_n ~ (Delta^2/2) (1/w_n + 1/w_{n+l})^2 past the body
         a = n + 0.5
-        wing = _psi(1, a) + _psi(1, a + l) + 2.0 * (_psi(0, a + l) - _psi(0, a)) / l
+        wing = _psi(1, a) + _psi(1, a + lp) + 2.0 * (_psi(0, a + lp) - _psi(0, a)) / lp
         # closed-form middle of the cross sum, exactly 0 for l <= 2e
-        lm = np.maximum(l, 2 * e)
+        lm = np.maximum(lp, 2 * e)
         b = e + 0.5
         middle = (_psi(1, b) - _psi(1, lm - e + 0.5)
                   - 2.0 * (_psi(0, lm - e + 0.5) - _psi(0, b)) / lm)
-        body = np.empty(l.size)
-        rows = max(1, _G_CHUNK // e)
-        for i in range(0, l.size, rows):
-            body[i:i + rows] = _g_body(l[i:i + rows], n, e, delta, step)
-        out[l - l_first] = body + (delta * delta / step ** 2) * (wing - middle)
-        out *= math.pi * t_ev / material.gamma
-        if l_first == 0:
-            out[0] = _condensate(delta, t_ev) / material.gamma
+        rows = max(1, _G_CHUNK // (2 * e))   # the body holds several (rows x e) arrays
+        body = np.concatenate([np.empty(0)] + [_g_body(lp[i:i + rows], n, e, delta, step)
+                                               for i in range(0, lp.size, rows)])
+        scale = math.pi * t_ev / material.gamma
+        out[l > 0] = (body + (delta * delta / step ** 2) * (wing - middle)) * scale
+        out[l == 0] = _condensate(delta, t_ev) / material.gamma
+    return out
+
+
+@lru_cache(maxsize=256)
+def g_on_matsubara_grid(material: MaterialParams, gap: GapModel, T: float,
+                        l_count: int, l_first: int = 0) -> np.ndarray:
+    """g_matsubara on the run l_first .. l_first + l_count, cached; read-only."""
+    out = g_matsubara(material, gap, T, np.arange(l_first, l_first + l_count + 1))
     out.setflags(write=False)
     return out
 

@@ -3,14 +3,14 @@
 Everything here deliberately avoids the production code paths: different
 integration variables, different libraries, different algebra.  The QUADPACK
 Kramers-Kronig route shares only the gap curve and the constants with the
-production g.  The two exceptions share the wavevector integrator and the
-per-l permittivities with production.  normal_free_energy_exact differs from
-it only in its summation: every term in ascending order, against the graded
-stride of the production full series.  superconducting_free_energy_direct
-also shares g and differs only in its integrand: the superconducting series
-summed on its own, against the production difference series.
-g_body_per_pair is the reverse case, the same arithmetic as production in a
-plainer layout, and must match it bit for bit.
+production g.  The exceptions share the wavevector integrator and the per-l
+permittivities with production.  normal_free_energy_exact and
+difference_free_energy_exact differ from it only in their summation: every
+term in ascending order, against the graded stride of the production
+series.  superconducting_free_energy_direct also shares g and differs only
+in its integrand: the superconducting series summed on its own, against the
+production difference series.  g_body_windowed is the reverse case, the same
+arithmetic as production in another layout, and must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 from scipy import integrate as _sint
 
 from casimir_sc import lifshitz
 from casimir_sc.constants import CONST
 from casimir_sc.errors import ConvergenceError, DomainError
-from casimir_sc.lifshitz import EngineConfig
+from casimir_sc.lifshitz import EngineConfig, FreeEnergyResult
 from casimir_sc.materials import (GapModel, MaterialParams, bcs_gap, default_gap,
                                   drude_eps, eps_bcs, g_on_matsubara_grid)
 from casimir_sc.quadrature import NeumaierSum
@@ -124,13 +125,16 @@ def g_matsubara_exact_cross(material: MaterialParams, gap: GapModel, T: float,
     return out * (math.pi * t_ev / material.gamma)
 
 
-def g_body_per_pair(l: np.ndarray, n: int, e: int, delta: float, step: float) -> np.ndarray:
-    """materials._g_body written per pair: every frequency is computed on a
-    (rows x width) array of indices, and every cross pair carries its weight.
+def g_body_windowed(l: np.ndarray, n: int, e: int, delta: float, step: float) -> np.ndarray:
+    """materials._g_body for a chunk of consecutive l >= 1, with every
+    frequency read from one table.
 
-    Same expressions and the same reduction order as production, which reads
-    the frequencies from per-chunk tables and drops the weights past l = 2e,
-    so the two must agree bit for bit.
+    w_k = step (k + 1/2) and s_k = sqrt(w_k^2 + Delta^2) are tabled once for
+    every k the chunk reaches, l[0] - e <= k < l[-1] + n.  Row i reads them at
+    l_i .. l_i+n-1 and at its cross partners l_i-1 .. l_i-e as windows of
+    that table.  Same expressions and reduction order as production, which
+    computes each row's frequencies on its own, so the two must agree bit for
+    bit.
     """
     d2 = delta * delta
 
@@ -138,15 +142,21 @@ def g_body_per_pair(l: np.ndarray, n: int, e: int, delta: float, step: float) ->
         w = step * (k + 0.5)
         return w, np.sqrt(w * w + d2)
 
-    w0, s0 = ws(np.arange(n))
-    wl, sl = ws(l[:, None] + np.arange(n))
-    noncross = np.sum(1.0 - (w0 * wl - d2) / (s0 * sl), axis=1)
+    w, s = ws(np.arange(l[0] - e, l[-1] + n))
     m = np.arange(e)
     wm, sm = ws(m)
-    partner = l[:, None] - 1 - m
-    wp, sp = ws(partner)
-    weight = np.where(m < partner, 2.0, np.where(m == partner, 1.0, 0.0))
-    cross = np.sum(weight * (-1.0 + (wm * wp + d2) / (sm * sp)), axis=1)
+    rows = l.size
+    wl, sl = (sliding_window_view(a, n)[e:e + rows] for a in (w, s))
+    noncross = np.sum(1.0 - (wm[:n] * wl - d2) / (sm[:n] * sl), axis=1)
+    # Row i's partners, right to left, start at n + rows-1-i in the reversed table.
+    wp, sp = (sliding_window_view(a[::-1], e)[n:n + rows][::-1] for a in (w, s))
+    t = -1.0 + (wm * wp + d2) / (sm * sp)
+    if l[0] >= 2 * e:
+        cross = 2.0 * np.sum(t, axis=1)
+    else:
+        partner = l[:, None] - 1 - m
+        weight = np.where(m < partner, 2.0, np.where(m == partner, 1.0, 0.0))
+        cross = np.sum(weight * t, axis=1)
     return 2.0 * noncross + cross
 
 
@@ -158,6 +168,26 @@ Y_FULL = 48.0
 def full_series_extent(T: float, d: float) -> int:
     """The last l with y_l <= Y_FULL at temperature T and gap d."""
     return int(Y_FULL * HBAR_C / (2.0 * d * 2.0 * math.pi * K_B * T))
+
+
+# l per block of term_stream.
+_BLOCK = 256
+
+
+def term_stream(integrand, params, T: float, d: float, cfg: EngineConfig, l_stop: int):
+    """(integral, error) of the production terms l = 1 .. l_stop in order, a
+    block at a time.
+
+    params(l, xi) gives the integrand's per-l parameters from the block's
+    integer l and its xi_l; a block is computed only once the sum reaches it.
+    """
+    h = 2.0 * math.pi * CONST.k_b * T
+    for first in range(1, l_stop + 1, _BLOCK):
+        l = np.arange(first, min(first + _BLOCK, l_stop + 1))
+        xi = h * l
+        vals, errs = lifshitz._terms(integrand, lifshitz._scaled_yl(xi, d), params(l, xi),
+                                     cfg.rel_tol_quadrature)
+        yield from zip(vals.tolist(), errs.tolist())
 
 
 def normal_free_energy_exact(material_a: MaterialParams, material_b: MaterialParams,
@@ -172,10 +202,49 @@ def normal_free_energy_exact(material_a: MaterialParams, material_b: MaterialPar
                          cfg.rel_tol_quadrature)[0][0]
     acc = NeumaierSum()
     acc.add(0.5 * s0)
-    for sl, _ in lifshitz._term_stream(lifshitz._pair_log, params, T, d, cfg,
-                                       full_series_extent(T, d)):
+    for sl, _ in term_stream(lifshitz._pair_log, params, T, d, cfg, full_series_extent(T, d)):
         acc.add(sl)
     return CONST.k_b * T / (8.0 * math.pi * d * d) * acc.value
+
+
+def difference_free_energy_exact(material_a: MaterialParams, material_b: MaterialParams,
+                                 T: float, d: float, cfg: EngineConfig,
+                                 extent: int | None = None) -> FreeEnergyResult:
+    """F_n - F_s summed in ascending l with compensation, eV/nm^2, on the
+    production terms and g, fetched a block of l at a time.
+
+    Without extent the sum stops where production does, after three quiet
+    terms, |term_l| <= rel_tol_series |sum_{j<=l} term_j|, once l reaches
+    matsubara_cap_diff * 2 Delta(0); it raises ConvergenceError if that has
+    not happened by full_series_extent.  With extent it adds every l up to
+    extent.  terms_used is the last l summed plus one, and error_estimate the
+    quadrature errors plus the last term.
+    """
+    gap = default_gap(material_b.tc)
+    h = 2.0 * math.pi * CONST.k_b * T
+    l_cap = int(math.ceil(cfg.matsubara_cap_diff * (2.0 * gap.delta0) / h))
+
+    def params(l, xi):
+        g = g_on_matsubara_grid(material_b, gap, T, l.size - 1, int(l[0]))
+        return drude_eps(material_a, xi), drude_eps(material_b, xi), eps_bcs(material_b, xi, g)
+
+    acc = NeumaierSum()
+    err = 0.0
+    quiet = 0
+    stream = term_stream(lifshitz._diff_log, params, T, d, cfg,
+                         extent or full_series_extent(T, d))
+    for l, (sl, el) in enumerate(stream, start=1):
+        acc.add(sl)
+        err += el
+        quiet = quiet + 1 if abs(sl) <= cfg.rel_tol_series * abs(acc.value) else 0
+        if extent is None and quiet >= 3 and l >= l_cap:
+            break
+    else:
+        if extent is None:
+            raise ConvergenceError(f"no stop after {l} terms", error_estimate=abs(sl))
+    pref = CONST.k_b * T / (8.0 * math.pi * d * d)
+    return FreeEnergyResult(value=pref * acc.value, terms_used=l + 1,
+                            error_estimate=pref * (err + abs(sl)))
 
 
 def superconducting_free_energy_direct(material_a: MaterialParams,
@@ -195,7 +264,7 @@ def superconducting_free_energy_direct(material_a: MaterialParams,
                          cfg.rel_tol_quadrature)[0][0]
     acc = NeumaierSum()
     acc.add(0.5 * s0)
-    for sl, _ in lifshitz._term_stream(lifshitz._pair_log, params, T, d, cfg, terms):
+    for sl, _ in term_stream(lifshitz._pair_log, params, T, d, cfg, terms):
         acc.add(sl)
     return CONST.k_b * T / (8.0 * math.pi * d * d) * acc.value
 

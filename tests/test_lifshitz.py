@@ -1,4 +1,3 @@
-import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -23,6 +22,7 @@ from casimir_sc.quadrature import adaptive_quad
 from casimir_sc.sc_state import Phase, shifted_tc
 
 from oracles import (
+    difference_free_energy_exact,
     fresnel_mpmath,
     full_series_extent,
     ideal_casimir_energy,
@@ -235,11 +235,22 @@ def test_difference_truncation_robustness():
 
 
 def test_block_size_does_not_change_series(monkeypatch):
-    """Terms are integrated in blocks of l, each with its own slice of g;
-    the split must not move a single bit."""
+    """The series integrate their terms, and fetch g, in blocks of l; a split
+    into one-l blocks must not move a single bit."""
     diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
     fs = free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, T200, 200.0, CFG)
-    monkeypatch.setattr(lifshitz_mod, "_BLOCK", 7)
+    terms, g = lifshitz_mod._terms, lifshitz_mod.g_matsubara
+
+    def one_row_terms(integrand, yl, params, rel_tol):
+        rows = [terms(integrand, yl[i:i + 1], tuple(p[i:i + 1] for p in params), rel_tol)
+                for i in range(yl.size)]
+        return tuple(np.concatenate(part) for part in zip(*rows))
+
+    def one_l_g(material, gap, T, l):
+        return np.concatenate([g(material, gap, T, l[i:i + 1]) for i in range(l.size)])
+
+    monkeypatch.setattr(lifshitz_mod, "_terms", one_row_terms)
+    monkeypatch.setattr(lifshitz_mod, "g_matsubara", one_l_g)
     assert free_energy_difference(GOLD, LEAD, T200, 70.0, CFG) == diff
     assert free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, T200, 200.0, CFG) == fs
 
@@ -301,15 +312,15 @@ def test_fine_pass_rows_are_accurate(monkeypatch, field_oe):
 
 
 @pytest.mark.parametrize("field_oe, terms_used, delta_f_fn, fallbacks",
-                         [(200.0, 4204, 18.580427126530353, 36),
-                          (775.0, 18013, 56.77679086961815, 179)])
+                         [(200.0, 623, 18.580427126530353, 36),
+                          (775.0, 773, 56.77679086961815, 179)])
 def test_fine_pass_keeps_series(monkeypatch, field_oe, terms_used, delta_f_fn,
                                 fallbacks):
     """The rule ladder leaves the 70 nm series where the per-row adaptive
     refinement had it and makes no adaptive_quad call.  The rows that the
     bisected rule leaves short, and so reach the third rung, are exactly
-    those that used to fall back to adaptive_quad: about a tenth of the rows
-    the 6-panel rule flags (359 and 1,763)."""
+    those that used to fall back to adaptive_quad; all of them lie in the
+    exactly summed head, so the strided series keeps their count."""
     calls = []
     beyond_fine = []
     adaptive = lifshitz_mod.adaptive_quad
@@ -330,19 +341,19 @@ def test_fine_pass_keeps_series(monkeypatch, field_oe, terms_used, delta_f_fn,
     assert not calls
     assert sum(beyond_fine) == fallbacks
     assert res.terms_used == terms_used
-    assert res.delta_f_fn == pytest.approx(delta_f_fn, rel=1e-12)
+    assert res.delta_f_fn == pytest.approx(delta_f_fn, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("d, T, rrr_pb, terms_used, delta_f_fn",
-                         [(10.5, 7.0, 1e4, 13074, 243229.5423130363),
-                          (1000.0, 1.0, 1.0, 2259, 0.5115448757204183)])
+                         [(10.5, 7.0, 1e4, 700, 243229.5423130363),
+                          (1000.0, 1.0, 1.0, 553, 0.5115448757204183)])
 def test_ladder_keeps_series_at_domain_edges(d, T, rrr_pb, terms_used, delta_f_fn):
-    """Near the smallest gap and at a large one the ladder keeps the series
-    that per-row adaptive refinement gave (153 and 16 rows went there)."""
+    """Near the smallest gap and at a large one the ladder and the stride keep
+    the series that per-row adaptive refinement gave, summed term by term."""
     lead = replace(LEAD, rrr=rrr_pb)
     res = delta_force_pfa(GOLD, lead, 150.0, T, d, CFG)
     assert res.terms_used == terms_used
-    assert res.delta_f_fn == pytest.approx(delta_f_fn, rel=1e-12)
+    assert res.delta_f_fn == pytest.approx(delta_f_fn, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-16, 1e-20])
@@ -372,23 +383,99 @@ def test_terms_raise_on_unconverged_row():
 
 
 def test_g_requested_once_per_block(monkeypatch):
-    """Each block asks for g on its own l only: the requested runs climb
-    from l = 1 without gap or overlap and stop within a block of the end."""
-    runs = []
-    g_on_grid = lifshitz_mod.g_on_matsubara_grid
+    """Each block of terms asks for g on its own l only, once: the first
+    block is the head l = 1 .. 255, and every l's g is asked for once."""
+    g_calls, term_calls = [], []
+    g, terms = lifshitz_mod.g_matsubara, lifshitz_mod._terms
 
-    def record(*args, **kwargs):
-        call = inspect.signature(g_on_grid).bind(*args, **kwargs).arguments
-        first = call.get("l_first", 0)
-        runs.append((first, first + call["l_count"]))
-        return g_on_grid(*args, **kwargs)
+    def record_g(material, gap, T, l):
+        g_calls.append(l.tolist())
+        return g(material, gap, T, l)
 
-    monkeypatch.setattr(lifshitz_mod, "g_on_matsubara_grid", record)
+    def record_terms(integrand, yl, params, rel_tol):
+        term_calls.append(yl.size)
+        return terms(integrand, yl, params, rel_tol)
+
+    monkeypatch.setattr(lifshitz_mod, "g_matsubara", record_g)
+    monkeypatch.setattr(lifshitz_mod, "_terms", record_terms)
     res = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
-    assert runs[0][0] == 1
-    for (_, last), (first, _) in zip(runs, runs[1:]):
-        assert first == last + 1
-    assert res.terms_used - 1 <= runs[-1][1] < res.terms_used + lifshitz_mod._BLOCK
+    assert g_calls[0] == list(range(1, 256))
+    assert [len(c) for c in g_calls] == term_calls
+    fetched = [l for c in g_calls for l in c]
+    assert len(fetched) == len(set(fetched)) == res.terms_used - 1
+
+
+@pytest.mark.parametrize("T, d, rrr_pb", [(shifted_tc(LEAD, 200.0), 70.0, 2.0),
+                                          (shifted_tc(LEAD, 775.0), 70.0, 2.0),
+                                          (7.0, 10.5, 1e4), (1.0, 1000.0, 1.0),
+                                          (1.0, 10.5, 2.0)])
+def test_difference_stops_where_ascending_sum_stops(T, d, rrr_pb):
+    """The strided difference series stops at the l where the ascending sum
+    stops and meets it to 1e-12: at 200 and 775 Oe, 70 nm (4,203 and 18,012
+    terms), near the smallest and at a large gap, and at 10.5 nm, 1 K
+    (71,056 terms).  A stop one l off would show, since every term near the
+    stop is about rel_tol_series of the sum."""
+    lead = replace(LEAD, rrr=rrr_pb)
+    diff = free_energy_difference(GOLD, lead, T, d, CFG)
+    exact = difference_free_energy_exact(GOLD, lead, T, d, CFG)
+    assert diff.value == pytest.approx(exact.value, rel=1e-12, abs=0.0)
+
+
+def test_difference_evaluates_few_terms(monkeypatch):
+    """At 775 Oe, 70 nm the ascending sum takes 18,012 terms; the strided
+    series evaluates at most 1,000 distinct l, each term and each g once."""
+    term_l, g_l = [], []
+    terms, g = lifshitz_mod._terms, lifshitz_mod.g_matsubara
+    T = shifted_tc(LEAD, 775.0)
+    h = 2.0 * math.pi * CONST.k_b * T
+
+    def record_terms(integrand, yl, params, rel_tol):
+        term_l.extend(np.rint(yl * CONST.hbar_c / (2.0 * 70.0 * h)).astype(int).tolist())
+        return terms(integrand, yl, params, rel_tol)
+
+    def record_g(material, gap, T, l):
+        g_l.extend(l.tolist())
+        return g(material, gap, T, l)
+
+    monkeypatch.setattr(lifshitz_mod, "_terms", record_terms)
+    monkeypatch.setattr(lifshitz_mod, "g_matsubara", record_g)
+    res = free_energy_difference(GOLD, LEAD, T, 70.0, CFG)
+    assert len(term_l) == len(set(term_l)) == res.terms_used - 1 <= 1000
+    assert sorted(g_l) == sorted(term_l)
+
+
+@pytest.mark.parametrize("field_oe", [200.0, 775.0])
+def test_difference_error_bounds_refinement(field_oe):
+    """The difference series' error estimate, the tail past the stop
+    included, bounds the shift seen when both tolerances are halved and both
+    caps doubled; the halved rel_tol_series moves the stop."""
+    T = shifted_tc(LEAD, field_oe)
+    finer = replace(CFG, rel_tol_quadrature=CFG.rel_tol_quadrature / 2,
+                    rel_tol_series=CFG.rel_tol_series / 2,
+                    matsubara_cap_full=2 * CFG.matsubara_cap_full,
+                    matsubara_cap_diff=2 * CFG.matsubara_cap_diff)
+    diff = free_energy_difference(GOLD, LEAD, T, 70.0, CFG)
+    refined = free_energy_difference(GOLD, LEAD, T, 70.0, finer)
+    assert diff.error_estimate >= abs(diff.value - refined.value) > 0.0
+
+
+@pytest.mark.parametrize("T", [1.0, 0.1])
+def test_difference_converges_at_smallest_gap(T):
+    """At 10.5 nm the ascending sum stops after 71,056 terms at 1 K and after
+    526,164 at 0.1 K, about 290 and 220 times l_cap.  The strided series
+    converges there on a few octaves of evaluated terms, with a finite tail."""
+    res = free_energy_difference(GOLD, LEAD, T, 10.5, CFG)
+    assert res.value > 0.0
+    assert res.terms_used < 2000
+    assert 0.0 < res.error_estimate < 1e-3 * res.value
+
+
+def test_difference_raises_without_quiet_term_by_y_stop(monkeypatch):
+    """The difference series gives up only when no octave edge is quiet by
+    y_l = _Y_STOP; at 775 Oe, 70 nm its stop lies at y_l = 8.8."""
+    monkeypatch.setattr(lifshitz_mod, "_Y_STOP", 1.0)
+    with pytest.raises(ConvergenceError, match=r"no quiet term by y_l = 1, l = 2048"):
+        free_energy_difference(GOLD, LEAD, shifted_tc(LEAD, 775.0), 70.0, CFG)
 
 
 @pytest.mark.parametrize("field_oe", [200.0, 775.0])

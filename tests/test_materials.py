@@ -20,6 +20,7 @@ from casimir_sc.materials import (
     dirty_limit_ratio,
     drude_eps,
     eps_bcs,
+    g_matsubara,
     g_on_matsubara_grid,
     g_zero_limit,
     mattis_bardeen_g,
@@ -28,7 +29,7 @@ from casimir_sc.sc_state import shifted_tc
 
 from oracles import (
     _mb_ratio_oracle,
-    g_body_per_pair,
+    g_body_windowed,
     g_from_oracle,
     g_matsubara_bruteforce,
     g_matsubara_exact_cross,
@@ -462,25 +463,22 @@ def test_g_grid_matches_exact_cross_sum(field_oe):
 
 @pytest.mark.parametrize("field_oe", [30.0, 200.0, 775.0])
 def test_g_grid_keeps_bits_of_per_pair_body(monkeypatch, field_oe):
-    """The frequency tables of _g_body, and its dropped weights past l = 2e,
-    give g the bits of the per-pair body: in blocks that start at l = 0, at
-    1, just below 2e (a chunk on both sides of 2e), at 2e and past 17,000."""
+    """g at scattered l, in shuffled order and from the per-pair body, has
+    the bits of runs built on the windowed frequency tables of
+    oracles.g_body_windowed: runs that start at l = 0, at 1, just below 2e
+    (a chunk on both sides of 2e), at 2e and past 17,000."""
     temperature = shifted_tc(LEAD, field_oe)
     delta = bcs_gap(GAP, temperature, LEAD.tc)
     step = 2.0 * math.pi * CONST.k_b * temperature
     e = materials._CROSS_EXACT * (int(max(60.0 * delta / step, 60.0)) + 1)
-    runs = [(255, 0), (255, 1), (255, 2 * e - 3), (255, 2 * e), (255, 17001)]
-
-    def grids():
-        g_on_matsubara_grid.cache_clear()
-        return [g_on_matsubara_grid(LEAD, GAP, temperature, *run) for run in runs]
-
-    tabled = grids()
-    monkeypatch.setattr(materials, "_g_body", g_body_per_pair)
-    per_pair = grids()
-    g_on_matsubara_grid.cache_clear()
-    for run, a, b in zip(runs, tabled, per_pair):
-        assert np.array_equal(a, b), run
+    runs = [np.arange(first, first + 256) for first in (0, 1, 2 * e - 3, 2 * e, 17001)]
+    every = np.concatenate(runs)
+    order = np.random.default_rng(7).permutation(every.size)
+    scattered = np.empty(every.size)
+    scattered[order] = g_matsubara(LEAD, GAP, temperature, every[order])
+    monkeypatch.setattr(materials, "_g_body", g_body_windowed)
+    windowed = np.concatenate([g_matsubara(LEAD, GAP, temperature, run) for run in runs])
+    assert np.array_equal(scattered, windowed)
 
 
 def test_g_grid_runs_are_shared_and_read_only():
