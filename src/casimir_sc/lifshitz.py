@@ -289,7 +289,7 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
         walked to on the strided sums, and at l = 256 taken back over the head."""
         v = terms(range(a, 2 * a + 1, k))[0]
         rough = acc.value + k * (np.cumsum(v) - 0.5 * (v[0] + v)) + 0.5 * (v[0] + v)
-        f = np.log(np.abs(v) / (cfg.rel_tol_series * np.abs(rough)))
+        f = np.log(np.maximum(np.abs(v), 1e-300) / (cfg.rel_tol_series * np.abs(rough)))
         j = next((i for i, x in enumerate(f) if x <= 0.0), f.size - 1)
         l = a if j == 0 else min(2 * a, a + (j - 1) * k
                                  + math.ceil(k * f[j - 1] / (f[j - 1] - f[j])))
@@ -305,8 +305,8 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
     def result(err: float, stop=None) -> FreeEnergyResult:
         if stop is not None:
             before, last = terms([stop - 1, stop])[0]
-            rate = math.log(before / last) - 1.0 / stop if before / last > 0.0 else 0.0
-            err += abs(last) / rate if rate > 0.0 else math.inf
+            rate = math.log(before / last) - 1.0 / stop if last and before / last > 0 else 0.0
+            err += abs(last) / rate if rate > 0.0 else (math.inf if last else 0.0)
         pref = CONST.k_b * T / (8.0 * math.pi * d * d)
         return FreeEnergyResult(value=float(pref * acc.value), terms_used=len(known) + 1,
                                 error_estimate=float(pref * err))
@@ -323,14 +323,14 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
     err = head[1] + errs.sum()
     a, k, stop = _HEAD, _HEAD // _NODES, None
     while (stop is None or stop >= 2 * a) if quiet_stop else a <= extent:
-        if quiet_stop and stop is None and a > y_top:
-            raise ConvergenceError(f"Matsubara series: no quiet term by y_l = {_Y_STOP:g}, "
-                                   f"l = {a}", abs(known[a][0]))
         value, miss, k = settled(a, 2 * a, k)
         if quiet_stop and stop is None and quiet(2 * a, acc.value + value + known[2 * a][0]):
             stop = max(l_cap, first_quiet(a, k) + 2)
             if stop < 2 * a:
                 break
+        elif quiet_stop and stop is None and 2 * a > y_top:
+            raise ConvergenceError(f"Matsubara series: no quiet term by y_l = {_Y_STOP:g}, "
+                                   f"l = {2 * a}", abs(known[2 * a][0]))
         acc.add(value)
         err += miss
         a, k = 2 * a, 2 * k

@@ -215,8 +215,8 @@ def difference_free_energy_exact(material_a: MaterialParams, material_b: Materia
 
     Without extent the sum stops where production does, after three quiet
     terms, |term_l| <= rel_tol_series |sum_{j<=l} term_j|, once l reaches
-    matsubara_cap_diff * 2 Delta(0); it raises ConvergenceError if that has
-    not happened by full_series_extent.  With extent it adds every l up to
+    l_cap = matsubara_cap_diff * 2 Delta(0) / (2 pi k_B T); it raises
+    ConvergenceError if that has not happened by full_series_extent or l_cap.  With extent it adds every l up to
     extent.  terms_used is the last l summed plus one, and error_estimate the
     quadrature errors plus the last term.
     """
@@ -232,7 +232,7 @@ def difference_free_energy_exact(material_a: MaterialParams, material_b: Materia
     err = 0.0
     quiet = 0
     stream = term_stream(lifshitz._diff_log, params, T, d, cfg,
-                         extent or full_series_extent(T, d))
+                         extent or max(full_series_extent(T, d), l_cap))
     for l, (sl, el) in enumerate(stream, start=1):
         acc.add(sl)
         err += el

@@ -408,15 +408,21 @@ def test_g_requested_once_per_block(monkeypatch):
 @pytest.mark.parametrize("T, d, rrr_pb", [(shifted_tc(LEAD, 200.0), 70.0, 2.0),
                                           (shifted_tc(LEAD, 775.0), 70.0, 2.0),
                                           (7.0, 10.5, 1e4), (1.0, 1000.0, 1.0),
-                                          (1.0, 10.5, 2.0)])
+                                          (1.0, 10.5, 2.0), (7.0, 1e6, 2.0),
+                                          (0.5, 1e6, 2.0)])
 def test_difference_stops_where_ascending_sum_stops(T, d, rrr_pb):
     """The strided difference series stops at the l where the ascending sum
     stops and meets it to 1e-12: at 200 and 775 Oe, 70 nm (4,203 and 18,012
     terms), near the smallest and at a large gap, and at 10.5 nm, 1 K
     (71,056 terms).  A stop one l off would show, since every term near the
-    stop is about rel_tol_series of the sum."""
+    stop is about rel_tol_series of the sum.  At 1 mm the terms past a few
+    hundred l underflow to 0, and the series must neither warn nor fail;
+    at 0.5 K it runs past y_l = 48 to l_cap = 486."""
     lead = replace(LEAD, rrr=rrr_pb)
-    diff = free_energy_difference(GOLD, lead, T, d, CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        diff = free_energy_difference(GOLD, lead, T, d, CFG)
+    assert math.isfinite(diff.error_estimate)
     exact = difference_free_energy_exact(GOLD, lead, T, d, CFG)
     assert diff.value == pytest.approx(exact.value, rel=1e-12, abs=0.0)
 
