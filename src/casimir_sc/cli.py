@@ -1,19 +1,28 @@
 """Command-line driver.
 
 Subcommands: sweep-field, sweep-gap, g-function, waveform, point.
-Exit codes: 0 all rows converged, 1 configuration error, 2 partial results.
+Exit codes: 0 all rows converged, 1 configuration or engine error, 2 partial
+results. A sweep stopped by SIGINT, SIGTERM or SIGHUP writes its finished rows
+and exits 2; stopped by any other exception, it writes them and re-raises.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 from typing import Optional, Sequence
 
-from . import __version__
-from .errors import ConfigError, ConvergenceError, DomainError
-from .sc_state import ModulationSpec
-from .sweeps import (CONFIG_KEYS, RunConfig, g_function_table, load_config,
+# numpy's OpenBLAS starts a busy-waiting worker per CPU that the engine's small
+# matrix-vector sums cannot use; unless the user chose a count, the engine
+# imports below load numpy with one BLAS thread.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import __version__  # noqa: E402
+from .errors import ConfigError, ConvergenceError, DomainError  # noqa: E402
+from .sc_state import ModulationSpec  # noqa: E402
+from .sweeps import (CONFIG_KEYS, RunConfig, g_function_table, load_config,  # noqa: E402
                      point_eval, render_point, render_rows, run_sweep,
                      waveform_samples)
 
@@ -94,16 +103,25 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 def _run_sweep_command(cfg: RunConfig) -> int:
     rows: list = []
-    interrupted = False
+    # SIGTERM and SIGHUP stop a sweep as SIGINT does, unless ignored or handled
+    replaced = [s for s in (getattr(signal, n, None) for n in ("SIGTERM", "SIGHUP"))
+                if s is not None and signal.getsignal(s) is signal.SIG_DFL]
+    for signum in replaced:
+        signal.signal(signum, signal.default_int_handler)
     try:
         run_sweep(cfg, rows=rows)
     except KeyboardInterrupt:
-        interrupted = True
-    text = render_rows(cfg, rows)
-    _emit(text, cfg.output_path)
-    if interrupted:
+        _emit(render_rows(cfg, rows), cfg.output_path)
         sys.stderr.write("interrupted: flushed completed rows\n")
         return 2
+    except Exception:
+        if rows:  # a bug or a MemoryError: keep the finished rows, then report
+            _emit(render_rows(cfg, rows), cfg.output_path)
+        raise
+    finally:
+        for signum in replaced:
+            signal.signal(signum, signal.SIG_DFL)
+    _emit(render_rows(cfg, rows), cfg.output_path)
     return 0 if all(r.error is None for r in rows) else 2
 
 

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -588,27 +589,100 @@ def test_temperature_k_refused_where_rows_set_temperature(capsys):
         run_sweep(cfg)
 
 
-def test_cli_interrupt_keeps_finished_rows(monkeypatch, tmp_path, capsys):
+def _fake_row(x):
+    return sweeps_mod.SweepRow(x=x, t_prime_c_k=6.5, delta_f_fn=12.5,
+                               f_normal_ev_nm2=float("nan"),
+                               f_super_ev_nm2=float("nan"),
+                               terms_used=42, pfa_bound=4.5e-4)
+
+
+FAKE_ROW_1 = "1.5e+02,6.5e+00,1.25e+01,nan,nan,42,4.5e-04"
+
+
+def _sweep_stopping_after_one_row(monkeypatch, tmp_path, stop):
+    """cli_main on a 3-row field sweep whose second row calls stop()."""
     done = []
 
-    def one_then_interrupt(cfg, variable, x):
+    def one_then_stop(cfg, variable, x):
         if done:
-            raise KeyboardInterrupt
+            stop()
         done.append(x)
-        return sweeps_mod.SweepRow(x=x, t_prime_c_k=6.5, delta_f_fn=12.5,
-                                   f_normal_ev_nm2=float("nan"),
-                                   f_super_ev_nm2=float("nan"),
-                                   terms_used=42, pfa_bound=4.5e-4)
+        return _fake_row(x)
 
-    monkeypatch.setattr(sweeps_mod, "_evaluate_row", one_then_interrupt)
+    monkeypatch.setattr(sweeps_mod, "_evaluate_row", one_then_stop)
     out = tmp_path / "sweep.csv"
     code = cli_main(["sweep-field", "--start", "150", "--stop", "250",
                      "--points", "3", "--no-full", "--output", str(out)])
+    return code, out
+
+
+def test_cli_interrupt_keeps_finished_rows(monkeypatch, tmp_path, capsys):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    code, out = _sweep_stopping_after_one_row(monkeypatch, tmp_path, interrupt)
     assert code == 2
     text = out.read_text()
     assert "# rows_converged=1/1" in text
-    assert "1.5e+02,6.5e+00,1.25e+01,nan,nan,42,4.5e-04" in text.splitlines()
+    assert FAKE_ROW_1 in text.splitlines()
     assert "interrupted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["SIGTERM", "SIGHUP"])
+def test_cli_stop_signal_keeps_finished_rows(name, monkeypatch, tmp_path, capsys):
+    """SIGTERM and SIGHUP stop a sweep as SIGINT does, and the handler in
+    place before the sweep is back after it."""
+    if not hasattr(signal, name):
+        pytest.skip(f"no {name} on this platform")
+    signum = getattr(signal, name)
+
+    def send_signal():
+        # with the default action still in place the signal would end pytest
+        assert signal.getsignal(signum) is not signal.SIG_DFL, "no handler installed"
+        os.kill(os.getpid(), signum)
+        time.sleep(10)  # the handler raises out of this
+
+    before = signal.signal(signum, signal.SIG_DFL)
+    try:
+        code, out = _sweep_stopping_after_one_row(monkeypatch, tmp_path, send_signal)
+        assert signal.getsignal(signum) is signal.SIG_DFL
+    finally:
+        signal.signal(signum, before)
+    assert code == 2
+    text = out.read_text()
+    assert "# rows_converged=1/1" in text
+    assert FAKE_ROW_1 in text.splitlines()
+    assert "interrupted" in capsys.readouterr().err
+
+
+def test_cli_sweep_leaves_an_ignored_signal_ignored(monkeypatch, tmp_path):
+    """Under nohup SIGHUP is ignored, and a sweep must keep it so."""
+    if not hasattr(signal, "SIGHUP"):
+        pytest.skip("no SIGHUP on this platform")
+    seen = []
+    monkeypatch.setattr(sweeps_mod, "_evaluate_row",
+                        lambda cfg, variable, x: seen.append(signal.getsignal(signal.SIGHUP))
+                        or _fake_row(x))
+    before = signal.signal(signal.SIGHUP, signal.SIG_IGN)
+    try:
+        assert cli_main(["sweep-field", "--start", "150", "--stop", "250", "--points", "2",
+                         "--no-full", "--output", str(tmp_path / "s.csv")]) == 0
+        assert signal.getsignal(signal.SIGHUP) is signal.SIG_IGN
+    finally:
+        signal.signal(signal.SIGHUP, before)
+    assert seen == [signal.SIG_IGN, signal.SIG_IGN]
+
+
+def test_cli_unexpected_error_keeps_finished_rows(monkeypatch, tmp_path):
+    """An exception no row catches writes the finished rows, then propagates."""
+    def fail():
+        raise RuntimeError("synthetic bug")
+
+    with pytest.raises(RuntimeError, match="synthetic bug"):
+        _sweep_stopping_after_one_row(monkeypatch, tmp_path, fail)
+    text = (tmp_path / "sweep.csv").read_text()
+    assert "# rows_converged=1/1" in text
+    assert FAKE_ROW_1 in text.splitlines()
 
 
 def test_missing_config_file_is_config_error():
@@ -649,3 +723,51 @@ def test_tracer_wraps_existing_names(tmp_path):
     last = json.loads(proc.stdout.splitlines()[-1])
     assert last["exit"] == 0
     assert "cli.main_s" in last["metrics"]
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+def _python(*args, **env) -> str:
+    """stdout of a fresh interpreter run with args, OPENBLAS_NUM_THREADS set
+    only if env sets it."""
+    root = Path(__file__).resolve().parents[1]
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=120, env={**child_env, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_package_import_leaves_numpy_unloaded():
+    """The library import chooses no BLAS threads for its host program; the
+    names the benchmark's set-up probe uses still resolve."""
+    out = _python("-c", "import os, sys, casimir_sc\n"
+                        "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+                        "print(casimir_sc.default_gap(casimir_sc.LEAD.tc).ratio(0.5))")
+    loaded, env_set, ratio = out.split()
+    assert (loaded, env_set) == ("False", "False")
+    assert 0.0 < float(ratio) < 1.0
+
+
+@pytest.mark.parametrize("env, want", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_cli_import_runs_blas_on_one_thread_unless_set(env, want):
+    out = _python("-c", "import os, sys, casimir_sc.cli\n"
+                        "print('numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'])\n"
+                        "task = '/proc/self/task'\n"
+                        "print(len(os.listdir(task)) if os.path.isdir(task) else 'none')", **env)
+    loaded, value, threads = out.split()
+    assert (loaded, value) == ("True", want)
+    if want == "1" and threads != "none":  # no /proc, no thread count
+        assert threads == "1"
+
+
+@pytest.mark.parametrize("args", [["g-function", "--t-over-tc", "0.1"],
+                                  ["point", "--skip-force"]])
+def test_output_does_not_depend_on_blas_threads(args):
+    one, two = (_python("-m", "casimir_sc.cli", *args, OPENBLAS_NUM_THREADS=n)
+                for n in ("1", "2"))
+    assert one and one == two
