@@ -660,9 +660,12 @@ def test_cli_sweep_leaves_an_ignored_signal_ignored(monkeypatch, tmp_path):
     if not hasattr(signal, "SIGHUP"):
         pytest.skip("no SIGHUP on this platform")
     seen = []
-    monkeypatch.setattr(sweeps_mod, "_evaluate_row",
-                        lambda cfg, variable, x: seen.append(signal.getsignal(signal.SIGHUP))
-                        or _fake_row(x))
+
+    def record_handler(cfg, variable, x):
+        seen.append(signal.getsignal(signal.SIGHUP))
+        return _fake_row(x)
+
+    monkeypatch.setattr(sweeps_mod, "_evaluate_row", record_handler)
     before = signal.signal(signal.SIGHUP, signal.SIG_IGN)
     try:
         assert cli_main(["sweep-field", "--start", "150", "--stop", "250", "--points", "2",
