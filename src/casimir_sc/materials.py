@@ -7,24 +7,21 @@ Superconducting state (dirty limit): the conductivity picks up a correction
 
     sigma(i xi) = (Omega^2 / 4 pi) * [ 1/(xi + gamma) + g(xi; T)/xi ]
 
-where g is obtained by analytic continuation of the Mattis-Bardeen
-conductivity.  The production route evaluates g through a Kramers-Kronig
-transform of the real-frequency conductivity ratio R(omega), with the
-zero-frequency condensate delta function carried as the closed-form term
-pi*Delta*tanh(Delta/2kT).  Each part of R is substituted from its gap edges,
-so every omega settles on at most 256 Gauss-Legendre nodes.
-mattis_bardeen_g takes a whole column of xi at one temperature: R is
-evaluated once per node of one composite omega grid shared by every xi, an
-octave chain anchored at the gap edge 2 Delta and spanning the column, so
-a table costs one pass per temperature.
+where g is the Mattis-Bardeen conductivity continued to imaginary
+frequency.  mattis_bardeen_g evaluates it at any xi > 0 as one integral over
+quasiparticle energy, the fermionic Matsubara sum folded onto the branch cut
+from the gap edge; the zero-frequency condensate, pi*Delta*tanh(Delta/2kT),
+is part of that integral.  It takes a whole column of xi at one temperature
+on one composite K15 grid in the energy variable, so a table costs one pass
+per temperature.
 g_matsubara evaluates the same function at any set of the discrete thermal
-frequencies through a fermionic frequency sum, which is how the Lifshitz
-engine consumes it; each entry costs O(n) in the sum's body width.  The
-reduced BCS gap Delta(T)/Delta(0) is solved at each temperature asked for,
-by bisection of the gap equation, and memoised per temperature.  The
+frequencies through the fermionic frequency sum itself, which is how the
+Lifshitz engine consumes it; each entry costs O(n) in the sum's body width.
+The reduced BCS gap Delta(T)/Delta(0) is solved at each temperature asked
+for, by bisection of the gap equation, and memoised per temperature.  The
 polygammas both need come from one asymptotic series (_psi), so the module
-needs numpy only.  The independent QUADPACK oracle that checks the KK route
-lives with the tests.
+needs numpy only.  The independent QUADPACK Kramers-Kronig oracle that checks
+the column lives with the tests.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from .constants import CONST
 from .errors import ConvergenceError, DomainError
 # adaptive_quad and exp_tail_quad are unused here but stay module attributes,
 # which perfbench/trace_child.py wraps by name.
-from .quadrature import _WK, _XK, _k15, adaptive_quad, exp_tail_quad, gauss_legendre_nodes  # noqa: F401
+from .quadrature import _XK, _k15, adaptive_quad, exp_tail_quad  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -243,122 +240,12 @@ def drude_eps(material: MaterialParams, xi):
 
 
 # ---------------------------------------------------------------------------
-# Mattis-Bardeen ratio sigma1_s / sigma1_n on the real axis (dirty limit)
+# g(xi; T) at any imaginary frequency (dirty limit)
 
 
 # Elements per (rows x width) temporary of one pass over a chunk of rows, in
-# the ratio's node sums, the KK panels and the Matsubara-grid g.
+# the Matsubara-grid g; a g column's complex kernel takes a quarter of it.
 _G_CHUNK = 1 << 14
-
-
-def _fermi(x: np.ndarray) -> np.ndarray:
-    # 1/(e^x + 1) for x >= 0 without overflow
-    x = np.minimum(x, 700.0)
-    e = np.exp(-x)
-    return e / (1.0 + e)
-
-
-def _fermi_drop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """f(a) - f(a + b), f(x) = 1/(e^x + 1), for a, b >= 0, as
-    -e^-a expm1(-b) / ((1 + e^-a)(1 + e^-a e^-b)) with a capped at 700 as in
-    _fermi.  The plain difference has a relative error of about eps/b, which
-    would keep the small-omega nodes of _mb_nodes from settling."""
-    ea = np.exp(-np.minimum(a, 700.0))
-    return ea / (1.0 + ea) * -np.expm1(-b) / (1.0 + ea * np.exp(-b))
-
-
-def _mb_nodes(omega: np.ndarray, delta: float, t_ev: float, n: int) -> np.ndarray:
-    """R(omega), omega > 0, on n Gauss-Legendre nodes per part.
-
-    Quasiparticles: E = delta + (omega/2)(cosh v - 1) absorbs the inverse
-    square root of (E - delta)(E - delta + omega) into the measure.  Pair
-    breaking, omega > 2 delta only: [delta - omega, -delta] is split at
-    -omega/2, and each half is taken from its gap edge as E = -delta - dist
-    and E = delta - omega + dist, dist = 2 delta sinh^2 u, so that
-    dE / sqrt(dist (dist + 2 delta)) = 2 du.  Both halves then share the
-    coherence factor 2 r delta + dist (2r - dist) and the far factor
-    sqrt((2r - dist)(2r - dist + 2 delta)), r = omega/2 - delta; only the
-    occupation tanh((E + omega)/2kT) differs, and the two are summed.  The
-    integrand grows like e^2u towards the middle, which Gauss-Legendre
-    resolves in a few dozen nodes however large omega is.  asinh, sinh and
-    tanh are taken through log1p, exp and _fermi: numpy's own each map
-    another 64 KiB of vectorised code on first use, which raised the peak
-    resident memory of a g-function run by 0.15 MB.
-    """
-    x, w = gauss_legendre_nodes(n)
-    out = np.zeros_like(omega)
-    if t_ev > 0.0:
-        om = omega[:, None]
-        v_max = np.arccosh(1.0 + 2.0 * (42.0 * t_ev) / om)
-        e = delta + 0.5 * om * (np.cosh(v_max * x) - 1.0)
-        occ = _fermi_drop(e / t_ev, om / t_ev)
-        coh = (e * (e + om) + delta * delta) / np.sqrt((e + delta) * (e + om + delta))
-        out += (2.0 / omega) * (v_max[:, 0] * np.dot(occ * coh, w))
-        del e, occ, coh                # (rows x n) each; the next part needs as many
-    sel = omega > 2.0 * delta
-    if np.any(sel):
-        om = omega[sel][:, None]
-        two_r = om - 2.0 * delta
-        q = 0.25 * two_r / delta
-        u_max = np.log1p(np.sqrt(q) + q / (1.0 + np.sqrt(1.0 + q)))   # asinh(sqrt(q))
-        dist = np.exp(u_max * x)
-        dist = 0.5 * delta * (dist - 1.0 / dist) ** 2                   # 2 delta sinh^2 u
-        far = two_r - dist
-        coh = (delta * two_r + dist * far) / np.sqrt(far * (far + 2.0 * delta))
-        if t_ev > 0.0:
-            # tanh(z/2kT) = 1 - 2 f(z/kT) at z = E + omega of each half
-            occ = _fermi((delta + dist) / t_ev)
-            occ += _fermi((far + delta) / t_ev)
-            coh *= 2.0 - 2.0 * occ
-        else:
-            coh *= 2.0
-        out[sel] += (2.0 / omega[sel]) * (u_max[:, 0] * np.dot(coh, w))
-    return out
-
-
-# Node counts _mb_ratio tries in turn, and the agreement it asks of two
-# counts, relative to max(|R|, 1).
-_MB_LADDER, _MB_REL = (64, 128, 256, 512), 1e-11
-
-
-def _mb_ratio(omega: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
-    """sigma1_s(omega)/sigma1_n(omega), each omega to its own node count.
-
-    Every omega starts at 64 Gauss-Legendre nodes and doubles them until two
-    counts agree to _MB_REL max(|R|, 1): the Kramers-Kronig transform takes
-    R - 1, so 1e-11 against the 1 is the scale that matters.  Only the
-    unconverged omega go on; every omega of a g column at any temperature
-    settles by 256 nodes, and one still apart at 512 raises
-    ConvergenceError.  Chunks keep rows x nodes under _G_CHUNK elements.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if delta == 0.0:
-        return np.ones_like(omega)
-
-    def ratio(om, n):
-        rows = max(1, _G_CHUNK // n)
-        return np.concatenate([_mb_nodes(c, delta, t_ev, n)
-                               for c in np.split(om, range(rows, om.size, rows))])
-
-    flat = omega.ravel()
-    out = ratio(flat, _MB_LADDER[0])
-    todo = np.arange(flat.size)
-    for n in _MB_LADDER[1:]:
-        new = ratio(flat[todo], n)
-        moved = np.abs(new - out[todo])
-        done = moved <= _MB_REL * np.maximum(np.abs(new), 1.0)
-        out[todo] = new
-        if done.all():
-            return out.reshape(omega.shape)
-        todo, moved = todo[~done], moved[~done]
-    worst = int(np.argmax(moved))
-    raise ConvergenceError(
-        f"Mattis-Bardeen ratio: {todo.size} omega unsettled at {_MB_LADDER[-1]} nodes, "
-        f"worst omega/2Delta = {flat[todo[worst]] / (2.0 * delta):.17g}", float(moved[worst]))
-
-
-# ---------------------------------------------------------------------------
-# g(xi; T): Kramers-Kronig route (production)
 
 
 def _condensate(delta: float, t_ev: float) -> float:
@@ -368,85 +255,86 @@ def _condensate(delta: float, t_ev: float) -> float:
     return math.pi * delta
 
 
-# Tail: unit panels in u, omega = W e^u; past W >= 4 xi the integrand in u
-# falls like (R - 1)/omega, so beyond u = _KK_TAIL it is below e^-_KK_TAIL of
-# the tail's start.
-_KK_TAIL, _KK_REL, _KK_ROUNDS = 32, 1e-9, 60
+# A column's goal, relative to each |gamma g|; its bisection rounds; and the
+# top of its v grid, in E/max(xi, 2kT, Delta), before two more units of v.
+_G_REL, _G_ROUNDS, _G_TOP = 1e-10, 60, 1e5
 
 
-def _kk_edges(xi: np.ndarray, delta: float, t_ev: float) -> tuple[np.ndarray, float]:
-    """Panel edges in s of a g column, and the tail start W.
+def _g_kernel(v: np.ndarray, xi: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
+    """The integrand of gamma g in v, (xi.size, v.size), xi > 0.
 
-    0, then 2 Delta 2^k from the power at or below 1e-4 of the lesser of
-    min(xi) and 2 Delta (but not below 1e-14) up to W, then the tail's unit
-    panels.  The ratio 2 holds the kernel 1/(omega^2 + xi^2) of any xi
-    within a factor 4 across a panel, and the low-frequency logarithm of the
-    thermal ratio within log 2, so no xi needs edges of its own.  The chain
-    is anchored at 2 Delta so that the pair-breaking edge is a panel edge
-    and every xi's chain falls on the same points.
+    The fermionic Matsubara sum of g, folded onto the branch cut from the
+    gap edge, is one integral over quasiparticle energy E = Delta cosh v
+    (dv = dE/sqrt(E^2 - Delta^2)).  With z = E + i xi its integrand is
+
+        2 tanh(E/2kT) Re[(E z + Delta^2) / sqrt(Delta^2 - z^2)]
+          = -2 Delta^2 tanh(E/2kT) Im[(1 + E/(z + q)) / q],
+
+    q = sqrt((z - Delta)(z + Delta)) on the principal branch.  The first
+    form's two parts of order E cancel to one of order Delta^2 xi/E^2, which
+    loses about eps (E/Delta)^2 relative; the second does not cancel, and
+    z - Delta = 2 Delta sinh^2(v/2) + i xi keeps q exact at the gap edge,
+    where the condensate's weight sits for small xi.
     """
-    edge = 2.0 * delta
-    w_top = max(16.0 * edge, 4.0 * float(xi.max()), 24.0 * t_ev)
-    lo = max(min(float(xi.min()), edge) * 1e-4, 1e-14)
-    chain = np.ldexp(edge, np.arange(math.frexp(lo / edge)[1] - 1, math.frexp(w_top / edge)[1]))
-    return np.r_[0.0, chain[chain < w_top], w_top + np.arange(_KK_TAIL + 1)], w_top
+    e = delta * np.cosh(v)
+    occ = np.tanh(0.5 * e / t_ev) if t_ev > 0.0 else 1.0
+    z = e + 1j * xi[:, None]
+    q = 2.0 * delta * np.sinh(0.5 * v) ** 2 + 1j * xi[:, None]
+    q *= z + delta
+    np.sqrt(q, out=q)
+    z += q
+    np.divide(e, z, out=z)
+    z += 1.0
+    z /= q
+    return (-2.0 * delta * delta) * occ * z.imag
 
 
-def _kk_column(xi: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
-    """(2 xi^2/pi) int_0^inf (R(omega) - 1)/(omega^2 + xi^2) domega, xi > 0.
+def _g_column(xi: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
+    """gamma g(xi; T) = int_0^inf _g_kernel dv for a column of xi > 0.
 
-    One composite K15 grid serves the whole column, since R does not depend
-    on xi: the octave chain of _kk_edges up to W, then the tail, all in one
-    parameter s, omega = s up to W and W e^(s - W) past it.  R is evaluated
-    once per node, every xi's panel integrals and errors come from one K15
-    pass, and while some xi misses its goal, each panel whose error for such
-    a xi exceeds that xi's goal over the panel count is bisected, R
-    evaluated on the new nodes only.
-
-    The goal is _KK_REL |integral|, floored at _MB_REL times the same
-    integral of max(|R|, 1) in place of R - 1, taken on the first grid: R
-    itself is settled only to that, so near Tc, where the integral is
-    hundreds of times smaller than that of its magnitude, a goal below the
-    floor would bisect panels without end.
+    One composite K15 grid in v serves the column: a doubling chain from a
+    quarter of sqrt(min(xi, Delta)/Delta), the width of the condensate's
+    peak, up to v = 1, then unit panels to two units past
+    E = _G_TOP max(xi, 2kT, Delta).  Past that cut the integrand falls like
+    e^-2v, which the K15 estimates do not see, so the cut stays far out.
+    While some xi misses its goal, _G_REL |gamma g|, each panel whose error
+    for such a xi exceeds that xi's goal over the panel count is bisected,
+    the kernel evaluated on the new nodes only.
     """
-    xi2 = xi * xi
-    edges, w_top = _kk_edges(xi, delta, t_ev)
+    v_lo = 0.25 * math.sqrt(min(float(xi.min()), delta) / delta)
+    v_top = math.acosh(_G_TOP * max(float(xi.max()), 2.0 * t_ev, delta) / delta) + 2.0
+    edges = np.r_[0.0, np.ldexp(v_lo, np.arange(1 - math.frexp(v_lo)[1])),
+                  np.arange(1.0, v_top + 1.0)]
 
     def panels(a, b):
         half = 0.5 * (b - a)
-        s = (0.5 * (a + b))[:, None] + half[:, None] * _XK
-        om = np.where(s > w_top, w_top * np.exp(s - w_top), s)
-        r = _mb_ratio(om, delta, t_ev)
+        v = (0.5 * (a + b))[:, None] + half[:, None] * _XK
         q = np.empty((2, xi.size, a.size))
-        mag_total = np.zeros(xi.size)
-        rows = max(1, _G_CHUNK // (xi.size * _XK.size))
+        rows = max(1, _G_CHUNK // 4 // (xi.size * _XK.size))
         for i in range(0, a.size, rows):
             c = slice(i, i + rows)
-            # The kernel is built twice, not kept: one more (xi x rows x 15)
-            # array alive through _k15 raises the column's peak memory.
-            jac = np.where(s[c] > w_top, om[c], 1.0)
-            q[:, :, c] = _k15((r[c] - 1.0) * jac / (om[c] ** 2 + xi2[:, None, None]), half[c])
-            mag = np.maximum(np.abs(r[c]), 1.0) * jac
-            mag_total += np.sum(half[c] * ((mag / (om[c] ** 2 + xi2[:, None, None])) @ _WK),
-                                axis=-1)
-        return q, mag_total
+            y = _g_kernel(v[c].ravel(), xi, delta, t_ev)
+            q[:, :, c] = _k15(y.reshape(xi.size, -1, _XK.size), half[c])
+        return q
 
     a, b = edges[:-1], edges[1:]
-    q, mag_total = panels(a, b)        # (integral, error) x xi x panel
-    floor = _MB_REL * mag_total
-    for _ in range(_KK_ROUNDS):
-        total, err = q[0].sum(axis=1), q[1].sum(axis=1)
-        goal = np.maximum(_KK_REL * np.abs(total), floor)
+    q = panels(a, b)                   # (integral, error) x xi x panel
+    rounds = 0
+    while True:
+        total, err = q.sum(axis=-1)
+        goal = _G_REL * np.abs(total)
         short = ~(err <= goal)                          # NaN counts as short
         if not short.any():
-            return (2.0 / math.pi) * xi2 * total
+            return total
+        if rounds == _G_ROUNDS:
+            raise ConvergenceError(f"g column: {int(short.sum())} of {xi.size} xi short of "
+                                   f"their goal after {_G_ROUNDS} rounds", float(err.max()))
+        rounds += 1
         split = np.any(q[1, short] > goal[short, None] / a.size, axis=0)
         mid = 0.5 * (a[split] + b[split])
         new_a, new_b = np.r_[a[split], mid], np.r_[mid, b[split]]
-        q = np.concatenate([q[..., ~split], panels(new_a, new_b)[0]], axis=-1)
+        q = np.concatenate([q[..., ~split], panels(new_a, new_b)], axis=-1)
         a, b = np.r_[a[~split], new_a], np.r_[b[~split], new_b]
-    raise ConvergenceError(f"Kramers-Kronig g: {int(short.sum())} of {xi.size} xi short of "
-                           f"their goal after {_KK_ROUNDS} rounds", float(err.max()))
 
 
 def mattis_bardeen_g(material: MaterialParams, gap: GapModel, xi, T: float):
@@ -461,7 +349,7 @@ def mattis_bardeen_g(material: MaterialParams, gap: GapModel, xi, T: float):
         t_ev = CONST.k_b * T
         g[...] = _condensate(delta, t_ev)
         if np.any(xi > 0.0):
-            g[xi > 0.0] += _kk_column(xi[xi > 0.0], delta, t_ev)
+            g[xi > 0.0] = _g_column(xi[xi > 0.0], delta, t_ev)
         g /= material.gamma
     return float(g) if g.ndim == 0 else g
 
@@ -576,7 +464,8 @@ def g_matsubara(material: MaterialParams, gap: GapModel, T: float, l) -> np.ndar
 @lru_cache(maxsize=256)
 def g_on_matsubara_grid(material: MaterialParams, gap: GapModel, T: float,
                         l_count: int, l_first: int = 0) -> np.ndarray:
-    """g_matsubara on the run l_first .. l_first + l_count, cached; read-only."""
+    """g_matsubara on the run l_first .. l_first + l_count, both ends
+    included, so l_count + 1 entries; cached and read-only."""
     out = g_matsubara(material, gap, T, np.arange(l_first, l_first + l_count + 1))
     out.setflags(write=False)
     return out

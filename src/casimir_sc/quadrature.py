@@ -1,13 +1,16 @@
-"""Adaptive Gauss-Kronrod (G7/K15) quadrature for vectorized integrands.
+"""Gauss-Kronrod (G7/K15) quadrature for vectorized integrands.
 
-Integrands take an ndarray of abscissae and return an ndarray of values.
-Semi-infinite tails are handled by the exponential substitution x = a*e^u.
+The program uses the panel rule _k15, CompositeKronrod (the Lifshitz terms)
+and NeumaierSum; the g column calls _k15 on its own panels.  kronrod_panel,
+adaptive_quad and exp_tail_quad (semi-infinite tails by the substitution
+x = a*e^u) serve the tests and the benchmark's tracer, which wraps them by
+name.  Integrands take an ndarray of abscissae and return an ndarray of
+values.
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,8 +70,9 @@ class CompositeKronrod:
     """Fixed composite K15 rule over preset panels, one integrand call.
 
     Integrates every row of a (rows x nodes) array in one vectorized pass and
-    reports each row's summed QUADPACK-style error estimate, so smooth
-    integrands avoid the adaptive machinery entirely.
+    reports each row's summed QUADPACK-style error estimate.  The Lifshitz
+    terms are integrated on a ladder of these rules; nothing in the program
+    falls back to adaptive_quad.
     """
 
     def __init__(self, edges: Sequence[float]):
@@ -204,25 +208,3 @@ class NeumaierSum:
     def value(self) -> float:
         return self._s + self._c
 
-
-@lru_cache(maxsize=None)
-def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Legendre nodes (ascending) and weights on [0, 1].
-
-    Newton on the Legendre recurrence from x_k = cos(pi (k + 3/4)/(n + 1/2)),
-    O(n^2).  The weight 2/((1 - x^2) P_n'^2) moves by -2x dx/(1 - x^2) per
-    rounding dx of its node (5e-11 at the ends for n = 2048), so the last
-    Newton step corrects it to first order.
-    """
-    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(100):               # four steps reach rounding up to n = 2048
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        sin2 = (1.0 - x) * (1.0 + x)
-        dp = n * (p0 - x * p1) / sin2
-        step = p1 / dp
-        if np.max(np.abs(step)) <= 1e-15:
-            break
-        x = x - step
-    return 0.5 * (1.0 - x), (1.0 + 2.0 * x * step / sin2) / (sin2 * dp * dp)

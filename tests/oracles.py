@@ -3,7 +3,11 @@
 Everything here deliberately avoids the production code paths: different
 integration variables, different libraries, different algebra.  The QUADPACK
 Kramers-Kronig route shares only the gap curve and the constants with the
-production g.  The exceptions share the wavevector integrator and the per-l
+production g, and is a different method: it transforms the real-frequency
+conductivity ratio, where production integrates over quasiparticle energy
+at imaginary frequency, so criterion 3 compares two routes.
+g_energy_integral_mp is production's integral in its plain form, at 30
+digits in mpmath.  The exceptions share the wavevector integrator and the per-l
 permittivities with production.  normal_free_energy_exact and
 difference_free_energy_exact differ from it only in their summation: every
 term in ascending order, against the graded stride of the production
@@ -64,14 +68,33 @@ def gap_ratio_bruteforce(t: float) -> float:
         return float(mp.findroot(residual, (d0, d0 * mp.mpf("0.999"))))
 
 
-def mb_ratio_t0_elliptic(omega: float, delta: float) -> float:
-    """T = 0 pair-breaking conductivity ratio in closed elliptic form."""
-    if omega <= 2.0 * delta:
-        return 0.0
-    k = (omega - 2.0 * delta) / (omega + 2.0 * delta)
-    m = k * k
-    return ((1.0 + 2.0 * delta / omega) * special.ellipe(m)
-            - (4.0 * delta / omega) * special.ellipk(m))
+def g_energy_integral_mp(xi: float, delta: float, t_ev: float, dps: int = 30) -> float:
+    """gamma g(xi) at xi > 0 from the quasiparticle-energy integral, by mpmath.
+
+    2 int_0^inf dv tanh(E/2kT) Re[(E z + Delta^2) / sqrt(Delta^2 - z^2)],
+    E = Delta cosh v, z = E + i xi: the production integral in its plain form,
+    whose two parts of order E cancel to one of order Delta^2 xi/E^2.  Each
+    point is evaluated with about 2 log10(E/Delta) digits more than dps,
+    which that cancellation costs, and mpmath's tanh-sinh integrates the
+    result at dps digits, split at 1 and around E = xi and cut 40 units of
+    v past the last split, where the integrand has fallen by e^-80.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        d, x, kt = mp.mpf(delta), mp.mpf(xi), mp.mpf(t_ev)
+
+        def f(v):
+            with mp.extradps(int(v) + 5):
+                e = d * mp.cosh(v)
+                z = e + 1j * x
+                occ = mp.tanh(e / (2 * kt)) if t_ev > 0.0 else 1
+                return 2 * occ * mp.re((e * z + d * d) / mp.sqrt(d * d - z * z))
+
+        v_xi = float(mp.acosh(max(x / d, 1)))
+        pts = sorted({0.0, 1.0, *(p for p in (v_xi - 4, v_xi - 1, v_xi, v_xi + 1, v_xi + 4)
+                                  if p > 1.0)})
+        return float(mp.quad(f, pts + [pts[-1] + 40]))
 
 
 def g_matsubara_bruteforce(xi_l: float, delta: float, temperature: float,

@@ -14,7 +14,6 @@ from casimir_sc.materials import (
     GOLD,
     LEAD,
     MaterialParams,
-    _mb_ratio,
     bcs_gap,
     default_gap,
     dirty_limit_ratio,
@@ -28,14 +27,13 @@ from casimir_sc.materials import (
 from casimir_sc.sc_state import shifted_tc
 
 from oracles import (
-    _mb_ratio_oracle,
     g_body_windowed,
+    g_energy_integral_mp,
     g_from_oracle,
     g_matsubara_bruteforce,
     g_matsubara_exact_cross,
     gap_ratio_bruteforce,
     kk_oracle_sigma,
-    mb_ratio_t0_elliptic,
 )
 
 GAP = default_gap(LEAD.tc)
@@ -216,96 +214,6 @@ def test_psi_matches_mpmath(k):
 
 
 # ---------------------------------------------------------------------------
-# Mattis-Bardeen ratio on the real axis
-
-
-def test_mb_ratio_matches_elliptic_at_t0():
-    # 1e3 to 1e9 Delta reach the Kramers-Kronig tail, where the pair-breaking
-    # integrand is two peaks of width ~ Delta at the ends of an omega-wide range.
-    delta = GAP.delta0
-    for frac in (2.5, 4.0, 10.0, 40.0, 120.0, 1e3, 1e6, 1e9):
-        omega = frac * delta
-        mine = float(_mb_ratio(np.array([omega]), delta, 0.0)[0])
-        assert mine == pytest.approx(mb_ratio_t0_elliptic(omega, delta), rel=1e-10, abs=0.0)
-
-
-@pytest.mark.parametrize("t", [0.5, 0.9, 0.999])
-def test_mb_ratio_matches_quadpack_oracle(t):
-    """At finite T the ratio agrees with the raw-form QUADPACK oracle, which
-    integrates over E with no substitution, at epsrel 1e-7; below the gap,
-    at the gap edge, and from 3 to 1e6 times past it."""
-    temperature = t * LEAD.tc
-    delta = bcs_gap(GAP, temperature, LEAD.tc)
-    t_ev = CONST.k_b * temperature
-    for frac in (0.01, 1.001, 3.0, 30.0, 1e3, 1e6):
-        omega = frac * 2.0 * delta
-        mine = float(_mb_ratio(np.array([omega]), delta, t_ev)[0])
-        assert mine == pytest.approx(_mb_ratio_oracle(omega, delta, t_ev),
-                                     rel=1e-6, abs=0.0), frac
-
-
-@pytest.mark.parametrize("t", [0.1, 0.5, 0.9, 0.999])
-def test_g_column_settles_every_ratio_by_256_nodes(t, monkeypatch):
-    """Over the default g-function column no omega of the Kramers-Kronig
-    grid needs more than 256 nodes per part of R, so the 512-node rule and
-    beyond are never built; and the column's one octave grid keeps R to
-    under 2,000 omega (930-1,575 over these t)."""
-    counts = {}
-    nodes = materials._mb_nodes
-
-    def counted(omega, delta, t_ev, n):
-        counts[n] = counts.get(n, 0) + omega.size
-        return nodes(omega, delta, t_ev, n)
-
-    monkeypatch.setattr(materials, "_mb_nodes", counted)
-    mattis_bardeen_g(LEAD, GAP, np.geomspace(1e-2, 1e2, 81) * TWO_D0, t * LEAD.tc)
-    assert 0 < counts[64] == counts[128] <= 2000, counts
-    assert max(counts) <= 256, counts
-
-
-def test_mb_ratio_reports_unsettled_omega(monkeypatch):
-    # Node sums that move by n at every count never agree.
-    monkeypatch.setattr(materials, "_mb_nodes",
-                        lambda omega, delta, t_ev, n: np.full(omega.shape, float(n)))
-    delta = GAP.delta0
-    with pytest.raises(ConvergenceError, match=r"2 omega unsettled at 512 nodes, "
-                       r"worst omega/2Delta = 3\b") as info:
-        _mb_ratio(np.array([3.0, 6.0]) * 2.0 * delta, delta, CONST.k_b)
-    assert info.value.error_estimate == 256.0
-
-
-def test_mb_ratio_normal_state_limit():
-    vals = _mb_ratio(np.array([0.01, 0.1]), 0.0, CONST.k_b)
-    assert np.allclose(vals, 1.0, rtol=0, atol=0)
-
-
-def test_mb_ratio_batch_matches_each_omega_alone():
-    # Each omega doubles its own nodes, so a batch differs from single calls
-    # only by the blocking of the node sums (<= 6e-16 seen).
-    temperature = 0.9 * LEAD.tc
-    delta = bcs_gap(GAP, temperature, LEAD.tc)
-    omega = np.geomspace(1e-6, 1e3, 60) * delta
-    batch = _mb_ratio(omega, delta, CONST.k_b * temperature)
-    for om, r in zip(omega, batch):
-        alone = _mb_ratio(np.array([om]), delta, CONST.k_b * temperature)[0]
-        assert r == pytest.approx(alone, rel=1e-14, abs=0.0)
-
-
-@pytest.mark.parametrize("t", [0.5, 0.9, 0.999])
-def test_mb_nodes_settle_near_zero_frequency(t):
-    """The thermal occupation f(E) - f(E + omega) is taken without
-    cancellation, so the quasiparticle sum settles down to omega = 1e-13
-    Delta: 1,024 and 2,048 nodes agree to 1e-11.  The plain difference of
-    two Fermi factors left them up to 6e-4 apart there."""
-    temperature = t * LEAD.tc
-    delta = bcs_gap(GAP, temperature, LEAD.tc)
-    omega = np.geomspace(1e-13, 1e-5, 81) * delta
-    coarse = materials._mb_nodes(omega, delta, CONST.k_b * temperature, 1024)
-    fine = materials._mb_nodes(omega, delta, CONST.k_b * temperature, 2048)
-    assert np.allclose(coarse, fine, rtol=1e-11, atol=0.0)
-
-
-# ---------------------------------------------------------------------------
 # g(xi; T)
 
 
@@ -340,22 +248,54 @@ def test_g_column_api():
 
 
 def test_g_near_tc_matches_matsubara_grid():
-    # At t = 0.999, l = 56 is xi = 99.6 * 2 Delta(0), the top of the default
-    # g-function table.
-    temperature = 0.999 * LEAD.tc
-    h = 2.0 * math.pi * CONST.k_b * temperature
-    grid = g_on_matsubara_grid(LEAD, GAP, temperature, 56)
-    l = np.array([1, 17, 56])
-    g = mattis_bardeen_g(LEAD, GAP, l * h, temperature)
-    assert g == pytest.approx(grid[l], rel=1e-8, abs=0.0)
+    """At t = 0.999, l = 56 is xi = 99.6 * 2 Delta(0), the top of the default
+    g-function table.  Closer to Tc the column holds 1e-7 of the fermionic
+    sum (1.7e-9 at most seen at 0.99999, 2.7e-8 at 0.999999)."""
+    for t, l, rel in ((0.999, [1, 17, 56], 1e-8),
+                      (0.99999, [1, 3, 10, 30, 56], 1e-7),
+                      (0.999999, [1, 3, 10, 30, 56], 1e-7)):
+        temperature = t * LEAD.tc
+        h = 2.0 * math.pi * CONST.k_b * temperature
+        grid = g_on_matsubara_grid(LEAD, GAP, temperature, 56)
+        g = mattis_bardeen_g(LEAD, GAP, np.array(l) * h, temperature)
+        assert g == pytest.approx(grid[l], rel=rel, abs=0.0), t
+
+
+def test_g_column_reports_short_xi(monkeypatch):
+    """With no bisection round allowed, the default column at t = 0.1 names
+    the xi its first grid leaves short of their goal; one round settles them
+    to the same values the default gives."""
+    xi = np.geomspace(1e-2, 1e2, 81) * TWO_D0
+    want = mattis_bardeen_g(LEAD, GAP, xi, 0.72)
+    monkeypatch.setattr(materials, "_G_ROUNDS", 0)
+    with pytest.raises(ConvergenceError, match=r"^g column: 3 of 81 xi short of their "
+                       r"goal after 0 rounds$") as info:
+        mattis_bardeen_g(LEAD, GAP, xi, 0.72)
+    assert info.value.error_estimate > 0.0
+    monkeypatch.setattr(materials, "_G_ROUNDS", 1)
+    assert np.array_equal(mattis_bardeen_g(LEAD, GAP, xi, 0.72), want)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9, 0.999])
+def test_g_column_cost(t, monkeypatch):
+    """The default 81-xi column takes at most 1,000 kernel evaluations per xi
+    (405-420 seen)."""
+    evals = []
+    kernel = materials._g_kernel
+
+    def counted(v, xi, delta, t_ev):
+        evals.append(v.size)
+        return kernel(v, xi, delta, t_ev)
+
+    monkeypatch.setattr(materials, "_g_kernel", counted)
+    mattis_bardeen_g(LEAD, GAP, np.geomspace(1e-2, 1e2, 81) * TWO_D0, t * LEAD.tc)
+    assert 0 < sum(evals) <= 1000
 
 
 def test_g_function_finishes_next_to_tc():
-    """At t = 1 - 1e-6 and 1 - 1e-7 the integral of R - 1 is hundreds of
-    times smaller than that of |R|, so a goal of 1e-9 of it lies below what
-    R is settled to; without the floor on the goal the panel count grew
-    1.6-1.8x per round and the column did not finish in a minute.  Run as a
-    child process, so a regression fails by its timeout instead of hanging."""
+    """At t = 1 - 1e-6 and 1 - 1e-7 the gap is 3e-3 to 1e-3 of kT and below
+    every xi of the table, the far end of the column's range.  Run as a child
+    process, so a regression fails by its timeout instead of hanging."""
     src = os.path.dirname(os.path.dirname(materials.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -399,7 +339,7 @@ def test_g_zero_limit_closed_form_and_richardson():
         delta = bcs_gap(GAP, temperature, 7.2)
         expected = math.pi * delta * math.tanh(delta / (2 * CONST.k_b * temperature)) / LEAD.gamma
         assert g0 == pytest.approx(expected, rel=1e-14)
-        # numerical limit of the KK route with a two-point Richardson check;
+        # numerical limit of the column with a two-point Richardson check;
         # the approach carries a xi*log(xi) term whose coefficient grows with
         # thermal occupation toward Tc, so the linear extrapolation is a guard
         # against quadrature artifacts rather than an exact limit
@@ -411,15 +351,35 @@ def test_g_zero_limit_closed_form_and_richardson():
 
 
 def test_g_against_fermionic_sum():
-    # independent route: raw fermionic-frequency sum at bosonic points
-    # (2e6 terms keep the brute-force truncation bias below 3e-7 relative)
-    temperature = 6.24
-    h = 2.0 * math.pi * CONST.k_b * temperature
-    delta = bcs_gap(GAP, temperature, 7.2)
-    for l in (1, 3, 10):
-        brute = g_matsubara_bruteforce(l * h, delta, temperature, LEAD.gamma)
-        assert mattis_bardeen_g(LEAD, GAP, l * h, temperature) == pytest.approx(
-            brute, rel=2e-6)
+    """Independent route: the raw fermionic-frequency sum at bosonic points,
+    at t = 0.177 (the 775 Oe point), 0.5 and 0.9.  Its truncation bias falls
+    like 1/N, 1e-6 relative at N = 1e6, so 2 S(2N) - S(N) is taken; the
+    column agrees with it to 7e-12 at 0.177 and 5e-9 at 0.9, l = 30."""
+    for t in (0.177, 0.5, 0.9):
+        temperature = t * LEAD.tc
+        h = 2.0 * math.pi * CONST.k_b * temperature
+        delta = bcs_gap(GAP, temperature, LEAD.tc)
+        for l in (1, 3, 30):
+            s_n, s_2n = (g_matsubara_bruteforce(l * h, delta, temperature, LEAD.gamma, n)
+                         for n in (500_000, 1_000_000))
+            assert mattis_bardeen_g(LEAD, GAP, l * h, temperature) == pytest.approx(
+                2.0 * s_2n - s_n, rel=1e-8, abs=0.0), (t, l)
+
+
+def test_g_large_xi_matches_mpmath():
+    """Far above the gap g stays positive and falls as xi grows, and at
+    1e6 and 1e9 * 2 Delta(0) it is the 30-digit mpmath quadrature of the same
+    integral to 1e-10 (7e-14 seen).  A route that adds the condensate to a
+    transform of the real-axis ratio cancels the two there (1.5705e-7 for
+    1.5735e-7 at 1e6, -1.08e-8 at 1e9)."""
+    temperature = 0.5 * LEAD.tc
+    frac = 10.0 ** np.arange(2, 10)
+    g = mattis_bardeen_g(LEAD, GAP, frac * TWO_D0, temperature)
+    assert np.all(g > 0.0) and np.all(np.diff(g) < 0.0)
+    delta = bcs_gap(GAP, temperature, LEAD.tc)
+    for i in (4, 7):
+        want = g_energy_integral_mp(frac[i] * TWO_D0, delta, CONST.k_b * temperature)
+        assert g[i] == pytest.approx(want / LEAD.gamma, rel=1e-10, abs=0.0), frac[i]
 
 
 def test_g_grid_matches_pointwise_g():
@@ -545,6 +505,15 @@ def test_oracle_high_frequency_sum_rule():
         ratio = kk_oracle_sigma(LEAD, GAP, xi, 3.6) * xi / pref
         assert ratio == pytest.approx(1.0, abs=0.025)
         assert ratio == pytest.approx(drude_part, abs=1e-4)
+
+
+def test_g_at_zero_temperature_matches_oracle():
+    """At T = 0 the occupation factor is 1 and the oracle has no thermal
+    part; the two agree to 9e-14 at 0.25 and 1.8e-8 at 30 * 2 Delta(0)."""
+    for xfrac in (0.25, 1.0, 5.0, 30.0):
+        xi = xfrac * TWO_D0
+        assert mattis_bardeen_g(LEAD, GAP, xi, 0.0) == pytest.approx(
+            g_from_oracle(LEAD, GAP, xi, 0.0), rel=1e-6, abs=0.0), xfrac
 
 
 def test_production_g_matches_oracle_spotcheck():

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +10,6 @@ from casimir_sc.quadrature import (
     NeumaierSum,
     adaptive_quad,
     exp_tail_quad,
-    gauss_legendre_nodes,
     kronrod_panel,
 )
 
@@ -116,32 +114,3 @@ def test_neumaier_matches_fsum_on_series():
         acc.add(float(x))
     assert acc.value == pytest.approx(math.fsum(xs), rel=1e-14)
 
-
-def _mp_gauss_legendre(n: int, k: int) -> tuple[float, float]:
-    """k-th node (ascending on [0, 1]) and weight of the n-point rule, from
-    Newton on the Legendre recurrence at 40 digits."""
-    with mpmath.workdps(40):
-        x = mpmath.cos(mpmath.pi * (k + mpmath.mpf(3) / 4) / (n + mpmath.mpf(1) / 2))
-        for _ in range(60):
-            p0, p1 = mpmath.mpf(1), x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (p0 - x * p1) / (1 - x * x)
-            x -= p1 / dp
-            if abs(p1 / dp) < mpmath.mpf(10) ** -36:
-                break
-        return float((1 - x) / 2), float(1 / ((1 - x * x) * dp * dp))
-
-
-@pytest.mark.parametrize("n", [512, 2048])
-def test_gauss_legendre_nodes_match_mpmath(n):
-    """The end weights are where an eigenvalue-based rule goes wrong: numpy's
-    leggauss is off by 6.3e-8 relative at n = 2048."""
-    x, w = gauss_legendre_nodes(n)
-    assert x.shape == w.shape == (n,)
-    assert 0.0 < x[0] and x[-1] < 1.0 and np.all(np.diff(x) > 0.0)
-    assert w.sum() == pytest.approx(1.0, rel=1e-14)
-    for k in (0, 1, 2, 3, n // 3, n - 1):
-        node, weight = _mp_gauss_legendre(n, k)
-        assert abs(x[k] - node) <= 1e-15, k
-        assert w[k] == pytest.approx(weight, rel=1e-10, abs=0.0), k
