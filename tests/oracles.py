@@ -68,20 +68,20 @@ def gap_ratio_bruteforce(t: float) -> float:
         return float(mp.findroot(residual, (d0, d0 * mp.mpf("0.999"))))
 
 
-def g_energy_integral_mp(xi: float, delta: float, t_ev: float, dps: int = 30) -> float:
-    """gamma g(xi) at xi > 0 from the quasiparticle-energy integral, by mpmath.
+def g_energy_integral_mp(xi: float, delta: float, t_ev: float) -> float:
+    """gamma g(xi) at xi > 0 from the quasiparticle-energy integral, 30 digits.
 
     2 int_0^inf dv tanh(E/2kT) Re[(E z + Delta^2) / sqrt(Delta^2 - z^2)],
     E = Delta cosh v, z = E + i xi: the production integral in its plain form,
     whose two parts of order E cancel to one of order Delta^2 xi/E^2.  Each
-    point is evaluated with about 2 log10(E/Delta) digits more than dps,
+    point is evaluated with about 2 log10(E/Delta) digits more than 30,
     which that cancellation costs, and mpmath's tanh-sinh integrates the
-    result at dps digits, split at 1 and around E = xi and cut 40 units of
+    result at 30 digits, split at 1 and around E = xi and cut 40 units of
     v past the last split, where the integrand has fallen by e^-80.
     """
     import mpmath as mp
 
-    with mp.workdps(dps):
+    with mp.workdps(30):
         d, x, kt = mp.mpf(delta), mp.mpf(xi), mp.mpf(t_ev)
 
         def f(v):
