@@ -37,10 +37,12 @@ from .sc_state import Phase
 
 
 _Y_CUT = 45.0
-# The series may not depend on its split into blocks of l: the composite rule
-# on these panels must give each row of a batch the bits of a one-row call,
-# which not every panel layout does (test_quadrature checks every rung).
-_Y_SPLITS = (0.0, 0.5, 1.5, 4.0, 10.0, 22.0, _Y_CUT)
+# Panels widening with y let more rows meet the tolerance on the first rung
+# (759 of the 1,143 rows of the difference series at 25, 200 and 775 Oe, 70 nm;
+# 526 on edges 0, 0.5, 1.5, 4, 10, 22, 45).  The composite rule on them must give
+# each row of a batch the bits of a one-row call, as not every panel layout
+# does, or the series would depend on its split into blocks (test_quadrature).
+_Y_SPLITS = (0.0, 0.5, 2.0, 6.0, 14.0, 28.0, _Y_CUT)
 
 
 @dataclass(frozen=True)
@@ -197,8 +199,8 @@ def _scaled_yl(xi, d: float):
 
 
 # Terms summed exactly, intervals per octave, and the y_l ending a series (e^-48).
-_HEAD = 256
-_NODES = 64
+_HEAD = 128
+_NODES = 32
 _Y_STOP = 48.0
 
 
@@ -210,22 +212,24 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
     a trapezoid of stride k, _HEAD/_NODES at the first octave and doubling per
     octave, plus the Euler-Maclaurin terms (1 - k^2)/12 df' - (1 - k^4)/720 df'''
     that turn it into the unit-step sum.  f' and f''' come from central
-    differences of the integer-l terms at the octave's edges: of unit step up
-    to k = 16, of step k/16 beyond, where a unit step would multiply the
-    terms' rounding by k^4/720.  The stride is halved until strides 2k and k
-    agree to rel_tol_series times the sum; k = 1 is the exact sum.
+    differences of step k/4 (at least 1) at the octave's edges: their error
+    goes as k^6, like the first Euler-Maclaurin term left out, and the terms'
+    noise (1e-11 to 1e-10 of g past l ~ 500) is not multiplied by k^4/720.
+    k is halved until strides 2k and k agree to rel_tol_series times the sum,
+    and S_k + (S_k - S_2k)/63 then drops the k^6 error.  k = 1 is exact.
 
     The full series stops at the first octave edge past both y_l = _Y_STOP
     and l_cap.  With quiet_stop it stops at the first L >= l_cap ending three
     quiet terms in a row, |term_l| <= rel_tol_series |sum_{j<=l} term_j|:
     past the head a term once quiet stays quiet, the terms being smooth and
     falling, so the octave edges are tested in turn.  The partial octave
-    [A, L] keeps the octave's stride up to its last node B of stride 2k, and
-    [B, L) is one interval of width L - B.  No quiet octave edge by
-    y_l = _Y_STOP raises ConvergenceError.  error_estimate is the strides'
-    disagreements plus the quadrature errors, with quiet_stop also the tail
-    past L from the terms' decay at L taken as a power of l, which bounds an
-    exponential decay too.  terms_used counts the evaluated terms and l = 0.
+    [A, L] keeps the octave's stride up to its last node B of stride 2k,
+    [B, B + 2h), h = (L - B) // 2 >= 2, is extrapolated from strides h and
+    2h, and the one to four terms left are added.  No quiet octave edge by
+    y_l = _Y_STOP raises ConvergenceError.  error_estimate sums the
+    |S_k - S_2k|, the quadrature errors and, with quiet_stop, the tail past L
+    from the terms' decay at L taken as a power of l (which bounds an
+    exponential decay too).  terms_used counts the evaluated terms and l = 0.
     """
     h = 2.0 * math.pi * CONST.k_b * T
     y_top = math.ceil(_Y_STOP / _scaled_yl(h, d))
@@ -242,12 +246,12 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
         return np.array([known[l] for l in ls]).T
 
     def stencil(a: int, k: int) -> range:
-        p = max(1, k // 16)
+        p = max(1, k // 4)
         return range(a - 2 * p, a + 2 * p + 1, p)
 
     def edge(a: int, k: int) -> tuple:
         """(f', f''') at a for stride k."""
-        p = max(1, k // 16)
+        p = max(1, k // 4)
         m2, m1, _, p1, p2 = terms(stencil(a, k))[0]
         return ((8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * p),
                 (0.5 * (p2 - m2) - (p1 - m1)) / p ** 3)
@@ -262,12 +266,17 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
                 + (1 - k * k) / 12.0 * (d1b - d1a)
                 - (1 - k ** 4) / 720.0 * (d3b - d3a)), k * errs.sum()
 
+    def extrapolated(fine: float, coarse: float) -> tuple:   # strides k and 2k
+        return fine + (fine - coarse) / 63.0, abs(fine - coarse)
+
     def settled(a: int, b: int, k: int) -> tuple:
         """(sum, error, stride) of the terms a <= l < b, 2k | b - a."""
         while True:
             terms(range(a, b + 1, k), *(stencil(x, s) for x in (a, b) for s in (k, 2 * k)))
             value, quad_err = span(a, b, k, k)
-            miss = 0.0 if k == 1 else abs(value - span(a, b, 2 * k, 2 * k)[0])
+            if k == 1:
+                return value, quad_err, k
+            value, miss = extrapolated(value, span(a, b, 2 * k, 2 * k)[0])
             if miss <= cfg.rel_tol_series * abs(acc.value + value):
                 return value, miss + quad_err, k
             k //= 2
@@ -275,10 +284,17 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
     def partial(a: int, l: int, k: int) -> tuple:
         """(sum, error) of the terms a <= j <= l, l <= 2a."""
         b = a + 2 * k * ((l - a) // (2 * k))
-        terms([l - 1], stencil(l, k), stencil(b, k), stencil(b, 2 * k))
+        h = (l - b) // 2
+        c = b + 2 * h if h > 1 else b
+        terms(range(c, l + 1), range(b, c + 1, max(h, 1)), stencil(c, k), stencil(b, k),
+              stencil(b, 2 * k))
         value, err, _ = settled(a, b, k) if b > a else (0.0, 0.0, k)
-        rest, rest_err = span(b, l, l - b, k) if l > b else (0.0, 0.0)
-        return value + rest + known[l][0], err + rest_err + known[l][1]
+        if c > b:
+            fine, quad_err = span(b, c, h, k)
+            rest, miss = extrapolated(fine, span(b, c, 2 * h, k)[0])
+            value, err = value + rest, err + miss + quad_err
+        vals, errs = terms(range(c, l + 1))
+        return value + vals.sum(), err + errs.sum()
 
     def quiet(l: int, total: float) -> bool:
         return abs(terms([l])[0][0]) <= cfg.rel_tol_series * abs(total)
@@ -286,7 +302,7 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
     def first_quiet(a: int, k: int) -> int:
         """Start of the run of quiet terms that reaches 2a, the octave settled on
         stride k: interpolated in log |term|/sum on the nodes' trapezoid sums,
-        walked to on the strided sums, and at l = 256 taken back over the head."""
+        walked to on the strided sums, and at l = _HEAD taken back over the head."""
         v = terms(range(a, 2 * a + 1, k))[0]
         rough = acc.value + k * (np.cumsum(v) - 0.5 * (v[0] + v)) + 0.5 * (v[0] + v)
         f = np.log(np.maximum(np.abs(v), 1e-300) / (cfg.rel_tol_series * np.abs(rough)))

@@ -14,9 +14,9 @@ from the gap edge; the zero-frequency condensate, pi*Delta*tanh(Delta/2kT),
 is part of that integral.  It takes a whole column of xi at one temperature
 on one composite K15 grid in the energy variable, so a table costs one pass
 per temperature.
-g_matsubara evaluates the same function at any set of the discrete thermal
-frequencies through the fermionic frequency sum itself, which is how the
-Lifshitz engine consumes it; each entry costs O(n) in the sum's body width.
+g_matsubara evaluates it at the discrete thermal frequencies through the
+fermionic frequency sum itself, as the Lifshitz engine consumes it; an entry
+costs O(n) in the sum's body width and is memoised for 8 temperatures.
 The reduced BCS gap Delta(T)/Delta(0) is solved at each temperature asked
 for, by bisection of the gap equation, and memoised per temperature.  The
 polygammas both need come from one asymptotic series (_psi), so the module
@@ -271,7 +271,8 @@ def _g_kernel(v: np.ndarray, xi: np.ndarray, delta: float, t_ev: float) -> np.nd
         2 tanh(E/2kT) Re[(E z + Delta^2) / sqrt(Delta^2 - z^2)]
           = -2 Delta^2 tanh(E/2kT) Im[(1 + E/(z + q)) / q],
 
-    q = sqrt((z - Delta)(z + Delta)) on the principal branch.  The first
+    q = sqrt(z - Delta) sqrt(z + Delta), the principal root of their product
+    (both lie in the right half-plane) with no E^2 to overflow.  The first
     form's two parts of order E cancel to one of order Delta^2 xi/E^2, which
     loses about eps (E/Delta)^2 relative; the second does not cancel, and
     z - Delta = 2 Delta sinh^2(v/2) + i xi keeps q exact at the gap edge,
@@ -280,9 +281,9 @@ def _g_kernel(v: np.ndarray, xi: np.ndarray, delta: float, t_ev: float) -> np.nd
     e = delta * np.cosh(v)
     occ = np.tanh(0.5 * e / t_ev) if t_ev > 0.0 else 1.0
     z = e + 1j * xi[:, None]
-    q = 2.0 * delta * np.sinh(0.5 * v) ** 2 + 1j * xi[:, None]
-    q *= z + delta
-    np.sqrt(q, out=q)
+    q = np.sqrt(2.0 * delta * np.sinh(0.5 * v) ** 2 + 1j * xi[:, None])
+    w = z + delta
+    q *= np.sqrt(w, out=w)
     z += q
     np.divide(e, z, out=z)
     z += 1.0
@@ -432,34 +433,45 @@ def g_matsubara(material: MaterialParams, gap: GapModel, T: float, l) -> np.ndar
     jump moves from summing every cross term, at 775 Oe, 70 nm by 7.6e-6 at
     e = n, 8e-7 at 2n, 7.3e-8 at 4n and 4.8e-9 at 8n, against the 1e-6 the
     headline values are held to.  An l = 0 entry is the condensate weight
-    g(0+).  Each entry depends on its l alone, bit for bit.
+    g(0+).  Each entry depends on its l alone, bit for bit, so _g_memo keeps
+    them for the last 8 (material, gap, T); a call computes the l it lacks.
     """
     if T <= 0.0:
         raise DomainError("g_matsubara requires T > 0")
     l = np.asarray(l, dtype=np.int64)
     delta = bcs_gap(gap, T, material.tc)
-    out = np.zeros(l.shape)
-    if delta > 0.0:
-        t_ev = CONST.k_b * T
-        step = 2.0 * math.pi * t_ev
-        n = int(max(60.0 * delta / step, 60.0)) + 1
-        e = _CROSS_EXACT * n
-        lp = l[l > 0]
-        # analytic wings: t_n ~ (Delta^2/2) (1/w_n + 1/w_{n+l})^2 past the body
-        a = n + 0.5
-        wing = _psi(1, a) + _psi(1, a + lp) + 2.0 * (_psi(0, a + lp) - _psi(0, a)) / lp
-        # closed-form middle of the cross sum, exactly 0 for l <= 2e
-        lm = np.maximum(lp, 2 * e)
-        b = e + 0.5
-        middle = (_psi(1, b) - _psi(1, lm - e + 0.5)
-                  - 2.0 * (_psi(0, lm - e + 0.5) - _psi(0, b)) / lm)
-        rows = max(1, _G_CHUNK // (2 * e))   # the body holds several (rows x e) arrays
-        body = np.concatenate([np.empty(0)] + [_g_body(lp[i:i + rows], n, e, delta, step)
-                                               for i in range(0, lp.size, rows)])
-        scale = math.pi * t_ev / material.gamma
-        out[l > 0] = (body + (delta * delta / step ** 2) * (wing - middle)) * scale
-        out[l == 0] = _condensate(delta, t_ev) / material.gamma
-    return out
+    if delta == 0.0:
+        return np.zeros(l.shape)
+    memo = _g_memo(material, gap, T)
+    new = np.array(sorted(set(l.ravel().tolist()) - memo.keys()), dtype=np.int64)
+    t_ev = CONST.k_b * T
+    step = 2.0 * math.pi * t_ev
+    n = int(max(60.0 * delta / step, 60.0)) + 1
+    e = _CROSS_EXACT * n
+    lp = new[new > 0]
+    # analytic wings: t_n ~ (Delta^2/2) (1/w_n + 1/w_{n+l})^2 past the body
+    a = n + 0.5
+    wing = _psi(1, a) + _psi(1, a + lp) + 2.0 * (_psi(0, a + lp) - _psi(0, a)) / lp
+    # closed-form middle of the cross sum, exactly 0 for l <= 2e
+    lm = np.maximum(lp, 2 * e)
+    b = e + 0.5
+    middle = (_psi(1, b) - _psi(1, lm - e + 0.5)
+              - 2.0 * (_psi(0, lm - e + 0.5) - _psi(0, b)) / lm)
+    rows = max(1, _G_CHUNK // (2 * e))   # the body holds several (rows x e) arrays
+    body = np.concatenate([np.empty(0)] + [_g_body(lp[i:i + rows], n, e, delta, step)
+                                           for i in range(0, lp.size, rows)])
+    out = np.zeros(new.shape)
+    out[new > 0] = (body + (delta * delta / step ** 2) * (wing - middle)) * (
+        math.pi * t_ev / material.gamma)
+    out[new == 0] = _condensate(delta, t_ev) / material.gamma
+    memo.update(zip(new.tolist(), out.tolist()))
+    return np.array([memo[x] for x in l.ravel().tolist()], dtype=float).reshape(l.shape)
+
+
+@lru_cache(maxsize=8)
+def _g_memo(material: MaterialParams, gap: GapModel, T: float) -> dict:
+    """{l: g(xi_l)} that g_matsubara has computed at (material, gap, T)."""
+    return {}
 
 
 @lru_cache(maxsize=256)

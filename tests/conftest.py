@@ -1,7 +1,18 @@
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+from casimir_sc import materials  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def fresh_g_memo():
+    """Start every test with an empty g memo: tests that replace _g_body must
+    not be served another test's entries."""
+    materials._g_memo.cache_clear()
 
 ACCEPTANCE_REPORT: list[str] = []
 

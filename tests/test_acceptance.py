@@ -247,6 +247,7 @@ def test_criterion_10_determinism():
     assert first.encode() == third.encode()
     # cold caches: the gap solves and the g runs are recomputed from scratch
     materials.g_on_matsubara_grid.cache_clear()
+    materials._g_memo.cache_clear()
     materials._universal_gap_curve.cache_clear()
     cold = render_rows(cfg, run_sweep(cfg))
     assert first.encode() == cold.encode()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import casimir_sc.lifshitz as lifshitz_mod
+import casimir_sc.materials as materials
 from casimir_sc.constants import CONST
 from casimir_sc.errors import ConvergenceError, DomainError, PfaAccuracyWarning
 from casimir_sc.lifshitz import (
@@ -251,6 +252,7 @@ def test_block_size_does_not_change_series(monkeypatch):
 
     monkeypatch.setattr(lifshitz_mod, "_terms", one_row_terms)
     monkeypatch.setattr(lifshitz_mod, "g_matsubara", one_l_g)
+    materials._g_memo.cache_clear()
     assert free_energy_difference(GOLD, LEAD, T200, 70.0, CFG) == diff
     assert free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, T200, 200.0, CFG) == fs
 
@@ -282,14 +284,32 @@ def _first_block(monkeypatch, field_oe):
     return calls[0]
 
 
+def _block_to_255(field_oe):
+    """_terms arguments of the 70 nm difference series for l = 1 .. 255, the
+    first block of a 256-term head, built as free_energy_difference builds
+    its blocks."""
+    T = shifted_tc(LEAD, field_oe)
+    l = np.arange(1, 256)
+    xi = 2.0 * math.pi * CONST.k_b * T * l
+    g = lifshitz_mod.g_matsubara(LEAD, default_gap(LEAD.tc), T, l)
+    params = (drude_eps(GOLD, xi), drude_eps(LEAD, xi), eps_bcs(LEAD, xi, g))
+    return (lifshitz_mod._diff_log, lifshitz_mod._scaled_yl(xi, 70.0), params,
+            CFG.rel_tol_quadrature)
+
+
 @pytest.mark.parametrize("field_oe", [200.0, 775.0])
 def test_fine_pass_rows_are_accurate(monkeypatch, field_oe):
     """Every row of a block that the 6-panel rule flags is served from a finer
     rung of the ladder, the rows that used to fall back to adaptive_quad
     included, within rel 1e-9 of a 1e-14 adaptive integral and with an error
     estimate that bounds the deviation.  The other rows keep the first rung's
-    bits, and the flagged rows the bisected rule accepts keep its bits."""
-    integrand, yl, params, rel_tol = _first_block(monkeypatch, field_oe)
+    bits, and the flagged rows the bisected rule accepts keep its bits.  The
+    block is l = 1 .. 255: at 775 Oe the rows that the bisected rule accepts
+    lie past the head's first block, l < _HEAD."""
+    integrand, yl, params, rel_tol = _block_to_255(field_oe)
+    first = _first_block(monkeypatch, field_oe)
+    assert np.array_equal(first[1], yl[:first[1].size])
+    assert all(np.array_equal(a, b[:a.size]) for a, b in zip(first[2], params))
     vals, errs = lifshitz_mod._integrate(lifshitz_mod._LADDER[0], integrand, yl, params)
     flagged = ~lifshitz_mod._accepted(vals, errs, rel_tol)
     fine, fine_errs = lifshitz_mod._integrate(lifshitz_mod._LADDER[1], integrand, yl, params)
@@ -312,15 +332,14 @@ def test_fine_pass_rows_are_accurate(monkeypatch, field_oe):
 
 
 @pytest.mark.parametrize("field_oe, terms_used, delta_f_fn, fallbacks",
-                         [(200.0, 623, 18.580427126530353, 36),
-                          (775.0, 773, 56.77679086961815, 179)])
+                         [(200.0, 367, 18.580427126530353, 36),
+                          (775.0, 445, 56.77679086961815, 142)], ids=["200.0", "775.0"])
 def test_fine_pass_keeps_series(monkeypatch, field_oe, terms_used, delta_f_fn,
                                 fallbacks):
     """The rule ladder leaves the 70 nm series where the per-row adaptive
     refinement had it and makes no adaptive_quad call.  The rows that the
-    bisected rule leaves short, and so reach the third rung, are exactly
-    those that used to fall back to adaptive_quad; all of them lie in the
-    exactly summed head, so the strided series keeps their count."""
+    bisected rule leaves short reach the third rung: at 200 Oe all 36 lie in
+    the exactly summed head, at 775 Oe 127 of the 142 do."""
     calls = []
     beyond_fine = []
     adaptive = lifshitz_mod.adaptive_quad
@@ -345,8 +364,9 @@ def test_fine_pass_keeps_series(monkeypatch, field_oe, terms_used, delta_f_fn,
 
 
 @pytest.mark.parametrize("d, T, rrr_pb, terms_used, delta_f_fn",
-                         [(10.5, 7.0, 1e4, 700, 243229.5423130363),
-                          (1000.0, 1.0, 1.0, 553, 0.5115448757204183)])
+                         [(10.5, 7.0, 1e4, 408, 243229.5423130363),
+                          (1000.0, 1.0, 1.0, 333, 0.5115448757204183)],
+                         ids=["10.5-7.0-10000.0", "1000.0-1.0-1.0"])
 def test_ladder_keeps_series_at_domain_edges(d, T, rrr_pb, terms_used, delta_f_fn):
     """Near the smallest gap and at a large one the ladder and the stride keep
     the series that per-row adaptive refinement gave, summed term by term."""
@@ -367,7 +387,7 @@ def test_terms_meet_tolerance_to_double_resolution(monkeypatch, rel_tol):
     assert vals == pytest.approx(ref, rel=1e-12, abs=0)
     head, head_err = lifshitz_mod._terms(lifshitz_mod._tm_zero_log, np.zeros(1), (), rel_tol)
     assert head_err[0] <= np.finfo(float).eps * abs(head[0])
-    assert head[0] == pytest.approx(-1.2020569031595942, rel=1e-15)  # -zeta(3)
+    assert head[0] == pytest.approx(-1.2020569031595942, rel=1e-14, abs=0.0)  # -zeta(3)
 
 
 def test_terms_raise_on_unconverged_row():
@@ -384,7 +404,7 @@ def test_terms_raise_on_unconverged_row():
 
 def test_g_requested_once_per_block(monkeypatch):
     """Each block of terms asks for g on its own l only, once: the first
-    block is the head l = 1 .. 255, and every l's g is asked for once."""
+    block is the head l = 1 .. _HEAD - 1, and every l's g is asked for once."""
     g_calls, term_calls = [], []
     g, terms = lifshitz_mod.g_matsubara, lifshitz_mod._terms
 
@@ -399,7 +419,7 @@ def test_g_requested_once_per_block(monkeypatch):
     monkeypatch.setattr(lifshitz_mod, "g_matsubara", record_g)
     monkeypatch.setattr(lifshitz_mod, "_terms", record_terms)
     res = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
-    assert g_calls[0] == list(range(1, 256))
+    assert g_calls[0] == list(range(1, lifshitz_mod._HEAD))
     assert [len(c) for c in g_calls] == term_calls
     fetched = [l for c in g_calls for l in c]
     assert len(fetched) == len(set(fetched)) == res.terms_used - 1

@@ -437,8 +437,39 @@ def test_g_grid_keeps_bits_of_per_pair_body(monkeypatch, field_oe):
     scattered = np.empty(every.size)
     scattered[order] = g_matsubara(LEAD, GAP, temperature, every[order])
     monkeypatch.setattr(materials, "_g_body", g_body_windowed)
+    materials._g_memo.cache_clear()
     windowed = np.concatenate([g_matsubara(LEAD, GAP, temperature, run) for run in runs])
     assert np.array_equal(scattered, windowed)
+
+
+def test_g_stays_finite_at_huge_xi():
+    """The kernel's square root is taken factor by factor, so the top of the
+    v grid, E ~ 1e5 xi, overflows nothing: g stays positive and falling."""
+    xi = np.array([1e100, 1e150, 1e200, 1e250])
+    with np.errstate(over="raise", invalid="raise"):
+        g = mattis_bardeen_g(LEAD, GAP, xi, 3.6)
+    assert np.all(g > 0.0)
+    assert np.all(np.diff(g) < 0.0)
+
+
+def test_g_memo_keeps_bits_of_uncached_call():
+    """Entries served from the memo, filled by overlapping calls in any order,
+    have the bits of one call on an empty memo."""
+    temperature = shifted_tc(LEAD, 775.0)
+    l = np.r_[0:300, 1000:1100, 17001:17050]
+    for part in (l[::3], l[250:], l[::-7]):
+        g_matsubara(LEAD, GAP, temperature, part)
+    served = g_matsubara(LEAD, GAP, temperature, l)
+    materials._g_memo.cache_clear()
+    assert np.array_equal(served, g_matsubara(LEAD, GAP, temperature, l))
+    assert g_matsubara(LEAD, GAP, temperature, np.int64(5)).shape == ()
+
+
+def test_g_memo_keeps_its_bound_of_temperatures():
+    bound = materials._g_memo.cache_info().maxsize
+    for i in range(bound + 3):
+        g_matsubara(LEAD, GAP, 3.0 + 0.1 * i, np.arange(1, 4))
+    assert materials._g_memo.cache_info().currsize == bound
 
 
 def test_g_grid_runs_are_shared_and_read_only():

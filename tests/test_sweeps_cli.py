@@ -261,12 +261,37 @@ def test_sweep_rows_ordered_and_converged():
     assert rows[1].t_prime_c_k == pytest.approx(6.24, abs=0.01)
 
 
+def test_gap_sweep_computes_each_g_once(monkeypatch):
+    """The rows of a gap sweep share T, so the g memo hands _g_body each
+    distinct l once over the six rows, and no more l than the series asked
+    for."""
+    body_l, asked_l = [], set()
+    g_body, g = materials._g_body, lifshitz_mod.g_matsubara
+
+    def record_body(l, *args):
+        body_l.extend(l.tolist())
+        return g_body(l, *args)
+
+    def record_g(material, gap, T, l):
+        asked_l.update(l.tolist())
+        return g(material, gap, T, l)
+
+    monkeypatch.setattr(materials, "_g_body", record_body)
+    monkeypatch.setattr(lifshitz_mod, "g_matsubara", record_g)
+    cfg = RunConfig(compute_full=False, sweep=SweepSpec("gap_nm", 40.0, 190.0, 6))
+    rows = run_sweep(cfg)
+    assert all(r.error is None for r in rows)
+    assert len(body_l) == len(set(body_l)) == len(asked_l)
+    assert sum(r.terms_used - 1 for r in rows) > 2 * len(body_l)
+
+
 def test_sweep_concurrent_rows_identical():
     cfg = small_field_cfg()
     rows_first = run_sweep(cfg)
     rows_again = run_sweep(cfg)
     assert render_rows(cfg, rows_first) == render_rows(cfg, rows_again)
     materials.g_on_matsubara_grid.cache_clear()
+    materials._g_memo.cache_clear()
     materials._universal_gap_curve.cache_clear()
     rows_cold = run_sweep(cfg)
     assert render_rows(cfg, rows_first).encode() == render_rows(cfg, rows_cold).encode()
