@@ -440,30 +440,29 @@ def g_matsubara(material: MaterialParams, gap: GapModel, T: float, l) -> np.ndar
         raise DomainError("g_matsubara requires T > 0")
     l = np.asarray(l, dtype=np.int64)
     delta = bcs_gap(gap, T, material.tc)
-    if delta == 0.0:
-        return np.zeros(l.shape)
     memo = _g_memo(material, gap, T)
     new = np.array(sorted(set(l.ravel().tolist()) - memo.keys()), dtype=np.int64)
-    t_ev = CONST.k_b * T
-    step = 2.0 * math.pi * t_ev
-    n = int(max(60.0 * delta / step, 60.0)) + 1
-    e = _CROSS_EXACT * n
-    lp = new[new > 0]
-    # analytic wings: t_n ~ (Delta^2/2) (1/w_n + 1/w_{n+l})^2 past the body
-    a = n + 0.5
-    wing = _psi(1, a) + _psi(1, a + lp) + 2.0 * (_psi(0, a + lp) - _psi(0, a)) / lp
-    # closed-form middle of the cross sum, exactly 0 for l <= 2e
-    lm = np.maximum(lp, 2 * e)
-    b = e + 0.5
-    middle = (_psi(1, b) - _psi(1, lm - e + 0.5)
-              - 2.0 * (_psi(0, lm - e + 0.5) - _psi(0, b)) / lm)
-    rows = max(1, _G_CHUNK // (2 * e))   # the body holds several (rows x e) arrays
-    body = np.concatenate([np.empty(0)] + [_g_body(lp[i:i + rows], n, e, delta, step)
-                                           for i in range(0, lp.size, rows)])
     out = np.zeros(new.shape)
-    out[new > 0] = (body + (delta * delta / step ** 2) * (wing - middle)) * (
-        math.pi * t_ev / material.gamma)
-    out[new == 0] = _condensate(delta, t_ev) / material.gamma
+    if new.size and delta > 0.0:
+        t_ev = CONST.k_b * T
+        step = 2.0 * math.pi * t_ev
+        n = int(max(60.0 * delta / step, 60.0)) + 1
+        e = _CROSS_EXACT * n
+        lp = new[new > 0]
+        # analytic wings: t_n ~ (Delta^2/2) (1/w_n + 1/w_{n+l})^2 past the body
+        a = n + 0.5
+        wing = _psi(1, a) + _psi(1, a + lp) + 2.0 * (_psi(0, a + lp) - _psi(0, a)) / lp
+        # closed-form middle of the cross sum, exactly 0 for l <= 2e
+        lm = np.maximum(lp, 2 * e)
+        b = e + 0.5
+        middle = (_psi(1, b) - _psi(1, lm - e + 0.5)
+                  - 2.0 * (_psi(0, lm - e + 0.5) - _psi(0, b)) / lm)
+        rows = max(1, _G_CHUNK // (2 * e))   # the body holds several (rows x e) arrays
+        body = np.concatenate([np.empty(0)] + [_g_body(lp[i:i + rows], n, e, delta, step)
+                                               for i in range(0, lp.size, rows)])
+        scale = math.pi * t_ev / material.gamma
+        out[new > 0] = (body + (delta * delta / step ** 2) * (wing - middle)) * scale
+        out[new == 0] = _condensate(delta, t_ev) / material.gamma
     memo.update(zip(new.tolist(), out.tolist()))
     return np.array([memo[x] for x in l.ravel().tolist()], dtype=float).reshape(l.shape)
 
