@@ -420,8 +420,7 @@ def free_energy_difference(material_a: MaterialParams, material_b: MaterialParam
     the stop of the ascending sum, three quiet terms past matsubara_cap_diff
     * 2 Delta(0), kept as summing on would move the recorded headline values;
     error_estimate holds the tail it leaves (1.6e-6 at 775 Oe, 70 nm), and
-    terms_used counts the terms evaluated (367 at 200 Oe, 70 nm).  Their g
-    comes from g_matsubara's memo, so the rows of a gap sweep share it.
+    terms_used counts the terms evaluated (367 at 200 Oe, 70 nm).
     """
     if not (0.0 < T < math.inf and 0.0 < d < math.inf):
         raise DomainError("free_energy_difference requires finite T > 0 and d > 0")

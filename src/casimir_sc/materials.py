@@ -16,7 +16,7 @@ on one composite K15 grid in the energy variable, so a table costs one pass
 per temperature.
 g_matsubara evaluates it at the discrete thermal frequencies through the
 fermionic frequency sum itself, as the Lifshitz engine consumes it; an entry
-costs O(n) in the sum's body width and is memoised for 8 temperatures.
+costs O(n) in the sum's body width and is memoised for the last temperature.
 The reduced BCS gap Delta(T)/Delta(0) is solved at each temperature asked
 for, by bisection of the gap equation, and memoised per temperature.  The
 polygammas both need come from one asymptotic series (_psi), so the module
@@ -434,7 +434,7 @@ def g_matsubara(material: MaterialParams, gap: GapModel, T: float, l) -> np.ndar
     e = n, 8e-7 at 2n, 7.3e-8 at 4n and 4.8e-9 at 8n, against the 1e-6 the
     headline values are held to.  An l = 0 entry is the condensate weight
     g(0+).  Each entry depends on its l alone, bit for bit, so _g_memo keeps
-    them for the last 8 (material, gap, T); a call computes the l it lacks.
+    them for the last (material, gap, T); a call computes the l it lacks.
     """
     if T <= 0.0:
         raise DomainError("g_matsubara requires T > 0")
@@ -467,9 +467,10 @@ def g_matsubara(material: MaterialParams, gap: GapModel, T: float, l) -> np.ndar
     return np.array([memo[x] for x in l.ravel().tolist()], dtype=float).reshape(l.shape)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _g_memo(material: MaterialParams, gap: GapModel, T: float) -> dict:
-    """{l: g(xi_l)} that g_matsubara has computed at (material, gap, T)."""
+    """{l: g(xi_l)} that g_matsubara computed at (material, gap, T), for one T:
+    only gap-sweep rows share a T, and 8 cost a 2-row field sweep 0.1 MB."""
     return {}
 
 
