@@ -469,8 +469,8 @@ def g_matsubara(material: MaterialParams, gap: GapModel, T: float, l) -> np.ndar
 
 @lru_cache(maxsize=1)
 def _g_memo(material: MaterialParams, gap: GapModel, T: float) -> dict:
-    """{l: g(xi_l)} that g_matsubara computed at (material, gap, T), for one T:
-    only gap-sweep rows share a T, and 8 cost a 2-row field sweep 0.1 MB."""
+    """{l: g(xi_l)} that g_matsubara computed at (material, gap, T).  Only the
+    rows of a gap sweep share a T; keeping 8 T cost a field sweep 0.1 MB."""
     return {}
 
 
