@@ -7,9 +7,10 @@ Free energy per unit area between two thick slabs at separation d:
 
 in the scaled variable y = 2 d q_l, y_l = 2 d xi_l / (hbar c).  Slab "a" is
 the sphere coating (always normal); slab "b" carries the normal or
-superconducting phase.  The l = 0 term is taken in its analytic limit: the
-Drude slab a has no TE zero mode, so only the saturated TM pair remains,
-whatever the phase of slab b.
+superconducting phase.  The l = 0 term is taken in its analytic limit: a
+saturated polarization, r_a r_b = 1, gives int_0^inf y log(1 - e^-y) dy =
+-zeta(3), so -zeta(3)/2 at half weight.  The Drude slab a has no TE zero
+mode, so only the saturated TM pair remains, whatever the phase of slab b.
 
 The force jump across the transition follows from the proximity force
 approximation, Delta F = 2 pi R [F_normal - F_super], with error bound d/R.
@@ -28,8 +29,7 @@ from .errors import ConvergenceError, DomainError, PfaAccuracyWarning
 from .materials import MaterialParams, default_gap, drude_eps, eps_bcs, g_matsubara
 # Unused here, but module attributes that perfbench/trace_child.py wraps by name.
 from .materials import g_on_matsubara_grid  # noqa: F401
-from .quadrature import CompositeKronrod, NeumaierSum, adaptive_quad  # noqa: F401
-from .sc_state import Phase
+from .quadrature import CompositeKronrod, adaptive_quad  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +102,9 @@ def _pair_log(y, yl, eps_a, eps_b):
 
 
 def _ideal_log(y, yl):
-    """Both mirrors ideal, r_te = -1 and r_tm = 1, at every l including 0."""
+    """Both mirrors ideal, r_te = -1 and r_tm = 1, at every l."""
     half = np.log1p(-np.exp(-y))
     return y * (half + half)
-
-
-def _tm_zero_log(y, yl):
-    """l = 0 with a Drude slab a: its TE zero mode vanishes, so only the
-    saturated TM pair remains, whatever the phase of slab b."""
-    return y * np.log1p(-np.exp(-y))
 
 
 def _diff_log(y, yl, eps_a, eps_n, eps_s):
@@ -202,10 +196,12 @@ def _scaled_yl(xi, d: float):
 _HEAD = 128
 _NODES = 32
 _Y_STOP = 48.0
+# zeta(3): minus the l = 0 integral of one saturated polarization.
+_ZETA3 = 1.2020569031595942
 
 
 def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
-                 l_cap: int, head: tuple, quiet_stop: bool = False) -> FreeEnergyResult:
+                 l_cap: int, head: float, quiet_stop: bool = False) -> FreeEnergyResult:
     """kT/(8 pi d^2) * [head + sum_{l>=1} term_l] on a graded stride.
 
     The terms l < _HEAD are summed exactly.  Each octave [A, 2A) past them is
@@ -226,15 +222,17 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
     [A, L] keeps the octave's stride up to its last node B of stride 2k,
     [B, B + 2h), h = (L - B) // 2 >= 2, is extrapolated from strides h and
     2h, and the one to four terms left are added.  No quiet octave edge by
-    y_l = _Y_STOP raises ConvergenceError.  error_estimate sums the
-    |S_k - S_2k|, the quadrature errors and, with quiet_stop, the tail past L
-    from the terms' decay at L taken as a power of l (which bounds an
-    exponential decay too).  terms_used counts the evaluated terms and l = 0.
+    y_l = _Y_STOP raises ConvergenceError.  The pieces are totalled by
+    math.fsum.  error_estimate sums the |S_k - S_2k|, the quadrature errors
+    and, with quiet_stop, the tail past L from the terms' decay at L taken as
+    a power of l (which bounds an exponential decay too); head, an exact
+    l = 0 term, adds none.  terms_used counts the evaluated terms and l = 0.
     """
     h = 2.0 * math.pi * CONST.k_b * T
     y_top = math.ceil(_Y_STOP / _scaled_yl(h, d))
     extent = max(l_cap, y_top)
     known = {}
+    parts = [head]
 
     def terms(ls, *more) -> np.ndarray:
         """(values, errors) at ls; unknown terms of ls and more come in one batch."""
@@ -277,7 +275,7 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
             if k == 1:
                 return value, quad_err, k
             value, miss = extrapolated(value, span(a, b, 2 * k, 2 * k)[0])
-            if miss <= cfg.rel_tol_series * abs(acc.value + value):
+            if miss <= cfg.rel_tol_series * abs(math.fsum(parts) + value):
                 return value, miss + quad_err, k
             k //= 2
 
@@ -304,12 +302,12 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
         stride k: interpolated in log |term|/sum on the nodes' trapezoid sums,
         walked to on the strided sums, and at l = _HEAD taken back over the head."""
         v = terms(range(a, 2 * a + 1, k))[0]
-        rough = acc.value + k * (np.cumsum(v) - 0.5 * (v[0] + v)) + 0.5 * (v[0] + v)
+        rough = math.fsum(parts) + k * (np.cumsum(v) - 0.5 * (v[0] + v)) + 0.5 * (v[0] + v)
         f = np.log(np.maximum(np.abs(v), 1e-300) / (cfg.rel_tol_series * np.abs(rough)))
         j = next((i for i, x in enumerate(f) if x <= 0.0), f.size - 1)
         l = a if j == 0 else min(2 * a, a + (j - 1) * k
                                  + math.ceil(k * f[j - 1] / (f[j - 1] - f[j])))
-        total = acc.value + partial(a, l, k)[0]
+        total = math.fsum(parts) + partial(a, l, k)[0]
         while not quiet(l, total):
             l += 1
             total += terms([l])[0][0]
@@ -324,48 +322,46 @@ def _strided_sum(integrand, params, T: float, d: float, cfg: EngineConfig,
             rate = math.log(before / last) - 1.0 / stop if last and before / last > 0 else 0.0
             err += abs(last) / rate if rate > 0.0 else (math.inf if last else 0.0)
         pref = CONST.k_b * T / (8.0 * math.pi * d * d)
-        return FreeEnergyResult(value=float(pref * acc.value), terms_used=len(known) + 1,
+        return FreeEnergyResult(value=float(pref * math.fsum(parts)), terms_used=len(known) + 1,
                                 error_estimate=float(pref * err))
 
-    acc = NeumaierSum()
-    acc.add(head[0])
     vals, errs = terms(range(1, (_HEAD - 1 if quiet_stop else min(_HEAD - 1, extent)) + 1))
     run = 0
     for l, value in enumerate(vals.tolist(), start=1):
-        acc.add(value)
-        run = run + 1 if abs(value) <= cfg.rel_tol_series * abs(acc.value) else 0
+        parts.append(value)
+        run = run + 1 if abs(value) <= cfg.rel_tol_series * abs(math.fsum(parts)) else 0
         if quiet_stop and run >= 3 and l >= l_cap:
-            return result(head[1] + errs[:l].sum(), l)
-    err = head[1] + errs.sum()
+            return result(errs[:l].sum(), l)
+    err = errs.sum()
     a, k, stop = _HEAD, _HEAD // _NODES, None
     while (stop is None or stop >= 2 * a) if quiet_stop else a <= extent:
         value, miss, k = settled(a, 2 * a, k)
-        if quiet_stop and stop is None and quiet(2 * a, acc.value + value + known[2 * a][0]):
+        if quiet_stop and stop is None and quiet(2 * a, math.fsum(parts) + value
+                                                 + known[2 * a][0]):
             stop = max(l_cap, first_quiet(a, k) + 2)
             if stop < 2 * a:
                 break
         elif quiet_stop and stop is None and 2 * a > y_top:
             raise ConvergenceError(f"Matsubara series: no quiet term by y_l = {_Y_STOP:g}, "
                                    f"l = {2 * a}", abs(known[2 * a][0]))
-        acc.add(value)
+        parts.append(value)
         err += miss
         a, k = 2 * a, 2 * k
     if stop is not None:
         value, miss = partial(a, stop, k)
-        acc.add(value)
+        parts.append(value)
         err += miss
     return result(err, stop)
 
 
-def _full_free_energy(integrand, params, zero_integrand, T: float, d: float,
+def _full_free_energy(integrand, params, saturated: int, T: float, d: float,
                       cfg: EngineConfig) -> FreeEnergyResult:
-    """Full series: the l = 0 term at half weight, then l >= 1 on a graded
-    stride to past matsubara_cap_full * c/d."""
+    """Full series: the l = 0 term at half weight, -zeta(3)/2 for each of its
+    saturated polarizations, then l >= 1 on a graded stride to the first
+    octave edge past y_l = _Y_STOP and matsubara_cap_full * c/d."""
     xi_cap = cfg.matsubara_cap_full * (CONST.hbar_c / d)
     l_cap = int(math.ceil(xi_cap / (2.0 * math.pi * CONST.k_b * T)))
-    s0, e0 = (float(a[0]) for a in _terms(zero_integrand, np.zeros(1), (),
-                                         cfg.rel_tol_quadrature))
-    return _strided_sum(integrand, params, T, d, cfg, l_cap, head=(0.5 * s0, 0.5 * e0))
+    return _strided_sum(integrand, params, T, d, cfg, l_cap, head=-0.5 * saturated * _ZETA3)
 
 
 # ---------------------------------------------------------------------------
@@ -373,31 +369,20 @@ def _full_free_energy(integrand, params, zero_integrand, T: float, d: float,
 
 
 def free_energy(material_a: MaterialParams, material_b: MaterialParams,
-                phase_b: Phase, T: float, d: float, cfg: EngineConfig) -> FreeEnergyResult:
-    """Lifshitz free energy per unit area (eV/nm^2); negative for metals.
+                T: float, d: float, cfg: EngineConfig) -> FreeEnergyResult:
+    """Lifshitz free energy F_n per unit area (eV/nm^2) of two normal Drude
+    slabs; negative for metals.
 
-    Slab a is treated as a normal Drude metal.  With slab b normal this is
-    the full Matsubara series.  The superconducting value is
-    F_s = F_n - (F_n - F_s): the normal series less the cancellation-free
-    difference series, so no series is summed in the superconducting phase
-    itself.  Its terms_used is that of F_n and its error estimate the sum
-    of the two.
+    This is the normal series only.  The superconducting value is
+    F_s = F_n - (F_n - F_s), formed in sweeps._evaluate from this and the
+    cancellation-free difference series, so no series is summed in the
+    superconducting phase itself.
     """
     if not (0.0 < T < math.inf and 0.0 < d < math.inf):
         raise DomainError("free_energy requires finite T > 0 and d > 0")
-    superconducting = phase_b is Phase.SUPERCONDUCTING
-    if superconducting and not material_b.is_superconductor():
-        raise DomainError(f"{material_b.name} has no superconducting phase")
-    if superconducting and T >= material_b.tc:
-        raise DomainError("superconducting phase requires T < tc")
-    fn = _full_free_energy(
+    return _full_free_energy(
         _pair_log, lambda l, xi: (drude_eps(material_a, xi), drude_eps(material_b, xi)),
-        _tm_zero_log, T, d, cfg)
-    if not superconducting:
-        return fn
-    diff = free_energy_difference(material_a, material_b, T, d, cfg)
-    return FreeEnergyResult(value=fn.value - diff.value, terms_used=fn.terms_used,
-                            error_estimate=fn.error_estimate + diff.error_estimate)
+        1, T, d, cfg)
 
 
 def ideal_mirror_free_energy(T: float, d: float, cfg: EngineConfig) -> FreeEnergyResult:
@@ -407,7 +392,7 @@ def ideal_mirror_free_energy(T: float, d: float, cfg: EngineConfig) -> FreeEnerg
     """
     if not (0.0 < T < math.inf and 0.0 < d < math.inf):
         raise DomainError("ideal_mirror_free_energy requires finite T > 0 and d > 0")
-    return _full_free_energy(_ideal_log, lambda l, xi: (), _ideal_log, T, d, cfg)
+    return _full_free_energy(_ideal_log, lambda l, xi: (), 2, T, d, cfg)
 
 
 def free_energy_difference(material_a: MaterialParams, material_b: MaterialParams,
@@ -436,7 +421,7 @@ def free_energy_difference(material_a: MaterialParams, material_b: MaterialParam
         return (drude_eps(material_a, xi), drude_eps(material_b, xi),
                 eps_bcs(material_b, xi, g_matsubara(material_b, gap_b, T, l)))
 
-    return _strided_sum(_diff_log, params, T, d, cfg, l_cap, head=(0.0, 0.0), quiet_stop=True)
+    return _strided_sum(_diff_log, params, T, d, cfg, l_cap, head=0.0, quiet_stop=True)
 
 
 def delta_force_pfa(material_a: MaterialParams, material_b: MaterialParams,

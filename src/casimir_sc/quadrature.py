@@ -1,7 +1,7 @@
 """Gauss-Kronrod (G7/K15) quadrature for vectorized integrands.
 
-The program uses the panel rule _k15, CompositeKronrod (the Lifshitz terms)
-and NeumaierSum; the g column calls _k15 on its own panels.  kronrod_panel,
+The program uses the panel rule _k15 and CompositeKronrod (the Lifshitz
+terms); the g column calls _k15 on its own panels.  kronrod_panel,
 adaptive_quad and exp_tail_quad (semi-infinite tails by the substitution
 x = a*e^u) serve the tests and the benchmark's tracer, which wraps them by
 name.  Integrands take an ndarray of abscissae and return an ndarray of
@@ -185,26 +185,3 @@ def exp_tail_quad(
         f"(error estimate {total_err:.3e})",
         error_estimate=total_err,
     )
-
-
-class NeumaierSum:
-    """Compensated accumulator for long alternating-magnitude series."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
-

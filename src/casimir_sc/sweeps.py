@@ -22,11 +22,9 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .constants import CONST, CONSTANTS_VERSION
 from .errors import ConfigError, ConvergenceError, DomainError
-from .lifshitz import (EngineConfig, delta_force_pfa, free_energy,
-                       free_energy_difference)
+from .lifshitz import EngineConfig, delta_force_pfa, free_energy
 from .materials import GOLD, LEAD, MaterialParams, default_gap, mattis_bardeen_g
-from .sc_state import (ModulationSpec, Phase, field_waveform, force_signal,
-                       shifted_tc)
+from .sc_state import ModulationSpec, field_waveform, force_signal, shifted_tc
 
 OUTPUT_FORMATS = ("csv", "json")
 
@@ -266,14 +264,15 @@ _SWEEP_FIELDS = dict(zip(SWEEP_VARIABLES, ("field_oe", "gap_nm", "temperature_k"
 
 def _evaluate(cfg: RunConfig) -> tuple:
     """(T, force jump, F_n, F_s) at cfg's resolved temperature and gap;
-    F_n and F_s are NaN unless cfg.compute_full."""
+    F_n and F_s are NaN unless cfg.compute_full.  F_s is formed here alone,
+    as F_n less the difference series of the force jump."""
     temperature = cfg.resolved_temperature()
     res = delta_force_pfa(cfg.material_a, cfg.material_b, cfg.radius_um,
                           temperature, cfg.gap_nm, cfg.engine)
     f_normal = f_super = float("nan")
     if cfg.compute_full:
-        f_normal = free_energy(cfg.material_a, cfg.material_b, Phase.NORMAL,
-                               temperature, cfg.gap_nm, cfg.engine).value
+        f_normal = free_energy(cfg.material_a, cfg.material_b, temperature,
+                               cfg.gap_nm, cfg.engine).value
         f_super = f_normal - res.diff_ev_nm2
     return temperature, res, f_normal, f_super
 
@@ -444,9 +443,10 @@ def g_function_table(cfg: RunConfig, t_over_tc: Sequence[float],
 def waveform_samples(cfg: RunConfig, spec: ModulationSpec, n_samples: int) -> str:
     """One period of (t, H, phase, F) at midpoint samples.
 
-    F is force_signal's mean + jump * f(t) at the base temperature: the jump
-    is the difference series, the mean F_n less half of it.  H and the phase
-    are field_waveform's drive H_c(T) + h f(t).
+    F is force_signal's mean + jump * f(t) at the base temperature, from
+    _evaluate as for a point: the jump is point's force jump, with its d/R
+    warning, and the mean the PFA force of F_n less half of it.  H and the
+    phase are field_waveform's drive H_c(T) + h f(t).
     """
     if n_samples < 2 or n_samples % 2 != 0:
         raise DomainError("n_samples must be an even number >= 2")
@@ -454,13 +454,9 @@ def waveform_samples(cfg: RunConfig, spec: ModulationSpec, n_samples: int) -> st
     temperature = spec.base_temperature
     if temperature >= pb.tc:
         raise DomainError("the modulated drive needs base_temperature < tc")
-    fn = free_energy(cfg.material_a, pb, Phase.NORMAL, temperature,
-                     cfg.gap_nm, cfg.engine)
-    diff = free_energy_difference(cfg.material_a, pb, temperature,
-                                  cfg.gap_nm, cfg.engine)
-    to_fn = 2.0 * math.pi * cfg.radius_um * 1000.0 * CONST.ev_per_nm_to_fn
-    jump = to_fn * diff.value
-    mean = to_fn * fn.value - 0.5 * jump
+    _, res, f_normal, _ = _evaluate(replace(cfg, temperature_k=temperature, compute_full=True))
+    jump = res.delta_f_fn
+    mean = 2.0 * math.pi * (cfg.radius_um * 1000.0) * f_normal * CONST.ev_per_nm_to_fn - 0.5 * jump
     signal = force_signal(mean, jump, spec)
     out = io.StringIO()
     out.write(f"# casimir-sc v{_pkg_version}\n")

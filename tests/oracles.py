@@ -23,6 +23,7 @@ import math
 import warnings
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
@@ -34,10 +35,12 @@ from casimir_sc.errors import ConvergenceError, DomainError
 from casimir_sc.lifshitz import EngineConfig, FreeEnergyResult
 from casimir_sc.materials import (GapModel, MaterialParams, bcs_gap, default_gap,
                                   drude_eps, eps_bcs, g_on_matsubara_grid)
-from casimir_sc.quadrature import NeumaierSum
 
 HBAR_C = 197.3269804
 K_B = 8.617333262e-5
+# int_0^inf y log(1 - e^-y) dy = -zeta(3): the l = 0 integral of one
+# saturated polarization.
+ZETA3 = float(mpmath.zeta(3))
 
 def gap_ratio_bruteforce(t: float) -> float:
     """Solve the reduced BCS gap equation in the energy variable, 30 digits.
@@ -215,33 +218,31 @@ def term_stream(integrand, params, T: float, d: float, cfg: EngineConfig, l_stop
 
 def normal_free_energy_exact(material_a: MaterialParams, material_b: MaterialParams,
                              T: float, d: float, cfg: EngineConfig) -> float:
-    """F_n summed exactly, eV/nm^2: the half-weight l = 0 term, then every l
-    up to full_series_extent in ascending order, on the production terms."""
+    """F_n summed exactly, eV/nm^2: the half-weight l = 0 term of the TM
+    pair, -zeta(3)/2, then every l up to full_series_extent, on the
+    production terms, totalled by math.fsum."""
 
     def params(l, xi):
         return drude_eps(material_a, xi), drude_eps(material_b, xi)
 
-    s0 = lifshitz._terms(lifshitz._tm_zero_log, np.zeros(1), (),
-                         cfg.rel_tol_quadrature)[0][0]
-    acc = NeumaierSum()
-    acc.add(0.5 * s0)
-    for sl, _ in term_stream(lifshitz._pair_log, params, T, d, cfg, full_series_extent(T, d)):
-        acc.add(sl)
-    return CONST.k_b * T / (8.0 * math.pi * d * d) * acc.value
+    stream = term_stream(lifshitz._pair_log, params, T, d, cfg, full_series_extent(T, d))
+    total = math.fsum([-0.5 * ZETA3, *(sl for sl, _ in stream)])
+    return CONST.k_b * T / (8.0 * math.pi * d * d) * total
 
 
 def difference_free_energy_exact(material_a: MaterialParams, material_b: MaterialParams,
                                  T: float, d: float, cfg: EngineConfig,
                                  extent: int | None = None) -> FreeEnergyResult:
-    """F_n - F_s summed in ascending l with compensation, eV/nm^2, on the
-    production terms and g, fetched a block of l at a time.
+    """F_n - F_s summed in ascending l, eV/nm^2, on the production terms and
+    g, fetched a block of l at a time, and totalled by math.fsum.
 
     Without extent the sum stops where production does, after three quiet
     terms, |term_l| <= rel_tol_series |sum_{j<=l} term_j|, once l reaches
     l_cap = matsubara_cap_diff * 2 Delta(0) / (2 pi k_B T); it raises
     ConvergenceError if that has not happened by full_series_extent or l_cap.  With extent it adds every l up to
-    extent.  terms_used is the last l summed plus one, and error_estimate the
-    quadrature errors plus the last term.
+    extent.  The quiet test reads a running float sum.  terms_used is the
+    last l summed plus one, and error_estimate the quadrature errors plus the
+    last term.
     """
     gap = default_gap(material_b.tc)
     h = 2.0 * math.pi * CONST.k_b * T
@@ -251,22 +252,23 @@ def difference_free_energy_exact(material_a: MaterialParams, material_b: Materia
         g = g_on_matsubara_grid(material_b, gap, T, l.size - 1, int(l[0]))
         return drude_eps(material_a, xi), drude_eps(material_b, xi), eps_bcs(material_b, xi, g)
 
-    acc = NeumaierSum()
-    err = 0.0
+    summed = []
+    running = err = 0.0
     quiet = 0
     stream = term_stream(lifshitz._diff_log, params, T, d, cfg,
                          extent or max(full_series_extent(T, d), l_cap))
     for l, (sl, el) in enumerate(stream, start=1):
-        acc.add(sl)
+        summed.append(sl)
+        running += sl
         err += el
-        quiet = quiet + 1 if abs(sl) <= cfg.rel_tol_series * abs(acc.value) else 0
+        quiet = quiet + 1 if abs(sl) <= cfg.rel_tol_series * abs(running) else 0
         if extent is None and quiet >= 3 and l >= l_cap:
             break
     else:
         if extent is None:
             raise ConvergenceError(f"no stop after {l} terms", error_estimate=abs(sl))
     pref = CONST.k_b * T / (8.0 * math.pi * d * d)
-    return FreeEnergyResult(value=pref * acc.value, terms_used=l + 1,
+    return FreeEnergyResult(value=pref * math.fsum(summed), terms_used=l + 1,
                             error_estimate=pref * (err + abs(sl)))
 
 
@@ -274,22 +276,19 @@ def superconducting_free_energy_direct(material_a: MaterialParams,
                                        material_b: MaterialParams, T: float,
                                        d: float, cfg: EngineConfig,
                                        terms: int) -> float:
-    """F_s summed directly, eV/nm^2: the half-weight l = 0 term, then exactly
-    `terms` terms of the pair integrand with slab b's BCS permittivity, g
-    fetched per block of l.  F_n less it cancels about four digits."""
+    """F_s summed directly, eV/nm^2: the half-weight l = 0 term of the TM
+    pair, -zeta(3)/2, then exactly `terms` terms of the pair integrand with
+    slab b's BCS permittivity, g fetched per block of l, totalled by
+    math.fsum.  F_n less it cancels about four digits."""
     gap = default_gap(material_b.tc)
 
     def params(l, xi):
         g = g_on_matsubara_grid(material_b, gap, T, l.size - 1, int(l[0]))
         return drude_eps(material_a, xi), eps_bcs(material_b, xi, g)
 
-    s0 = lifshitz._terms(lifshitz._tm_zero_log, np.zeros(1), (),
-                         cfg.rel_tol_quadrature)[0][0]
-    acc = NeumaierSum()
-    acc.add(0.5 * s0)
-    for sl, _ in term_stream(lifshitz._pair_log, params, T, d, cfg, terms):
-        acc.add(sl)
-    return CONST.k_b * T / (8.0 * math.pi * d * d) * acc.value
+    stream = term_stream(lifshitz._pair_log, params, T, d, cfg, terms)
+    total = math.fsum([-0.5 * ZETA3, *(sl for sl, _ in stream)])
+    return CONST.k_b * T / (8.0 * math.pi * d * d) * total
 
 
 def ideal_casimir_energy(d: float) -> float:

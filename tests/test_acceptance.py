@@ -28,7 +28,7 @@ from casimir_sc.materials import (
     default_gap,
     mattis_bardeen_g,
 )
-from casimir_sc.sc_state import ModulationSpec, Phase, force_signal, shifted_tc
+from casimir_sc.sc_state import ModulationSpec, force_signal, shifted_tc
 from casimir_sc.sweeps import (
     RunConfig,
     SweepSpec,
@@ -138,7 +138,7 @@ def test_criterion_5_difference_vs_subtraction():
     for field, d in ((100.0, 70.0), (200.0, 70.0), (200.0, 50.0),
                      (400.0, 100.0), (600.0, 70.0)):
         temperature = shifted_tc(LEAD, field)
-        fn = free_energy(GOLD, LEAD, Phase.NORMAL, temperature, d, CFG)
+        fn = free_energy(GOLD, LEAD, temperature, d, CFG)
         fs = superconducting_free_energy_direct(GOLD, LEAD, temperature, d, CFG,
                                                 full_series_extent(temperature, d))
         diff = free_energy_difference(GOLD, LEAD, temperature, d, CFG)
@@ -212,11 +212,11 @@ def test_criterion_8_truncation_robustness():
 def test_criterion_9_modulation_signal():
     cfg = RunConfig()
     temperature = shifted_tc(LEAD, 200.0)
-    fn = free_energy(GOLD, LEAD, Phase.NORMAL, temperature, cfg.gap_nm, CFG)
-    fs = free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, temperature, cfg.gap_nm, CFG)
+    fn = free_energy(GOLD, LEAD, temperature, cfg.gap_nm, CFG).value
+    fs = fn - free_energy_difference(GOLD, LEAD, temperature, cfg.gap_nm, CFG).value
     to_fn = 2.0 * math.pi * cfg.radius_um * 1000.0 * CONST.ev_per_nm_to_fn
-    mean = 0.5 * to_fn * (fn.value + fs.value)
-    jump = to_fn * (fn.value - fs.value)
+    mean = 0.5 * to_fn * (fn + fs)
+    jump = to_fn * (fn - fs)
     spec = ModulationSpec(base_temperature=temperature, h=20.0, frequency=300.0)
     sig = force_signal(mean, jump, spec)
     period = spec.period

@@ -20,9 +20,10 @@ from casimir_sc.lifshitz import (
 )
 from casimir_sc.materials import GOLD, LEAD, default_gap, drude_eps, eps_bcs, g_zero_limit
 from casimir_sc.quadrature import adaptive_quad
-from casimir_sc.sc_state import Phase, shifted_tc
+from casimir_sc.sc_state import shifted_tc
 
 from oracles import (
+    ZETA3,
     difference_free_energy_exact,
     fresnel_mpmath,
     full_series_extent,
@@ -39,6 +40,12 @@ T200 = shifted_tc(LEAD, 200.0)
 # against the coarse trapezoid oracle and the ideal-mirror closed form).
 GOLDEN_F_NORMAL = -3.171284885610125e-06
 GOLDEN_DIFF = 1.2304789924686617e-10
+
+
+def f_super(T, d):
+    """F_s = F_n - (F_n - F_s), from the two series the program sums."""
+    return (free_energy(GOLD, LEAD, T, d, CFG).value
+            - free_energy_difference(GOLD, LEAD, T, d, CFG).value)
 
 
 # ---------------------------------------------------------------------------
@@ -87,19 +94,19 @@ def test_fresnel_bounds(eps, xi, k_perp):
 
 
 def zero_mode_shift(eps_b, yl, d=70.0):
-    """int _pair_log dy / int _tm_zero_log dy - 1 over the l = 0 range, for
-    gold against eps_b(xi) at y_l = 2 d xi/(hbar c), both on the engine's rule."""
+    """int _pair_log dy / -zeta(3) - 1 over the l = 0 range, for gold against
+    eps_b(xi) at y_l = 2 d xi/(hbar c), on the engine's rule."""
     xi = yl * CONST.hbar_c / (2.0 * d)
     pair = lifshitz_mod._terms(lifshitz_mod._pair_log, np.array([yl]),
                                (np.array([drude_eps(GOLD, xi)]), np.array([eps_b(xi)])),
                                1e-12)[0][0]
-    zero = lifshitz_mod._terms(lifshitz_mod._tm_zero_log, np.zeros(1), (), 1e-12)[0][0]
-    return pair / zero - 1.0
+    return pair / -ZETA3 - 1.0
 
 
 def test_zero_mode_drude():
     """Drude slabs lose their TE zero mode and saturate the TM one: the l = 0
-    term _tm_zero_log is the y_l -> 0+ limit of _pair_log, to O(y_l)."""
+    integral -zeta(3) of one saturated polarization is the y_l -> 0+ limit
+    of _pair_log, to O(y_l)."""
     for yl in (1e-4, 1e-6, 1e-8):
         assert abs(zero_mode_shift(lambda xi: drude_eps(LEAD, xi), yl)) < 100.0 * yl
 
@@ -107,7 +114,7 @@ def test_zero_mode_drude():
 def test_zero_mode_difference_structure():
     """The l = 0 term cancels in the phase difference for a Drude-modeled
     sphere: superconducting lead keeps a TE zero mode, but gold has none, so
-    _pair_log tends to the same _tm_zero_log in both phases of lead."""
+    _pair_log tends to the same -zeta(3) in both phases of lead."""
     g0 = g_zero_limit(LEAD, default_gap(LEAD.tc), T200)
     shifts = [abs(zero_mode_shift(lambda xi: eps_bcs(LEAD, xi, g0), yl))
               for yl in (1e-4, 1e-6, 1e-8)]
@@ -149,27 +156,35 @@ def test_ideal_mirror_matches_closed_form():
     assert ideal_casimir_energy(100.0) == pytest.approx(-2.705e-6, rel=1e-3)
 
 
+@pytest.mark.parametrize("T, d", [(300.0, 30_000.0), (100.0, 100_000.0)])
+def test_zero_mode_is_classical_limit(T, d):
+    """At y_1 >= 48 every term past l = 0 is below e^-48 of it, so a series
+    is its l = 0 term: -kT zeta(3)/(16 pi d^2) per saturated polarization,
+    two for ideal mirrors and the TM pair alone for Drude slabs."""
+    assert 2.0 * d * 2.0 * math.pi * CONST.k_b * T / CONST.hbar_c >= 48.0
+    classical = -CONST.k_b * T * ZETA3 / (8.0 * math.pi * d * d)
+    for res, expected in ((ideal_mirror_free_energy(T, d, CFG), classical),
+                          (free_energy(GOLD, LEAD, T, d, CFG), 0.5 * classical)):
+        assert res.value == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert res.error_estimate < 1e-15 * abs(res.value)
+
+
 # ---------------------------------------------------------------------------
 # full free energy
 
 
 def test_free_energy_domain():
     with pytest.raises(DomainError):
-        free_energy(GOLD, LEAD, Phase.NORMAL, 0.0, 70.0, CFG)
+        free_energy(GOLD, LEAD, 0.0, 70.0, CFG)
     with pytest.raises(DomainError):
-        free_energy(GOLD, LEAD, Phase.NORMAL, 6.24, -1.0, CFG)
-    with pytest.raises(DomainError):
-        free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, 7.5, 70.0, CFG)
-    with pytest.raises(DomainError):
-        free_energy(GOLD, GOLD, Phase.SUPERCONDUCTING, 1.0, 70.0, CFG)
+        free_energy(GOLD, LEAD, 6.24, -1.0, CFG)
 
 
 @pytest.mark.parametrize("T, d", [(math.nan, 70.0), (math.inf, 70.0),
                                   (6.0, math.nan), (6.0, math.inf)])
 def test_series_reject_non_finite_temperature_and_gap(T, d):
-    for phase in Phase:
-        with pytest.raises(DomainError, match="finite"):
-            free_energy(GOLD, LEAD, phase, T, d, CFG)
+    with pytest.raises(DomainError, match="finite"):
+        free_energy(GOLD, LEAD, T, d, CFG)
     with pytest.raises(DomainError, match="finite"):
         free_energy_difference(GOLD, LEAD, T, d, CFG)
     with pytest.raises(DomainError, match="finite"):
@@ -177,7 +192,7 @@ def test_series_reject_non_finite_temperature_and_gap(T, d):
 
 
 def test_free_energy_golden_and_trapezoid():
-    res = free_energy(GOLD, LEAD, Phase.NORMAL, T200, 70.0, CFG)
+    res = free_energy(GOLD, LEAD, T200, 70.0, CFG)
     assert res.value < 0.0
     assert res.value == pytest.approx(GOLDEN_F_NORMAL, rel=1e-8, abs=0)
     coarse = lifshitz_trapezoid(lambda xi: drude_eps(GOLD, xi),
@@ -186,13 +201,13 @@ def test_free_energy_golden_and_trapezoid():
 
 
 def test_free_energy_decays_with_gap():
-    values = [abs(free_energy(GOLD, LEAD, Phase.NORMAL, T200, d, CFG).value)
+    values = [abs(free_energy(GOLD, LEAD, T200, d, CFG).value)
               for d in (50.0, 100.0, 200.0, 300.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_free_energy_vanishes_at_large_gap():
-    res = free_energy(GOLD, LEAD, Phase.NORMAL, T200, 1e5, CFG)
+    res = free_energy(GOLD, LEAD, T200, 1e5, CFG)
     assert abs(res.value) < 1e-12
 
 
@@ -207,7 +222,7 @@ def test_difference_golden():
 
 
 def test_difference_matches_full_subtraction():
-    fn = free_energy(GOLD, LEAD, Phase.NORMAL, T200, 70.0, CFG)
+    fn = free_energy(GOLD, LEAD, T200, 70.0, CFG)
     fs = superconducting_free_energy_direct(GOLD, LEAD, T200, 70.0, CFG,
                                             full_series_extent(T200, 70.0))
     diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
@@ -218,7 +233,7 @@ def test_difference_matches_full_subtraction():
 def test_full_series_uses_few_terms(field_oe):
     """The strided F_n evaluates a few hundred terms per octave of l, where
     every term up to y_l = 48 is 20,039 at 200 Oe and 98,172 at 775 Oe."""
-    fn = free_energy(GOLD, LEAD, Phase.NORMAL, shifted_tc(LEAD, field_oe), 70.0, CFG)
+    fn = free_energy(GOLD, LEAD, shifted_tc(LEAD, field_oe), 70.0, CFG)
     assert fn.terms_used < 2000
 
 
@@ -239,7 +254,7 @@ def test_block_size_does_not_change_series(monkeypatch):
     """The series integrate their terms, and fetch g, in blocks of l; a split
     into one-l blocks must not move a single bit."""
     diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
-    fs = free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, T200, 200.0, CFG)
+    fs = f_super(T200, 200.0)
     terms, g = lifshitz_mod._terms, lifshitz_mod.g_matsubara
 
     def one_row_terms(integrand, yl, params, rel_tol):
@@ -254,7 +269,7 @@ def test_block_size_does_not_change_series(monkeypatch):
     monkeypatch.setattr(lifshitz_mod, "g_matsubara", one_l_g)
     materials._g_memo.cache_clear()
     assert free_energy_difference(GOLD, LEAD, T200, 70.0, CFG) == diff
-    assert free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, T200, 200.0, CFG) == fs
+    assert f_super(T200, 200.0) == fs
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -263,11 +278,11 @@ def test_pass_size_does_not_change_series(monkeypatch, rows):
     of one or of seven first-rung rows must not move a single bit of F_n or
     of the difference series, nor their terms_used."""
     diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
-    fn = free_energy(GOLD, LEAD, Phase.NORMAL, T200, 70.0, CFG)
+    fn = free_energy(GOLD, LEAD, T200, 70.0, CFG)
     monkeypatch.setattr(lifshitz_mod, "_PASS_NODES",
                         rows * lifshitz_mod._LADDER[0].nodes.size)
     assert free_energy_difference(GOLD, LEAD, T200, 70.0, CFG) == diff
-    assert free_energy(GOLD, LEAD, Phase.NORMAL, T200, 70.0, CFG) == fn
+    assert free_energy(GOLD, LEAD, T200, 70.0, CFG) == fn
 
 
 def _first_block(monkeypatch, field_oe):
@@ -385,9 +400,9 @@ def test_terms_meet_tolerance_to_double_resolution(monkeypatch, rel_tol):
     vals, errs = lifshitz_mod._terms(integrand, yl, params, rel_tol)
     assert np.all(errs <= max(rel_tol, np.finfo(float).eps) * np.abs(vals))
     assert vals == pytest.approx(ref, rel=1e-12, abs=0)
-    head, head_err = lifshitz_mod._terms(lifshitz_mod._tm_zero_log, np.zeros(1), (), rel_tol)
+    head, head_err = lifshitz_mod._terms(lifshitz_mod._ideal_log, np.zeros(1), (), rel_tol)
     assert head_err[0] <= np.finfo(float).eps * abs(head[0])
-    assert head[0] == pytest.approx(-1.2020569031595942, rel=1e-14, abs=0.0)  # -zeta(3)
+    assert head[0] == pytest.approx(-2.0 * ZETA3, rel=1e-14, abs=0.0)
 
 
 def test_terms_raise_on_unconverged_row():
@@ -512,11 +527,11 @@ def test_strided_full_series_matches_exact_sum(field_oe):
     strides until the sum meets the exact one to 1e-14 (a stride that does
     not adapt stays 8.6e-14 off)."""
     T = shifted_tc(LEAD, field_oe)
-    fn = free_energy(GOLD, LEAD, Phase.NORMAL, T, 70.0, CFG)
+    fn = free_energy(GOLD, LEAD, T, 70.0, CFG)
     exact = normal_free_energy_exact(GOLD, LEAD, T, 70.0, CFG)
     assert fn.value == pytest.approx(exact, rel=1e-12, abs=0.0)
     assert fn.error_estimate >= abs(fn.value - exact)
-    tight = free_energy(GOLD, LEAD, Phase.NORMAL, T, 70.0, replace(CFG, rel_tol_series=1e-13))
+    tight = free_energy(GOLD, LEAD, T, 70.0, replace(CFG, rel_tol_series=1e-13))
     assert tight.value == pytest.approx(exact, rel=1e-14, abs=0.0)
 
 
@@ -528,8 +543,8 @@ def test_full_series_error_bounds_refinement(field_oe):
     finer = replace(CFG, rel_tol_quadrature=CFG.rel_tol_quadrature / 2,
                     rel_tol_series=CFG.rel_tol_series / 2,
                     matsubara_cap_full=2 * CFG.matsubara_cap_full)
-    fn = free_energy(GOLD, LEAD, Phase.NORMAL, T, 70.0, CFG)
-    refined = free_energy(GOLD, LEAD, Phase.NORMAL, T, 70.0, finer)
+    fn = free_energy(GOLD, LEAD, T, 70.0, CFG)
+    refined = free_energy(GOLD, LEAD, T, 70.0, finer)
     assert fn.error_estimate >= abs(fn.value - refined.value)
 
 
@@ -537,8 +552,8 @@ def test_full_series_error_bounds_refinement(field_oe):
 def test_full_series_converges_at_domain_edges(T, d):
     """Far below T'c(H) and at the smallest gap the strided F_n converges, and
     a run at rel_tol_series 1e-12 lands within the default run's estimate."""
-    fn = free_energy(GOLD, LEAD, Phase.NORMAL, T, d, CFG)
-    tight = free_energy(GOLD, LEAD, Phase.NORMAL, T, d, replace(CFG, rel_tol_series=1e-12))
+    fn = free_energy(GOLD, LEAD, T, d, CFG)
+    tight = free_energy(GOLD, LEAD, T, d, replace(CFG, rel_tol_series=1e-12))
     assert fn.value < 0.0
     assert abs(fn.value - tight.value) <= fn.error_estimate
 
@@ -548,8 +563,7 @@ def test_low_temperature_superconductor_matches_direct_series():
     directly summed superconducting series."""
     direct = superconducting_free_energy_direct(GOLD, LEAD, 2.0, 150.0, CFG,
                                                 full_series_extent(2.0, 150.0))
-    fs = free_energy(GOLD, LEAD, Phase.SUPERCONDUCTING, 2.0, 150.0, CFG)
-    assert fs.value == pytest.approx(direct, rel=1e-5, abs=0)
+    assert f_super(2.0, 150.0) == pytest.approx(direct, rel=1e-5, abs=0)
 
 
 # ---------------------------------------------------------------------------

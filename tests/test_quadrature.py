@@ -7,7 +7,6 @@ from casimir_sc import lifshitz
 from casimir_sc.errors import ConvergenceError
 from casimir_sc.quadrature import (
     CompositeKronrod,
-    NeumaierSum,
     adaptive_quad,
     exp_tail_quad,
     kronrod_panel,
@@ -95,22 +94,4 @@ def test_exp_tail_exponential_decay():
 def test_exp_tail_algebraic_decay():
     val, _ = exp_tail_quad(lambda x: x ** -3.0, 2.0, rel_tol=1e-11)
     assert val == pytest.approx(1.0 / 8.0, rel=1e-10)
-
-
-def test_neumaier_recovers_cancelled_sum():
-    acc = NeumaierSum()
-    acc.add(1.0)
-    for _ in range(10):
-        acc.add(1e-17)
-    acc.add(-1.0)
-    assert acc.value == pytest.approx(1e-16, rel=1e-6, abs=0)
-
-
-def test_neumaier_matches_fsum_on_series():
-    rng = np.random.default_rng(7)
-    xs = list(rng.normal(size=2000) * 10.0 ** rng.integers(-8, 8, size=2000))
-    acc = NeumaierSum()
-    for x in xs:
-        acc.add(float(x))
-    assert acc.value == pytest.approx(math.fsum(xs), rel=1e-14)
 

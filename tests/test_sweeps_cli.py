@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ import casimir_sc.lifshitz as lifshitz_mod
 import casimir_sc.materials as materials
 import casimir_sc.sweeps as sweeps_mod
 from casimir_sc.cli import main as cli_main
-from casimir_sc.errors import ConfigError, ConvergenceError, DomainError
+from casimir_sc.errors import ConfigError, ConvergenceError, DomainError, PfaAccuracyWarning
 from casimir_sc.lifshitz import EngineConfig, free_energy_difference
 from casimir_sc.materials import LEAD, default_gap, mattis_bardeen_g
 from casimir_sc.sc_state import ModulationSpec, shifted_tc
@@ -240,8 +241,7 @@ def test_point_sums_each_series_once(monkeypatch):
     spec = ModulationSpec(base_temperature=temperature, h=20.0, frequency=300.0)
     header = [ln for ln in waveform_samples(cfg, spec, 2).splitlines()
               if ln.startswith("# mean_force_fN")][0]
-    assert float(header.split("delta_f_fN=")[1]) == pytest.approx(
-        result["delta_f_fN"], rel=1e-12)
+    assert float(header.split("delta_f_fN=")[1]) == result["delta_f_fN"]
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +514,23 @@ def test_cli_gfunction_and_waveform(tmp_path):
     assert cli_main(["waveform", "--samples", "4", "--rel-tol", "1e-6",
                      "--output", str(out2)]) == 0
     assert "t_s,H_Oe,phase,F_fN" in out2.read_text()
+
+
+@pytest.mark.parametrize("radius_um", ["1", "150"])
+def test_cli_waveform_jump_is_point_jump(radius_um, capsys):
+    """waveform prints point's delta_f_fN byte for byte, both going through
+    sweeps._evaluate; at d/R = 0.07 both warn that the PFA bound exceeds 1%."""
+    out = {}
+    for command in ("point", "waveform"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main([command, "--radius-um", radius_um]) == 0
+        warned = [w for w in caught if issubclass(w.category, PfaAccuracyWarning)]
+        assert len(warned) == (radius_um == "1")
+        out[command] = capsys.readouterr().out
+    point = [ln for ln in out["point"].splitlines() if ln.startswith("delta_f_fN=")]
+    assert len(point) == 1
+    assert f" {point[0]}\n" in out["waveform"]
 
 
 @pytest.mark.parametrize("flag, value", [("--amplitude-oe", "nan"), ("--amplitude-oe", "inf"),
