@@ -4,6 +4,11 @@ Subcommands: sweep-field, sweep-gap, g-function, waveform, point.
 Exit codes: 0 all rows converged, 1 configuration or engine error, 2 partial
 results. A sweep stopped by SIGINT, SIGTERM or SIGHUP writes its finished rows
 and exits 2; stopped by any other exception, it writes them and re-raises.
+With --output PATH, a sweep also appends each finished row to PATH.partial as
+it goes, so that SIGKILL loses none of them.
+
+main() returns the exit code and may be called in-process; run() is the
+process entry point.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import argparse
 import os
 import signal
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 # numpy's OpenBLAS starts a busy-waiting worker per CPU that the engine's small
 # matrix-vector sums cannot use; unless the user chose a count, the engine
@@ -23,8 +28,8 @@ from . import __version__  # noqa: E402
 from .errors import ConfigError, ConvergenceError, DomainError  # noqa: E402
 from .sc_state import ModulationSpec  # noqa: E402
 from .sweeps import (CONFIG_KEYS, RunConfig, g_function_table, load_config,  # noqa: E402
-                     point_eval, render_point, render_rows, run_sweep,
-                     waveform_samples)
+                     point_eval, render_partial_head, render_partial_row,
+                     render_point, render_rows, sweep_rows, waveform_samples)
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -93,35 +98,85 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _is_file_path(path: str) -> bool:
+    """True unless path names something other than a regular file, such as
+    /dev/null or a pipe, which must be written in place and never replaced."""
+    return os.path.isfile(path) or not os.path.exists(path)
+
+
 def _emit(text: str, path: Optional[str]) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    """Write text to stdout, or whole to path.
+
+    A file is written under a temporary name beside it and moved into place,
+    so that no reader, nor a process killed half way, sees a partial file.
+    """
+    if not path:
         sys.stdout.write(text)
+        return
+    target = os.path.realpath(path)  # replace a symlink's file, not the link
+    if not _is_file_path(target):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    tmp = target + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except OSError:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _sweep(cfg: RunConfig, rows: list, partial: Optional[str]) -> None:
+    """Append each finished row to rows and, if partial names a side file,
+    to that file too, flushed per row so that SIGKILL leaves it readable.
+    The side file stays until _finish has written the output."""
+    pending = sweep_rows(cfg)
+    if partial is None:
+        for row in pending:
+            rows.append(row)
+        return
+    with open(partial, "w", encoding="utf-8", newline="") as side:
+        side.write(render_partial_head(cfg))
+        side.flush()
+        for row in pending:
+            rows.append(row)
+            side.write(render_partial_row(cfg, row))
+            side.flush()
+
+
+def _finish(cfg: RunConfig, rows: list, partial: Optional[str]) -> None:
+    """Write the sweep's output whole, then delete the side file it replaces."""
+    _emit(render_rows(cfg, rows), cfg.output_path)
+    if partial is not None:
+        os.remove(partial)
 
 
 def _run_sweep_command(cfg: RunConfig) -> int:
     rows: list = []
+    path = cfg.output_path
+    partial = path + ".partial" if path and _is_file_path(path) else None
     # SIGTERM and SIGHUP stop a sweep as SIGINT does, unless ignored or handled
     replaced = [s for s in (getattr(signal, n, None) for n in ("SIGTERM", "SIGHUP"))
                 if s is not None and signal.getsignal(s) is signal.SIG_DFL]
     for signum in replaced:
         signal.signal(signum, signal.default_int_handler)
     try:
-        run_sweep(cfg, rows=rows)
+        _sweep(cfg, rows, partial)
     except KeyboardInterrupt:
-        _emit(render_rows(cfg, rows), cfg.output_path)
+        _finish(cfg, rows, partial)
         sys.stderr.write("interrupted: flushed completed rows\n")
         return 2
     except Exception:
         if rows:  # a bug or a MemoryError: keep the finished rows, then report
-            _emit(render_rows(cfg, rows), cfg.output_path)
+            _finish(cfg, rows, partial)
         raise
     finally:
         for signum in replaced:
             signal.signal(signum, signal.SIG_DFL)
-    _emit(render_rows(cfg, rows), cfg.output_path)
+    _finish(cfg, rows, partial)
     return 0 if all(r.error is None for r in rows) else 2
 
 
@@ -157,5 +212,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """Entry point of the casimir-sc process: main(), then exit.
+
+    Once main() has returned and its output is flushed, the process ends at
+    once, skipping the interpreter's teardown (module clean-up and its full
+    garbage collections), which outlasts many commands' own work. If main()
+    raises, or a flush fails, the usual exit reports it as always: a failed
+    write to stdout, retried at teardown, exits 120.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -15,7 +15,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -293,22 +293,23 @@ def _evaluate_row(cfg: RunConfig, variable: str, x: float) -> SweepRow:
                         error=str(exc))
 
 
-def run_sweep(cfg: RunConfig, rows: Optional[list] = None) -> list[SweepRow]:
-    """Evaluate all sweep rows in grid order; failures are recorded, not raised.
-
-    Each row is appended to `rows` (a new list by default) as soon as it is
-    done, so a caller that is interrupted still holds the finished rows.
-    """
+def sweep_rows(cfg: RunConfig) -> Iterator[SweepRow]:
+    """The sweep's rows in grid order, each evaluated as it is drawn; rows
+    that fail are recorded, not raised.  The configuration is checked here,
+    before the first row."""
     variable = cfg.sweep.variable
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(f"unknown sweep variable {variable!r}")
     if cfg.temperature_k is not None and variable != "gap_nm":
         raise ConfigError(f"temperature_k cannot be set for a {variable} sweep, "
                           "whose rows each set their own temperature")
-    rows = [] if rows is None else rows
-    for x in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.points):
-        rows.append(_evaluate_row(cfg, variable, float(x)))
-    return rows
+    return (_evaluate_row(cfg, variable, float(x))
+            for x in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.points))
+
+
+def run_sweep(cfg: RunConfig) -> list[SweepRow]:
+    """All sweep rows in grid order; failures are recorded, not raised."""
+    return list(sweep_rows(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -321,34 +322,51 @@ def render_rows(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
     return _render_csv(cfg, rows)
 
 
-def _header_lines(cfg: RunConfig, rows: Sequence[SweepRow]) -> list[str]:
+def render_partial_head(cfg: RunConfig) -> str:
+    """The start of a sweep's side file, written before any row: the config
+    echo of render_rows, without the row count.  JSON side files hold one
+    object a line, this one with the tool and config."""
+    if cfg.output_format == "json":
+        return _json_line(_json_head(cfg))
+    return "".join(line + "\n" for line in _header_lines(cfg)) + CSV_COLUMNS + "\n"
+
+
+def render_partial_row(cfg: RunConfig, row: SweepRow) -> str:
+    """One finished row of a sweep's side file, as render_rows writes it."""
+    if cfg.output_format == "json":
+        return _json_line(_json_row(row))
+    return _csv_line(row) + "\n"
+
+
+def _header_lines(cfg: RunConfig) -> list[str]:
     lines = [f"# casimir-sc v{_pkg_version}"]
     for key, val in sorted(config_echo(cfg).items()):
         lines.append(f"# {key}={_fmt_value(val)}")
-    ok = sum(1 for r in rows if r.error is None)
-    lines.append(f"# rows_converged={ok}/{len(rows)}")
     return lines
 
 
+def _converged(rows: Sequence[SweepRow]) -> int:
+    return sum(1 for r in rows if r.error is None)
+
+
+def _csv_line(r: SweepRow) -> str:
+    if r.error is not None:
+        return f"# FAILED x={fmt_float(r.x)} error={r.error}"
+    return ",".join([
+        fmt_float(r.x),
+        fmt_float(r.t_prime_c_k),
+        fmt_float(r.delta_f_fn),
+        fmt_float(r.f_normal_ev_nm2),
+        fmt_float(r.f_super_ev_nm2),
+        str(r.terms_used),
+        fmt_float(r.pfa_bound),
+    ])
+
+
 def _render_csv(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
-    out = io.StringIO()
-    for line in _header_lines(cfg, rows):
-        out.write(line + "\n")
-    out.write(CSV_COLUMNS + "\n")
-    for r in rows:
-        if r.error is not None:
-            out.write(f"# FAILED x={fmt_float(r.x)} error={r.error}\n")
-            continue
-        out.write(",".join([
-            fmt_float(r.x),
-            fmt_float(r.t_prime_c_k),
-            fmt_float(r.delta_f_fn),
-            fmt_float(r.f_normal_ev_nm2),
-            fmt_float(r.f_super_ev_nm2),
-            str(r.terms_used),
-            fmt_float(r.pfa_bound),
-        ]) + "\n")
-    return out.getvalue()
+    lines = [*_header_lines(cfg), f"# rows_converged={_converged(rows)}/{len(rows)}",
+             CSV_COLUMNS, *(_csv_line(r) for r in rows)]
+    return "".join(line + "\n" for line in lines)
 
 
 def _json_fields(values: dict) -> dict:
@@ -361,13 +379,17 @@ def _json_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+def _json_head(cfg: RunConfig) -> dict:
+    return {"tool": f"casimir-sc v{_pkg_version}", "config": _json_fields(config_echo(cfg))}
+
+
+def _json_row(r: SweepRow) -> dict:
+    return _json_fields(dataclasses.asdict(r))
+
+
 def _render_json(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
-    return _json_line({
-        "tool": f"casimir-sc v{_pkg_version}",
-        "config": _json_fields(config_echo(cfg)),
-        "rows_converged": sum(1 for r in rows if r.error is None),
-        "rows": [_json_fields(dataclasses.asdict(r)) for r in rows],
-    })
+    return _json_line({**_json_head(cfg), "rows_converged": _converged(rows),
+                       "rows": [_json_row(r) for r in rows]})
 
 
 # ---------------------------------------------------------------------------

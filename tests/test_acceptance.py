@@ -111,8 +111,8 @@ def test_criterion_4_ordering_and_monotonicity():
 def test_criterion_4_decay_bound():
     """Stated bound: g(60*2Delta0) < 1% of g(0+) at T = 0.1 Tc.
 
-    The dirty-limit response obtained by Kramers-Kronig continuation (and
-    confirmed independently by the fermionic-frequency sum) decays like
+    The dirty-limit response from the energy integral of mattis_bardeen_g
+    (confirmed independently by the fermionic-frequency sum) decays like
     (Delta^2/xi) log(xi/Delta) and sits near 3% of g(0+) at this frequency;
     the 1% level is reached only near xi ~ 240 * 2Delta(0).  The bound is
     asserted verbatim rather than loosened, so this test fails by design.
@@ -126,7 +126,7 @@ def test_criterion_4_decay_bound():
         f"against the stated 1e-2 -> "
         f"{'PASS' if ratio < 1e-2 else 'FAIL (logarithmic tail, by design)'}")
     assert ratio < 1e-2, (
-        f"g(60*2D0)/g(0+) = {ratio:.4f}: the Kramers-Kronig continuation of the "
+        f"g(60*2D0)/g(0+) = {ratio:.4f}: mattis_bardeen_g's energy integral of the "
         "dirty-limit pair-breaking spectrum decays logarithmically and does not "
         "fall below 1% until xi ~ 240*2Delta(0)")
     report(4, f"decay bound ratio {ratio:.2e}")

@@ -1,8 +1,10 @@
 import argparse
+import csv
 import json
 import math
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -22,6 +24,7 @@ from casimir_sc.materials import LEAD, default_gap, mattis_bardeen_g
 from casimir_sc.sc_state import ModulationSpec, shifted_tc
 from casimir_sc.sweeps import (
     CONFIG_KEYS,
+    CSV_COLUMNS,
     RunConfig,
     SweepSpec,
     config_echo,
@@ -641,7 +644,7 @@ def _fake_row(x):
 FAKE_ROW_1 = "1.5e+02,6.5e+00,1.25e+01,nan,nan,42,4.5e-04"
 
 
-def _sweep_stopping_after_one_row(monkeypatch, tmp_path, stop):
+def _sweep_stopping_after_one_row(monkeypatch, tmp_path, stop, *extra):
     """cli_main on a 3-row field sweep whose second row calls stop()."""
     done = []
 
@@ -654,7 +657,7 @@ def _sweep_stopping_after_one_row(monkeypatch, tmp_path, stop):
     monkeypatch.setattr(sweeps_mod, "_evaluate_row", one_then_stop)
     out = tmp_path / "sweep.csv"
     code = cli_main(["sweep-field", "--start", "150", "--stop", "250",
-                     "--points", "3", "--no-full", "--output", str(out)])
+                     "--points", "3", "--no-full", "--output", str(out), *extra])
     return code, out
 
 
@@ -730,6 +733,61 @@ def test_cli_unexpected_error_keeps_finished_rows(monkeypatch, tmp_path):
     assert FAKE_ROW_1 in text.splitlines()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_side_file_holds_each_finished_row(fmt, monkeypatch, tmp_path):
+    """While a sweep runs, PATH.partial holds the header echo and every
+    finished row as the final file writes them; at the end PATH replaces it."""
+    side = tmp_path / "sweep.csv.partial"
+    seen = []
+    code, out = _sweep_stopping_after_one_row(
+        monkeypatch, tmp_path, lambda: seen.append(side.read_text()), "--format", fmt)
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == ["sweep.csv"]
+    final = out.read_text()
+    if fmt == "csv":
+        lines = final.splitlines(keepends=True)
+        assert lines[-5].startswith("# rows_converged=")
+        del lines[-5]
+        assert seen == ["".join(lines[:-2]), "".join(lines[:-1])]
+    else:
+        whole = json.loads(final)
+        head, *rows = map(json.loads, seen[-1].splitlines())
+        assert head == {"tool": whole["tool"], "config": whole["config"]}
+        assert rows == whole["rows"][:2]
+
+
+def test_output_replaces_the_file_a_symlink_names(tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_text("old contents, longer than the new ones " * 20)
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    assert cli_main(["point", "--skip-force", "--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert real.read_text().startswith("field_oe=")
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
+@pytest.mark.parametrize("command", [["point", "--skip-force"],
+                                     ["sweep-field", "--points", "2", "--no-full"]])
+def test_output_to_a_pipe_is_written_in_place(command, monkeypatch, tmp_path):
+    """A pipe or device, such as /dev/stdout, is written, never replaced,
+    and gets no side file."""
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes on this platform")
+    monkeypatch.setattr(sweeps_mod, "_evaluate_row", lambda cfg, variable, x: _fake_row(x))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the writer's open needs one
+    try:
+        assert cli_main([*command, "--output", str(fifo)]) == 0
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert data.startswith((b"field_oe=", b"# casimir-sc"))
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
 def test_missing_config_file_is_config_error():
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config("/nonexistent/path.cfg")
@@ -751,19 +809,165 @@ def test_free_energy_columns_present_when_full(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the casimir-sc process
+
+ROOT = Path(__file__).resolve().parents[1]
+POSIX_ONLY = pytest.mark.skipif(os.name != "posix", reason="POSIX signals")
+
+
+def _child_env(*unset: str, **env: str) -> dict:
+    """os.environ less the names in unset, plus env, with this checkout's
+    src first on PYTHONPATH."""
+    child = {k: v for k, v in os.environ.items() if k not in unset}
+    child["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return {**child, **env}
+
+
+def _cli_child(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """casimir-sc run in a process of its own, through its process entry,
+    with stdout buffered as Python buffers a pipe or file by default."""
+    return subprocess.run([sys.executable, "-m", "casimir_sc.cli", *args],
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=120,
+                          env=_child_env("PYTHONUNBUFFERED"))
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["casimir-sc"].partition(":")
+    assert module == "casimir_sc.cli"
+    assert callable(getattr(cli_mod, name, None))
+    assert getattr(cli_mod, name) is cli_mod.run
+
+
+@pytest.mark.parametrize("args", [
+    ["point", "--skip-force"],
+    ["g-function", "--t-over-tc", "0.1"],
+    ["sweep-gap", "--no-full", "--format", "json", "--start", "60", "--stop", "80",
+     "--points", "2"],
+])
+def test_process_writes_what_main_writes(args, capsys):
+    """The process prints main()'s bytes and exits with its code."""
+    code = cli_main(args)
+    want = capsys.readouterr().out.encode()
+    proc = _cli_child(*args)
+    assert (proc.returncode, proc.stdout) == (code, want)
+    assert code == 0 and want
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["sweep-field", "--stop", "900"], 1, b"configuration error"),
+    (["point", "--no-such-flag"], 2, b"usage: casimir-sc"),
+])
+def test_process_error_exit_codes(args, code, message):
+    proc = _cli_child(*args)
+    assert proc.returncode == code
+    assert message in proc.stderr
+
+
+def test_process_output_file_is_stdout_and_complete(tmp_path):
+    args = ["sweep-gap", "--no-full", "--start", "60", "--stop", "80", "--points", "2"]
+    out = tmp_path / "sweep.csv"
+    to_file = _cli_child(*args, "--output", str(out))
+    to_stdout = _cli_child(*args)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_file.stdout == b""
+    assert b"# rows_converged=2/2" in to_stdout.stdout
+    assert out.read_bytes() == to_stdout.stdout
+    assert os.listdir(tmp_path) == ["sweep.csv"]  # no side or temporary file
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_process_failed_write_is_no_success():
+    """Buffered stdout that cannot be written ends the process as the
+    interpreter's own teardown reports it: exit code 120."""
+    with open("/dev/full", "wb") as full:
+        proc = _cli_child("point", "--skip-force", stdout=full)
+    assert proc.returncode == 120
+    assert b"No space left on device" in proc.stderr
+
+
+# A 3-row field sweep of fake rows through the process entry; its second row
+# waits for a signal.
+_STALLED_SWEEP = """
+import time
+import casimir_sc.sweeps as sweeps
+from casimir_sc.cli import run
+
+def row(cfg, variable, x):
+    if x > 150.0:
+        time.sleep(120)
+    return sweeps.SweepRow(x=x, t_prime_c_k=6.5, delta_f_fn=12.5,
+                           f_normal_ev_nm2=float("nan"), f_super_ev_nm2=float("nan"),
+                           terms_used=42, pfa_bound=4.5e-4)
+
+sweeps._evaluate_row = row
+run()
+"""
+
+
+def _stalled_sweep(tmp_path, check):
+    """Start the stalled sweep with --output, wait for its first row in the
+    side file, then call check(process, output path, side file path)."""
+    out = tmp_path / "sweep.csv"
+    side = tmp_path / "sweep.csv.partial"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _STALLED_SWEEP, "sweep-field", "--start", "150",
+         "--stop", "250", "--points", "3", "--no-full", "--output", str(out)],
+        env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while not (side.exists() and FAKE_ROW_1 in side.read_text().splitlines()):
+            assert proc.poll() is None, "the sweep ended before its first row"
+            assert time.monotonic() < deadline, "no first row in the side file"
+            time.sleep(0.01)
+        check(proc, out, side)
+    finally:
+        proc.kill()
+        proc.communicate(timeout=60)
+
+
+@POSIX_ONLY
+def test_sigkill_leaves_finished_rows_in_the_side_file(tmp_path):
+    def check(proc, out, side):
+        proc.kill()
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        assert not out.exists()
+        with open(side, newline="", encoding="utf-8") as fh:
+            data = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+        assert data == [CSV_COLUMNS.split(","), FAKE_ROW_1.split(",")]
+
+    _stalled_sweep(tmp_path, check)
+
+
+@POSIX_ONLY
+def test_sigterm_writes_finished_rows_and_drops_the_side_file(tmp_path):
+    def check(proc, out, side):
+        proc.terminate()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert b"interrupted" in err
+        text = out.read_text()
+        assert "# rows_converged=1/1" in text
+        assert FAKE_ROW_1 in text.splitlines()
+        assert not side.exists()
+
+    _stalled_sweep(tmp_path, check)
+
+
+# ---------------------------------------------------------------------------
 # benchmark tracer
 
 
 def test_tracer_wraps_existing_names(tmp_path):
     """perfbench/trace_child.py wraps layer entry points by module attribute
     name; a deleted or renamed one fails its start-up."""
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "trace_child.py"),
+        [sys.executable, str(ROOT / "perfbench" / "trace_child.py"),
          str(tmp_path / "spans.json"), "t", "--", "point", "--skip-force"],
-        capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+        capture_output=True, text=True, timeout=120, env=_child_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout.splitlines()[-1])
     assert last["exit"] == 0
@@ -777,12 +981,8 @@ def test_tracer_wraps_existing_names(tmp_path):
 def _python(*args, **env) -> str:
     """stdout of a fresh interpreter run with args, OPENBLAS_NUM_THREADS set
     only if env sets it."""
-    root = Path(__file__).resolve().parents[1]
-    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    child_env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          timeout=120, env={**child_env, **env})
+                          timeout=120, env=_child_env("OPENBLAS_NUM_THREADS", **env))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
