@@ -4,11 +4,9 @@ Subcommands: sweep-field, sweep-gap, g-function, waveform, point.
 Exit codes: 0 all rows converged, 1 configuration or engine error, 2 partial
 results. A sweep stopped by SIGINT, SIGTERM or SIGHUP writes its finished rows
 and exits 2; stopped by any other exception, it writes them and re-raises.
-With --output PATH, a sweep also appends each finished row to PATH.partial as
-it goes, so that SIGKILL loses none of them.
-
-main() returns the exit code and may be called in-process; run() is the
-process entry point.
+With --output PATH, a sweep also appends each finished row to PATH.partial,
+so that SIGKILL loses none.  run() is the process entry; main() returns the
+exit code and may be called in-process.
 """
 
 from __future__ import annotations
@@ -99,34 +97,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _is_file_path(path: str) -> bool:
-    """True unless path names something other than a regular file, such as
-    /dev/null or a pipe, which must be written in place and never replaced."""
+    """False for a pipe or device, such as /dev/stdout or /dev/null: that is
+    written in place, never replaced, and gets no side file."""
     return os.path.isfile(path) or not os.path.exists(path)
 
 
 def _emit(text: str, path: Optional[str]) -> None:
-    """Write text to stdout, or whole to path.
-
-    A file is written under a temporary name beside it and moved into place,
-    so that no reader, nor a process killed half way, sees a partial file.
-    """
+    """Write text to stdout, or to path: a file is written whole under a
+    temporary name beside it, then moved into place."""
     if not path:
         sys.stdout.write(text)
         return
-    target = os.path.realpath(path)  # replace a symlink's file, not the link
-    if not _is_file_path(target):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
+    if not _is_file_path(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         return
-    tmp = target + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except OSError:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    target = os.path.realpath(path)  # a symlink's file is replaced, not the link
+    with open(target + ".tmp", "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    os.replace(target + ".tmp", target)
 
 
 def _sweep(cfg: RunConfig, rows: list, partial: Optional[str]) -> None:
@@ -143,14 +132,13 @@ def _sweep(cfg: RunConfig, rows: list, partial: Optional[str]) -> None:
         side.flush()
         for row in pending:
             rows.append(row)
-            side.write(render_partial_row(cfg, row))
+            side.write(render_partial_row(row))
             side.flush()
 
 
 def _finish(cfg: RunConfig, rows: list, partial: Optional[str]) -> None:
-    """Write the sweep's output whole, then delete the side file it replaces."""
     _emit(render_rows(cfg, rows), cfg.output_path)
-    if partial is not None:
+    if partial is not None and os.path.exists(partial):  # absent if stopped early
         os.remove(partial)
 
 
@@ -213,14 +201,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def run() -> NoReturn:
-    """Entry point of the casimir-sc process: main(), then exit.
-
-    Once main() has returned and its output is flushed, the process ends at
-    once, skipping the interpreter's teardown (module clean-up and its full
-    garbage collections), which outlasts many commands' own work. If main()
-    raises, or a flush fails, the usual exit reports it as always: a failed
-    write to stdout, retried at teardown, exits 120.
-    """
+    """The casimir-sc process: main(), then os._exit once the output is
+    flushed, without interpreter teardown.  If main() raises or a flush
+    fails, the usual exit reports it (a failed write to stdout exits 120)."""
     code = main()
     try:
         sys.stdout.flush()

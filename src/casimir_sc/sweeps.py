@@ -323,18 +323,13 @@ def render_rows(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
 
 
 def render_partial_head(cfg: RunConfig) -> str:
-    """The start of a sweep's side file, written before any row: the config
-    echo of render_rows, without the row count.  JSON side files hold one
-    object a line, this one with the tool and config."""
-    if cfg.output_format == "json":
-        return _json_line(_json_head(cfg))
+    """The start of a sweep's side file, CSV in either format: the CSV
+    header less the row count, which is known only at the end."""
     return "".join(line + "\n" for line in _header_lines(cfg)) + CSV_COLUMNS + "\n"
 
 
-def render_partial_row(cfg: RunConfig, row: SweepRow) -> str:
-    """One finished row of a sweep's side file, as render_rows writes it."""
-    if cfg.output_format == "json":
-        return _json_line(_json_row(row))
+def render_partial_row(row: SweepRow) -> str:
+    """One finished row of a sweep's side file, as the CSV output has it."""
     return _csv_line(row) + "\n"
 
 
@@ -343,10 +338,6 @@ def _header_lines(cfg: RunConfig) -> list[str]:
     for key, val in sorted(config_echo(cfg).items()):
         lines.append(f"# {key}={_fmt_value(val)}")
     return lines
-
-
-def _converged(rows: Sequence[SweepRow]) -> int:
-    return sum(1 for r in rows if r.error is None)
 
 
 def _csv_line(r: SweepRow) -> str:
@@ -364,8 +355,9 @@ def _csv_line(r: SweepRow) -> str:
 
 
 def _render_csv(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
-    lines = [*_header_lines(cfg), f"# rows_converged={_converged(rows)}/{len(rows)}",
-             CSV_COLUMNS, *(_csv_line(r) for r in rows)]
+    ok = sum(1 for r in rows if r.error is None)
+    lines = [*_header_lines(cfg), f"# rows_converged={ok}/{len(rows)}", CSV_COLUMNS,
+             *map(_csv_line, rows)]
     return "".join(line + "\n" for line in lines)
 
 
@@ -379,17 +371,13 @@ def _json_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
-def _json_head(cfg: RunConfig) -> dict:
-    return {"tool": f"casimir-sc v{_pkg_version}", "config": _json_fields(config_echo(cfg))}
-
-
-def _json_row(r: SweepRow) -> dict:
-    return _json_fields(dataclasses.asdict(r))
-
-
 def _render_json(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
-    return _json_line({**_json_head(cfg), "rows_converged": _converged(rows),
-                       "rows": [_json_row(r) for r in rows]})
+    return _json_line({
+        "tool": f"casimir-sc v{_pkg_version}",
+        "config": _json_fields(config_echo(cfg)),
+        "rows_converged": sum(1 for r in rows if r.error is None),
+        "rows": [_json_fields(dataclasses.asdict(r)) for r in rows],
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -735,25 +735,24 @@ def test_cli_unexpected_error_keeps_finished_rows(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_side_file_holds_each_finished_row(fmt, monkeypatch, tmp_path):
-    """While a sweep runs, PATH.partial holds the header echo and every
-    finished row as the final file writes them; at the end PATH replaces it."""
+    """While a sweep runs, PATH.partial holds the CSV header, less the row
+    count, and every finished row; at the end PATH replaces it."""
     side = tmp_path / "sweep.csv.partial"
     seen = []
     code, out = _sweep_stopping_after_one_row(
         monkeypatch, tmp_path, lambda: seen.append(side.read_text()), "--format", fmt)
     assert code == 0
     assert sorted(os.listdir(tmp_path)) == ["sweep.csv"]
-    final = out.read_text()
+    first, second = seen
+    lines = first.splitlines()
+    assert lines[0].startswith("# casimir-sc v") and f"# format={fmt}" in lines
+    assert not any(ln.startswith("# rows_converged") for ln in lines)
+    assert lines[-2:] == [CSV_COLUMNS, FAKE_ROW_1]
+    assert second.startswith(first) and second.count("\n") == first.count("\n") + 1
     if fmt == "csv":
-        lines = final.splitlines(keepends=True)
-        assert lines[-5].startswith("# rows_converged=")
-        del lines[-5]
-        assert seen == ["".join(lines[:-2]), "".join(lines[:-1])]
-    else:
-        whole = json.loads(final)
-        head, *rows = map(json.loads, seen[-1].splitlines())
-        assert head == {"tool": whole["tool"], "config": whole["config"]}
-        assert rows == whole["rows"][:2]
+        final = out.read_text().splitlines(keepends=True)
+        assert final[-5].startswith("# rows_converged=")
+        assert second == "".join(final[:-5] + final[-4:-1])
 
 
 def test_output_replaces_the_file_a_symlink_names(tmp_path):
@@ -877,6 +876,15 @@ def test_process_output_file_is_stdout_and_complete(tmp_path):
     assert b"# rows_converged=2/2" in to_stdout.stdout
     assert out.read_bytes() == to_stdout.stdout
     assert os.listdir(tmp_path) == ["sweep.csv"]  # no side or temporary file
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_process_output_to_dev_stdout(capsys):
+    """--output /dev/stdout writes through the pipe the process was given."""
+    assert cli_main(["point", "--skip-force"]) == 0
+    want = capsys.readouterr().out.encode()
+    proc = _cli_child("point", "--skip-force", "--output", "/dev/stdout")
+    assert (proc.returncode, proc.stdout) == (0, want)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
