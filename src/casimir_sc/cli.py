@@ -96,26 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _is_file_path(path: str) -> bool:
-    """False for a pipe or device, such as /dev/stdout or /dev/null: that is
-    written in place, never replaced, and gets no side file."""
-    return os.path.isfile(path) or not os.path.exists(path)
-
-
 def _emit(text: str, path: Optional[str]) -> None:
-    """Write text to stdout, or to path: a file is written whole under a
-    temporary name beside it, then moved into place."""
-    if not path:
-        sys.stdout.write(text)
-        return
-    if not _is_file_path(path):
+    if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        return
-    target = os.path.realpath(path)  # a symlink's file is replaced, not the link
-    with open(target + ".tmp", "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(target + ".tmp", target)
+    else:
+        sys.stdout.write(text)
 
 
 def _sweep(cfg: RunConfig, rows: list, partial: Optional[str]) -> None:
@@ -145,7 +131,9 @@ def _finish(cfg: RunConfig, rows: list, partial: Optional[str]) -> None:
 def _run_sweep_command(cfg: RunConfig) -> int:
     rows: list = []
     path = cfg.output_path
-    partial = path + ".partial" if path and _is_file_path(path) else None
+    # a regular file gets a side file; a pipe or device such as /dev/stdout not
+    partial = (path + ".partial" if path and (os.path.isfile(path) or not os.path.exists(path))
+               else None)
     # SIGTERM and SIGHUP stop a sweep as SIGINT does, unless ignored or handled
     replaced = [s for s in (getattr(signal, n, None) for n in ("SIGTERM", "SIGHUP"))
                 if s is not None and signal.getsignal(s) is signal.SIG_DFL]

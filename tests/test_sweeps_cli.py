@@ -736,7 +736,7 @@ def test_cli_unexpected_error_keeps_finished_rows(monkeypatch, tmp_path):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_side_file_holds_each_finished_row(fmt, monkeypatch, tmp_path):
     """While a sweep runs, PATH.partial holds the CSV header, less the row
-    count, and every finished row; at the end PATH replaces it."""
+    count, and every finished row; it is deleted once PATH is written."""
     side = tmp_path / "sweep.csv.partial"
     seen = []
     code, out = _sweep_stopping_after_one_row(
@@ -755,22 +755,25 @@ def test_side_file_holds_each_finished_row(fmt, monkeypatch, tmp_path):
         assert second == "".join(final[:-5] + final[-4:-1])
 
 
-def test_output_replaces_the_file_a_symlink_names(tmp_path):
-    real = tmp_path / "real.txt"
-    real.write_text("old contents, longer than the new ones " * 20)
-    link = tmp_path / "link.txt"
-    link.symlink_to(real)
-    assert cli_main(["point", "--skip-force", "--output", str(link)]) == 0
-    assert link.is_symlink()
-    assert real.read_text().startswith("field_oe=")
-    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+def test_sweep_output_is_written_in_place(monkeypatch, tmp_path):
+    """PATH is the file it was, mode and hard links kept, not a new one."""
+    monkeypatch.setattr(sweeps_mod, "_evaluate_row", lambda cfg, variable, x: _fake_row(x))
+    out = tmp_path / "sweep.csv"
+    out.write_text("old contents, longer than the new ones " * 50)
+    out.chmod(0o640)
+    os.link(out, tmp_path / "link.csv")
+    before = os.stat(out)
+    assert cli_main(["sweep-field", "--points", "2", "--no-full", "--output", str(out)]) == 0
+    after = os.stat(out)
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert (tmp_path / "link.csv").read_text() == out.read_text()
+    assert out.read_text().startswith("# casimir-sc")
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "sweep.csv"]
 
 
-@pytest.mark.parametrize("command", [["point", "--skip-force"],
-                                     ["sweep-field", "--points", "2", "--no-full"]])
-def test_output_to_a_pipe_is_written_in_place(command, monkeypatch, tmp_path):
-    """A pipe or device, such as /dev/stdout, is written, never replaced,
-    and gets no side file."""
+def test_sweep_output_to_a_pipe_gets_no_side_file(monkeypatch, tmp_path):
+    """A pipe or device, such as /dev/stdout, is written and gets no side
+    file."""
     if not hasattr(os, "mkfifo"):
         pytest.skip("no named pipes on this platform")
     monkeypatch.setattr(sweeps_mod, "_evaluate_row", lambda cfg, variable, x: _fake_row(x))
@@ -778,12 +781,12 @@ def test_output_to_a_pipe_is_written_in_place(command, monkeypatch, tmp_path):
     os.mkfifo(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the writer's open needs one
     try:
-        assert cli_main([*command, "--output", str(fifo)]) == 0
+        assert cli_main(["sweep-field", "--points", "2", "--no-full",
+                         "--output", str(fifo)]) == 0
         data = os.read(reader, 1 << 16)
     finally:
         os.close(reader)
-    assert data.startswith((b"field_oe=", b"# casimir-sc"))
-    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert data.startswith(b"# casimir-sc")
     assert os.listdir(tmp_path) == ["fifo"]
 
 
@@ -875,7 +878,7 @@ def test_process_output_file_is_stdout_and_complete(tmp_path):
     assert to_file.stdout == b""
     assert b"# rows_converged=2/2" in to_stdout.stdout
     assert out.read_bytes() == to_stdout.stdout
-    assert os.listdir(tmp_path) == ["sweep.csv"]  # no side or temporary file
+    assert os.listdir(tmp_path) == ["sweep.csv"]  # no side file
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
