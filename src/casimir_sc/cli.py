@@ -1,12 +1,12 @@
 """Command-line driver.
 
 Subcommands: sweep-field, sweep-gap, g-function, waveform, point.
-Exit codes: 0 all rows converged, 1 configuration or engine error, 2 partial
-results. A sweep stopped by SIGINT, SIGTERM or SIGHUP writes its finished rows
-and exits 2; stopped by any other exception, it writes them and re-raises.
-With --output PATH, a sweep also appends each finished row to PATH.partial,
-so that SIGKILL loses none.  run() is the process entry; main() returns the
-exit code and may be called in-process.
+Exit codes: 0 all rows converged, 1 configuration, engine or output error, 2
+partial results. A sweep stopped by SIGINT, SIGTERM or SIGHUP writes its
+finished rows and exits 2; stopped by any other exception, it writes them and
+re-raises. With --output PATH, a sweep also appends each finished row to
+PATH.partial, so that SIGKILL loses none.  run() is the process entry; main()
+returns the exit code and may be called in-process.
 """
 
 from __future__ import annotations
@@ -104,24 +104,6 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _sweep(cfg: RunConfig, rows: list, partial: Optional[str]) -> None:
-    """Append each finished row to rows and, if partial names a side file,
-    to that file too, flushed per row so that SIGKILL leaves it readable.
-    The side file stays until _finish has written the output."""
-    pending = sweep_rows(cfg)
-    if partial is None:
-        for row in pending:
-            rows.append(row)
-        return
-    with open(partial, "w", encoding="utf-8", newline="") as side:
-        side.write(render_partial_head(cfg))
-        side.flush()
-        for row in pending:
-            rows.append(row)
-            side.write(render_partial_row(row))
-            side.flush()
-
-
 def _finish(cfg: RunConfig, rows: list, partial: Optional[str]) -> None:
     _emit(render_rows(cfg, rows), cfg.output_path)
     if partial is not None and os.path.exists(partial):  # absent if stopped early
@@ -129,6 +111,10 @@ def _finish(cfg: RunConfig, rows: list, partial: Optional[str]) -> None:
 
 
 def _run_sweep_command(cfg: RunConfig) -> int:
+    """Run the sweep; each finished row also goes to a side stream, flushed
+    per row so that SIGKILL leaves it readable: PATH.partial, kept until
+    _finish has written PATH, or os.devnull where there is no side file."""
+    pending = sweep_rows(cfg)  # checks the configuration before any file is opened
     rows: list = []
     path = cfg.output_path
     # a regular file gets a side file; a pipe or device such as /dev/stdout not
@@ -139,12 +125,17 @@ def _run_sweep_command(cfg: RunConfig) -> int:
                 if s is not None and signal.getsignal(s) is signal.SIG_DFL]
     for signum in replaced:
         signal.signal(signum, signal.default_int_handler)
+    stopped = False
     try:
-        _sweep(cfg, rows, partial)
+        with open(partial or os.devnull, "w", encoding="utf-8", newline="") as side:
+            side.write(render_partial_head(cfg))
+            side.flush()
+            for row in pending:
+                rows.append(row)
+                side.write(render_partial_row(row))
+                side.flush()
     except KeyboardInterrupt:
-        _finish(cfg, rows, partial)
-        sys.stderr.write("interrupted: flushed completed rows\n")
-        return 2
+        stopped = True
     except Exception:
         if rows:  # a bug or a MemoryError: keep the finished rows, then report
             _finish(cfg, rows, partial)
@@ -153,6 +144,9 @@ def _run_sweep_command(cfg: RunConfig) -> int:
         for signum in replaced:
             signal.signal(signum, signal.SIG_DFL)
     _finish(cfg, rows, partial)
+    if stopped:
+        sys.stderr.write("interrupted: flushed completed rows\n")
+        return 2
     return 0 if all(r.error is None for r in rows) else 2
 
 
@@ -165,37 +159,36 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command in ("sweep-field", "sweep-gap"):
             return _run_sweep_command(cfg)
         if args.command == "g-function":
-            ts = args.t_over_tc if args.t_over_tc else [0.1, 0.9]
-            _emit(g_function_table(cfg, ts), cfg.output_path)
-            return 0
-        if args.command == "waveform":
-            temperature = cfg.resolved_temperature()
-            spec = ModulationSpec(base_temperature=temperature,
-                                  h=args.amplitude_oe,
-                                  frequency=args.frequency_hz)
-            _emit(waveform_samples(cfg, spec, args.samples), cfg.output_path)
-            return 0
-        if args.command == "point":
-            result = point_eval(cfg, include_force=not args.skip_force)
-            _emit(render_point(cfg, result), cfg.output_path)
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+            text = g_function_table(cfg, args.t_over_tc or [0.1, 0.9])
+        elif args.command == "waveform":
+            spec = ModulationSpec(base_temperature=cfg.resolved_temperature(),
+                                  h=args.amplitude_oe, frequency=args.frequency_hz)
+            text = waveform_samples(cfg, spec, args.samples)
+        else:  # point; argparse admits no other command
+            text = render_point(cfg, point_eval(cfg, include_force=not args.skip_force))
+        _emit(text, cfg.output_path)
+        return 0
     except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 1
-    except (DomainError, ConvergenceError) as exc:
+    except BrokenPipeError:  # the reader has gone; there is no one to tell
+        return 1
+    except (DomainError, ConvergenceError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 
 
 def run() -> NoReturn:
     """The casimir-sc process: main(), then os._exit once the output is
-    flushed, without interpreter teardown.  If main() raises or a flush
-    fails, the usual exit reports it (a failed write to stdout exits 120)."""
+    flushed, without interpreter teardown.  A flush into a closed pipe exits
+    1 quietly; if main() raises or another flush fails, the usual exit
+    reports it (a failed write to stdout exits 120)."""
     code = main()
     try:
         sys.stdout.flush()
         sys.stderr.flush()
+    except BrokenPipeError:
+        os._exit(1)
     except Exception:
         sys.exit(code)
     os._exit(code)

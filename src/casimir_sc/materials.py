@@ -221,7 +221,6 @@ def bcs_gap(gap: GapModel, T: float, tc: float) -> float:
     return gap.delta0 * gap.ratio(T / tc)
 
 
-@lru_cache(maxsize=32)
 def default_gap(tc: float) -> GapModel:
     return GapModel.for_tc(tc)
 
@@ -474,14 +473,11 @@ def _g_memo(material: MaterialParams, gap: GapModel, T: float) -> dict:
     return {}
 
 
-@lru_cache(maxsize=256)
 def g_on_matsubara_grid(material: MaterialParams, gap: GapModel, T: float,
                         l_count: int, l_first: int = 0) -> np.ndarray:
     """g_matsubara on the run l_first .. l_first + l_count, both ends
-    included, so l_count + 1 entries; cached and read-only."""
-    out = g_matsubara(material, gap, T, np.arange(l_first, l_first + l_count + 1))
-    out.setflags(write=False)
-    return out
+    included, so l_count + 1 entries."""
+    return g_matsubara(material, gap, T, np.arange(l_first, l_first + l_count + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -421,8 +421,7 @@ def render_point(cfg: RunConfig, result: dict) -> str:
 # g-function table (optical response diagnostic)
 
 
-def g_function_table(cfg: RunConfig, t_over_tc: Sequence[float],
-                     grid: Optional[Sequence[float]] = None) -> str:
+def g_function_table(cfg: RunConfig, t_over_tc: Sequence[float]) -> str:
     """CSV of g(xi) columns per reduced temperature, xi in units of 2*Delta(0)."""
     for t in t_over_tc:
         if not 0.0 < t < 1.0:
@@ -430,8 +429,7 @@ def g_function_table(cfg: RunConfig, t_over_tc: Sequence[float],
                               "(at t/Tc = 1 the correction is identically zero)")
     pb = cfg.material_b
     gap = default_gap(pb.tc)
-    if grid is None:
-        grid = np.geomspace(1e-2, 1e2, 81)
+    grid = np.geomspace(1e-2, 1e2, 81)
     two_d0 = 2.0 * gap.delta0
     out = io.StringIO()
     out.write(f"# casimir-sc v{_pkg_version}\n")
@@ -439,7 +437,7 @@ def g_function_table(cfg: RunConfig, t_over_tc: Sequence[float],
     out.write(f"# material={pb.name} rrr={_fmt_value(pb.rrr)}\n")
     cols = ",".join(f"g_t{_fmt_value(float(t))}" for t in t_over_tc)
     out.write(f"xi_over_2delta0,{cols}\n")
-    xi = np.asarray(grid, dtype=float) * two_d0
+    xi = grid * two_d0
     columns = [mattis_bardeen_g(pb, gap, xi, t * pb.tc) for t in t_over_tc]
     for i, x in enumerate(grid):
         out.write(",".join([fmt_float(float(x))] + [fmt_float(c[i]) for c in columns]) + "\n")

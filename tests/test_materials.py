@@ -472,14 +472,6 @@ def test_g_memo_keeps_its_bound_of_temperatures():
     assert materials._g_memo.cache_info().currsize == bound
 
 
-def test_g_grid_runs_are_shared_and_read_only():
-    temperature = shifted_tc(LEAD, 200.0)
-    run = g_on_matsubara_grid(LEAD, GAP, temperature, 255, 1)
-    assert g_on_matsubara_grid(LEAD, GAP, temperature, 255, 1) is run
-    with pytest.raises(ValueError):
-        run[0] = 0.0
-
-
 def test_g_rrr_scaling():
     # gamma enters only as a prefactor
     dirty = MaterialParams(name="lead1", omega_p=7.36, gamma0=0.2, rrr=1.0,

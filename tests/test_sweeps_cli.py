@@ -293,7 +293,6 @@ def test_sweep_concurrent_rows_identical():
     rows_first = run_sweep(cfg)
     rows_again = run_sweep(cfg)
     assert render_rows(cfg, rows_first) == render_rows(cfg, rows_again)
-    materials.g_on_matsubara_grid.cache_clear()
     materials._g_memo.cache_clear()
     materials._universal_gap_curve.cache_clear()
     rows_cold = run_sweep(cfg)
@@ -396,12 +395,12 @@ def test_point_with_force():
 
 def test_g_function_table_layout_and_ordering():
     cfg = coarse_config()
-    grid = [0.25, 1.0, 10.0, 100.0]
-    text = g_function_table(cfg, [0.1, 0.9], grid=grid)
+    text = g_function_table(cfg, [0.1, 0.9])
     lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert lines[0] == "xi_over_2delta0,g_t1.0e-01,g_t9.0e-01"
     rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
-    assert len(rows) == 4
+    assert len(rows) == 81
+    assert rows[-1][0] == 100.0
     for _, g_cold, g_warm in rows:
         assert g_cold >= g_warm >= 0.0
     # decay: by xi/2D0 = 100 both columns sit below 2.5% of the static
@@ -790,6 +789,43 @@ def test_sweep_output_to_a_pipe_gets_no_side_file(monkeypatch, tmp_path):
     assert os.listdir(tmp_path) == ["fifo"]
 
 
+@pytest.mark.parametrize("command", [["point", "--skip-force"],
+                                     ["sweep-field", "--points", "2", "--no-full"]])
+def test_unopenable_output_is_one_error_line(command, monkeypatch, tmp_path, capsys):
+    """An --output in a missing directory prints one error line naming the
+    path and exits 1; a sweep, whose side file cannot be opened either,
+    evaluates no row and writes nothing."""
+    seen = []
+    monkeypatch.setattr(sweeps_mod, "_evaluate_row",
+                        lambda cfg, variable, x: seen.append(x) or _fake_row(x))
+    out = tmp_path / "missing" / "x.csv"
+    assert cli_main([*command, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and str(out) in line
+    assert seen == [] and os.listdir(tmp_path) == []
+
+
+def test_failed_final_write_keeps_the_side_file(monkeypatch, tmp_path, capsys):
+    """A sweep whose write of PATH fails prints one error line, exits 1 and
+    leaves every finished row in PATH.partial."""
+    out = tmp_path / "sweep.csv"
+
+    def row_then_block_path(cfg, variable, x):
+        out.mkdir(exist_ok=True)  # open(PATH, "w") refuses a directory, even to root
+        return _fake_row(x)
+
+    monkeypatch.setattr(sweeps_mod, "_evaluate_row", row_then_block_path)
+    assert cli_main(["sweep-field", "--start", "150", "--stop", "250", "--points", "2",
+                     "--no-full", "--output", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and str(out) in line
+    side = (tmp_path / "sweep.csv.partial").read_text().splitlines()
+    assert side[-3:-1] == [CSV_COLUMNS, FAKE_ROW_1]
+    assert side[-1].startswith("2.5e+02,")
+
+
 def test_missing_config_file_is_config_error():
     with pytest.raises(ConfigError, match="cannot read config file"):
         load_config("/nonexistent/path.cfg")
@@ -898,6 +934,24 @@ def test_process_failed_write_is_no_success():
         proc = _cli_child("point", "--skip-force", stdout=full)
     assert proc.returncode == 120
     assert b"No space left on device" in proc.stderr
+
+
+@POSIX_ONLY
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_process_into_a_closed_pipe_exits_quietly(unbuffered):
+    """Output into a pipe whose reader has gone exits 1 with nothing on
+    stderr, whether the write fails in main() (unbuffered stdout) or at the
+    final flush (buffered)."""
+    env = _child_env("PYTHONUNBUFFERED", **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "casimir_sc.cli", "point", "--skip-force"],
+            stdout=writer, stderr=subprocess.PIPE, timeout=120, env=env)
+    finally:
+        os.close(writer)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 # A 3-row field sweep of fake rows through the process entry; its second row
