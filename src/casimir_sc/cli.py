@@ -156,6 +156,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # every argument whose dest is a configuration key overrides the file
         cfg = load_config(args.config,
                           {k: v for k, v in vars(args).items() if k in CONFIG_KEYS})
+        if cfg.output_path and os.path.isdir(cfg.output_path):  # fail before computing
+            raise IsADirectoryError(f"output {cfg.output_path} is a directory")
         if args.command in ("sweep-field", "sweep-gap"):
             return _run_sweep_command(cfg)
         if args.command == "g-function":

@@ -413,13 +413,12 @@ def free_energy_difference(material_a: MaterialParams, material_b: MaterialParam
         raise DomainError(f"{material_b.name} has no superconducting phase")
     if T >= material_b.tc:
         return FreeEnergyResult(value=0.0, terms_used=0, error_estimate=0.0)
-    gap_b = default_gap(material_b.tc)
     h = 2.0 * math.pi * CONST.k_b * T
-    l_cap = int(math.ceil(cfg.matsubara_cap_diff * (2.0 * gap_b.delta0) / h))
+    l_cap = int(math.ceil(cfg.matsubara_cap_diff * (2.0 * default_gap(material_b.tc).delta0) / h))
 
     def params(l, xi):
         return (drude_eps(material_a, xi), drude_eps(material_b, xi),
-                eps_bcs(material_b, xi, g_matsubara(material_b, gap_b, T, l)))
+                eps_bcs(material_b, xi, g_matsubara(material_b, T, l)))
 
     return _strided_sum(_diff_log, params, T, d, cfg, l_cap, head=0.0, quiet_stop=True)
 

@@ -17,6 +17,7 @@ per temperature.
 g_matsubara evaluates it at the discrete thermal frequencies through the
 fermionic frequency sum itself, as the Lifshitz engine consumes it; an entry
 costs O(n) in the sum's body width and is memoised for the last temperature.
+Both take the material alone: Delta(0) = 1.764 k_B Tc comes from its tc.
 The reduced BCS gap Delta(T)/Delta(0) is solved at each temperature asked
 for, by bisection of the gap equation, and memoised per temperature.  The
 polygammas both need come from one asymptotic series (_psi), so the module
@@ -134,12 +135,6 @@ class GapModel:
 
     delta0: float                      # Delta(0), eV
 
-    @classmethod
-    def for_tc(cls, tc: float) -> "GapModel":
-        if tc < 0.0:
-            raise DomainError("tc must be >= 0")
-        return cls(delta0=1.764 * CONST.k_b * tc)
-
     def ratio(self, t: float) -> float:
         """Delta(T)/Delta(0) at reduced temperature t in [0, 1]."""
         if t < 0.0 or t > 1.0:
@@ -208,21 +203,25 @@ def _universal_gap_curve(t: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def bcs_gap(gap: GapModel, T: float, tc: float) -> float:
-    """Delta(T) in eV; closes at tc, equals delta0 at T = 0."""
+def default_gap(tc: float) -> GapModel:
+    """The weak-coupling gap of a metal with transition temperature tc,
+    Delta(0) = 1.764 k_B tc."""
+    if tc < 0.0:
+        raise DomainError("tc must be >= 0")
+    return GapModel(delta0=1.764 * CONST.k_b * tc)
+
+
+def bcs_gap(material: MaterialParams, T: float) -> float:
+    """Delta(T) in eV of the material's default_gap; closes at tc, equals
+    Delta(0) at T = 0."""
     if T < 0.0:
         raise DomainError("temperature must be >= 0")
-    if tc == 0.0:
-        if T > 0.0:
-            raise DomainError("gap undefined above tc")
-        return 0.0
-    if T > tc:
+    if T > material.tc:
         raise DomainError("gap undefined above tc")
-    return gap.delta0 * gap.ratio(T / tc)
-
-
-def default_gap(tc: float) -> GapModel:
-    return GapModel.for_tc(tc)
+    if material.tc == 0.0:
+        return 0.0
+    gap = default_gap(material.tc)
+    return gap.delta0 * gap.ratio(T / material.tc)
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +337,13 @@ def _g_column(xi: np.ndarray, delta: float, t_ev: float) -> np.ndarray:
         a, b = np.r_[a[~split], new_a], np.r_[b[~split], new_b]
 
 
-def mattis_bardeen_g(material: MaterialParams, gap: GapModel, xi, T: float):
+def mattis_bardeen_g(material: MaterialParams, xi, T: float):
     """BCS correction g(xi; T) in sigma(i xi), xi >= 0 a float or an array;
     zero at and above tc.  xi = 0 gives the condensate weight g(0+)."""
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi) & (xi >= 0.0)):
         raise DomainError("mattis_bardeen_g requires finite xi >= 0")
-    delta = bcs_gap(gap, T, material.tc)
+    delta = bcs_gap(material, T)
     g = np.zeros(xi.shape)
     if delta > 0.0:
         t_ev = CONST.k_b * T
@@ -355,12 +354,9 @@ def mattis_bardeen_g(material: MaterialParams, gap: GapModel, xi, T: float):
     return float(g) if g.ndim == 0 else g
 
 
-def g_zero_limit(material: MaterialParams, gap: GapModel, T: float) -> float:
+def g_zero_limit(material: MaterialParams, T: float) -> float:
     """g(0+; T) = pi*Delta*tanh(Delta/2kT)/gamma, the condensate weight."""
-    delta = bcs_gap(gap, T, material.tc)
-    if delta == 0.0:
-        return 0.0
-    return _condensate(delta, CONST.k_b * T) / material.gamma
+    return mattis_bardeen_g(material, 0.0, T)
 
 
 def eps_bcs(material: MaterialParams, xi, g):
@@ -407,7 +403,7 @@ def _g_body(l: np.ndarray, n: int, e: int, delta: float, step: float) -> np.ndar
     return 2.0 * noncross + cross
 
 
-def g_matsubara(material: MaterialParams, gap: GapModel, T: float, l) -> np.ndarray:
+def g_matsubara(material: MaterialParams, T: float, l) -> np.ndarray:
     """g at xi_l = 2 pi k_B T l for every l of an integer array, in any order.
 
     At the discrete frequencies the analytic continuation reduces to the
@@ -433,13 +429,13 @@ def g_matsubara(material: MaterialParams, gap: GapModel, T: float, l) -> np.ndar
     e = n, 8e-7 at 2n, 7.3e-8 at 4n and 4.8e-9 at 8n, against the 1e-6 the
     headline values are held to.  An l = 0 entry is the condensate weight
     g(0+).  Each entry depends on its l alone, bit for bit, so _g_memo keeps
-    them for the last (material, gap, T); a call computes the l it lacks.
+    them for the last (material, T); a call computes the l it lacks.
     """
     if T <= 0.0:
         raise DomainError("g_matsubara requires T > 0")
     l = np.asarray(l, dtype=np.int64)
-    delta = bcs_gap(gap, T, material.tc)
-    memo = _g_memo(material, gap, T)
+    delta = bcs_gap(material, T)
+    memo = _g_memo(material, T)
     new = np.array(sorted(set(l.ravel().tolist()) - memo.keys()), dtype=np.int64)
     out = np.zeros(new.shape)
     if new.size and delta > 0.0:
@@ -467,8 +463,8 @@ def g_matsubara(material: MaterialParams, gap: GapModel, T: float, l) -> np.ndar
 
 
 @lru_cache(maxsize=1)
-def _g_memo(material: MaterialParams, gap: GapModel, T: float) -> dict:
-    """{l: g(xi_l)} that g_matsubara computed at (material, gap, T).  Only the
+def _g_memo(material: MaterialParams, T: float) -> dict:
+    """{l: g(xi_l)} that g_matsubara computed at (material, T).  Only the
     rows of a gap sweep share a T; keeping 8 T cost a field sweep 0.1 MB."""
     return {}
 
@@ -476,16 +472,18 @@ def _g_memo(material: MaterialParams, gap: GapModel, T: float) -> dict:
 def g_on_matsubara_grid(material: MaterialParams, gap: GapModel, T: float,
                         l_count: int, l_first: int = 0) -> np.ndarray:
     """g_matsubara on the run l_first .. l_first + l_count, both ends
-    included, so l_count + 1 entries."""
-    return g_matsubara(material, gap, T, np.arange(l_first, l_first + l_count + 1))
+    included, so l_count + 1 entries.  gap must be the material's
+    default_gap; perfbench/trace_child.py reads l_count as the fourth argument."""
+    if gap != default_gap(material.tc):
+        raise DomainError(f"gap {gap} is not {material.name}'s default_gap")
+    return g_matsubara(material, T, np.arange(l_first, l_first + l_count + 1))
 
 
 # ---------------------------------------------------------------------------
 # dirty-limit diagnostic
 
 
-def dirty_limit_ratio(material: MaterialParams, gap: GapModel,
-                      delta_ref: Optional[float] = None) -> float:
+def dirty_limit_ratio(material: MaterialParams, delta_ref: Optional[float] = None) -> float:
     """Mean-free-path to coherence-length ratio pi*delta_ref/gamma.
 
     The Fermi velocity cancels between ell = v_F/gamma and
@@ -495,5 +493,5 @@ def dirty_limit_ratio(material: MaterialParams, gap: GapModel,
     if not material.is_superconductor():
         raise DomainError("dirty_limit_ratio needs a superconductor")
     if delta_ref is None:
-        delta_ref = 2.0 * gap.delta0
+        delta_ref = 2.0 * default_gap(material.tc).delta0
     return math.pi * delta_ref / material.gamma

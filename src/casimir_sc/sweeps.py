@@ -428,9 +428,8 @@ def g_function_table(cfg: RunConfig, t_over_tc: Sequence[float]) -> str:
             raise DomainError(f"t/Tc must lie in (0, 1); got {t} "
                               "(at t/Tc = 1 the correction is identically zero)")
     pb = cfg.material_b
-    gap = default_gap(pb.tc)
     grid = np.geomspace(1e-2, 1e2, 81)
-    two_d0 = 2.0 * gap.delta0
+    two_d0 = 2.0 * default_gap(pb.tc).delta0
     out = io.StringIO()
     out.write(f"# casimir-sc v{_pkg_version}\n")
     out.write(f"# constants_version={CONSTANTS_VERSION}\n")
@@ -438,7 +437,7 @@ def g_function_table(cfg: RunConfig, t_over_tc: Sequence[float]) -> str:
     cols = ",".join(f"g_t{_fmt_value(float(t))}" for t in t_over_tc)
     out.write(f"xi_over_2delta0,{cols}\n")
     xi = grid * two_d0
-    columns = [mattis_bardeen_g(pb, gap, xi, t * pb.tc) for t in t_over_tc]
+    columns = [mattis_bardeen_g(pb, xi, t * pb.tc) for t in t_over_tc]
     for i, x in enumerate(grid):
         out.write(",".join([fmt_float(float(x))] + [fmt_float(c[i]) for c in columns]) + "\n")
     return out.getvalue()

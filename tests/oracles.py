@@ -33,8 +33,8 @@ from casimir_sc import lifshitz
 from casimir_sc.constants import CONST
 from casimir_sc.errors import ConvergenceError, DomainError
 from casimir_sc.lifshitz import EngineConfig, FreeEnergyResult
-from casimir_sc.materials import (GapModel, MaterialParams, bcs_gap, default_gap,
-                                  drude_eps, eps_bcs, g_on_matsubara_grid)
+from casimir_sc.materials import (MaterialParams, bcs_gap, default_gap, drude_eps, eps_bcs,
+                                  g_matsubara, mattis_bardeen_g)
 
 HBAR_C = 197.3269804
 K_B = 8.617333262e-5
@@ -120,7 +120,7 @@ def g_matsubara_bruteforce(xi_l: float, delta: float, temperature: float,
     return math.pi * t_ev / gamma * float(np.sum(terms))
 
 
-def g_matsubara_exact_cross(material: MaterialParams, gap: GapModel, T: float,
+def g_matsubara_exact_cross(material: MaterialParams, T: float,
                             l_count: int, l_first: int = 0) -> np.ndarray:
     """g at xi_l for l = l_first..l_first + l_count, every cross term summed.
 
@@ -128,7 +128,7 @@ def g_matsubara_exact_cross(material: MaterialParams, gap: GapModel, T: float,
     cross terms of the fermionic sum are added one by one, O(l) per entry
     and two scalar polygamma calls per l.  The l = 0 entry is left at 0.
     """
-    delta = bcs_gap(gap, T, material.tc)
+    delta = bcs_gap(material, T)
     out = np.zeros(l_count + 1)
     if delta == 0.0:
         return out
@@ -232,9 +232,12 @@ def normal_free_energy_exact(material_a: MaterialParams, material_b: MaterialPar
 
 def difference_free_energy_exact(material_a: MaterialParams, material_b: MaterialParams,
                                  T: float, d: float, cfg: EngineConfig,
-                                 extent: int | None = None) -> FreeEnergyResult:
+                                 extent: int | None = None,
+                                 g: str = "matsubara") -> FreeEnergyResult:
     """F_n - F_s summed in ascending l, eV/nm^2, on the production terms and
     g, fetched a block of l at a time, and totalled by math.fsum.
+    g="energy_integral" takes slab b's g from mattis_bardeen_g at the block's
+    xi_l in place of the engine's g_matsubara.
 
     Without extent the sum stops where production does, after three quiet
     terms, |term_l| <= rel_tol_series |sum_{j<=l} term_j|, once l reaches
@@ -244,13 +247,15 @@ def difference_free_energy_exact(material_a: MaterialParams, material_b: Materia
     last l summed plus one, and error_estimate the quadrature errors plus the
     last term.
     """
-    gap = default_gap(material_b.tc)
     h = 2.0 * math.pi * CONST.k_b * T
-    l_cap = int(math.ceil(cfg.matsubara_cap_diff * (2.0 * gap.delta0) / h))
+    l_cap = int(math.ceil(cfg.matsubara_cap_diff * (2.0 * default_gap(material_b.tc).delta0) / h))
+
+    g_at = {"matsubara": lambda l, xi: g_matsubara(material_b, T, l),
+            "energy_integral": lambda l, xi: mattis_bardeen_g(material_b, xi, T)}[g]
 
     def params(l, xi):
-        g = g_on_matsubara_grid(material_b, gap, T, l.size - 1, int(l[0]))
-        return drude_eps(material_a, xi), drude_eps(material_b, xi), eps_bcs(material_b, xi, g)
+        return (drude_eps(material_a, xi), drude_eps(material_b, xi),
+                eps_bcs(material_b, xi, g_at(l, xi)))
 
     summed = []
     running = err = 0.0
@@ -280,11 +285,9 @@ def superconducting_free_energy_direct(material_a: MaterialParams,
     pair, -zeta(3)/2, then exactly `terms` terms of the pair integrand with
     slab b's BCS permittivity, g fetched per block of l, totalled by
     math.fsum.  F_n less it cancels about four digits."""
-    gap = default_gap(material_b.tc)
 
     def params(l, xi):
-        g = g_on_matsubara_grid(material_b, gap, T, l.size - 1, int(l[0]))
-        return drude_eps(material_a, xi), eps_bcs(material_b, xi, g)
+        return drude_eps(material_a, xi), eps_bcs(material_b, xi, g_matsubara(material_b, T, l))
 
     stream = term_stream(lifshitz._pair_log, params, T, d, cfg, terms)
     total = math.fsum([-0.5 * ZETA3, *(sl for sl, _ in stream)])
@@ -439,14 +442,14 @@ def _g_oracle_gamma_free(xi: float, delta: float, t_ev: float) -> float:
     return condensate + (2.0 * xi * xi / math.pi) * body
 
 
-def kk_oracle_sigma(material: MaterialParams, gap: GapModel, xi: float, T: float) -> float:
+def kk_oracle_sigma(material: MaterialParams, xi: float, T: float) -> float:
     """sigma(i xi) in units of Omega^2/(4 pi) per eV, via the QUADPACK route.
 
     T at or above tc returns the pure Drude form exactly.
     """
     if xi <= 0.0:
         raise DomainError("kk_oracle_sigma requires xi > 0")
-    delta = bcs_gap(gap, T, material.tc) if material.tc > 0.0 else 0.0
+    delta = bcs_gap(material, T) if material.tc > 0.0 else 0.0
     pref = material.omega_p ** 2 / (4.0 * math.pi)
     if delta == 0.0:
         return pref / (xi + material.gamma)
@@ -454,8 +457,8 @@ def kk_oracle_sigma(material: MaterialParams, gap: GapModel, xi: float, T: float
     return pref * (1.0 / (xi + material.gamma) + g / xi)
 
 
-def g_from_oracle(material: MaterialParams, gap: GapModel, xi: float, T: float) -> float:
+def g_from_oracle(material: MaterialParams, xi: float, T: float) -> float:
     """Extract g from the oracle sigma via the defining decomposition."""
-    sigma = kk_oracle_sigma(material, gap, xi, T)
+    sigma = kk_oracle_sigma(material, xi, T)
     pref = material.omega_p ** 2 / (4.0 * math.pi)
     return xi * (sigma / pref - 1.0 / (xi + material.gamma))

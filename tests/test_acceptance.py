@@ -41,8 +41,7 @@ from casimir_sc.sweeps import (
 from oracles import full_series_extent, g_from_oracle, superconducting_free_energy_direct
 
 CFG = EngineConfig()
-GAP = default_gap(LEAD.tc)
-TWO_D0 = 2.0 * GAP.delta0
+TWO_D0 = 2.0 * default_gap(LEAD.tc).delta0
 
 GOLDEN_DELTA_F_200_70 = 18.5804284685916  # fN, pinned after validation
 
@@ -88,8 +87,8 @@ def test_criterion_3_kk_oracle_agreement():
         temperature = tfrac * LEAD.tc
         for xfrac in (0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0):
             xi = xfrac * TWO_D0
-            production = mattis_bardeen_g(LEAD, GAP, xi, temperature)
-            oracle = g_from_oracle(LEAD, GAP, xi, temperature)
+            production = mattis_bardeen_g(LEAD, xi, temperature)
+            oracle = g_from_oracle(LEAD, xi, temperature)
             rel = abs(production - oracle) / abs(oracle)
             worst = max(worst, rel)
             assert rel <= 1e-4
@@ -100,8 +99,8 @@ def test_criterion_3_kk_oracle_agreement():
 
 def test_criterion_4_ordering_and_monotonicity():
     grid = np.array([0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0]) * TWO_D0
-    g_cold = np.array([mattis_bardeen_g(LEAD, GAP, float(x), 0.1 * LEAD.tc) for x in grid])
-    g_warm = np.array([mattis_bardeen_g(LEAD, GAP, float(x), 0.9 * LEAD.tc) for x in grid])
+    g_cold = np.array([mattis_bardeen_g(LEAD, float(x), 0.1 * LEAD.tc) for x in grid])
+    g_warm = np.array([mattis_bardeen_g(LEAD, float(x), 0.9 * LEAD.tc) for x in grid])
     assert np.all(g_cold >= g_warm)
     assert np.all(np.diff(g_cold) < 0.0)
     assert np.all(np.diff(g_warm) < 0.0)
@@ -117,8 +116,8 @@ def test_criterion_4_decay_bound():
     the 1% level is reached only near xi ~ 240 * 2Delta(0).  The bound is
     asserted verbatim rather than loosened, so this test fails by design.
     """
-    g0 = mattis_bardeen_g(LEAD, GAP, 1e-8, 0.1 * LEAD.tc)
-    g60 = mattis_bardeen_g(LEAD, GAP, 60.0 * TWO_D0, 0.1 * LEAD.tc)
+    g0 = mattis_bardeen_g(LEAD, 1e-8, 0.1 * LEAD.tc)
+    g60 = mattis_bardeen_g(LEAD, 60.0 * TWO_D0, 0.1 * LEAD.tc)
     ratio = g60 / g0
     from conftest import ACCEPTANCE_REPORT
     ACCEPTANCE_REPORT.append(

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -121,8 +122,8 @@ def test_gap_zero_temperature_value():
 
 
 def test_gap_endpoints_and_monotonicity():
-    assert bcs_gap(GAP, 0.0, 7.2) == GAP.delta0
-    assert bcs_gap(GAP, 7.2, 7.2) == 0.0
+    assert bcs_gap(LEAD, 0.0) == GAP.delta0
+    assert bcs_gap(LEAD, 7.2) == 0.0
     assert GAP.ratio(1.0) == 0.0
     # flat to double precision below t = 0.06, where the solve is not run
     for t in (0.0, 1e-300, 0.01, 0.03, 0.059, 0.06 - 1e-12):
@@ -138,7 +139,7 @@ def test_gap_endpoints_and_monotonicity():
 
 def test_gap_above_tc_rejected():
     with pytest.raises(DomainError):
-        bcs_gap(GAP, 7.3, 7.2)
+        bcs_gap(LEAD, 7.3)
 
 
 def test_gap_against_bruteforce_solver():
@@ -218,33 +219,33 @@ def test_psi_matches_mpmath(k):
 
 
 def test_g_vanishes_at_tc():
-    assert mattis_bardeen_g(LEAD, GAP, 0.001, 7.2) == 0.0
-    assert mattis_bardeen_g(LEAD, GAP, 0.0, 7.2) == 0.0
+    assert mattis_bardeen_g(LEAD, 0.001, 7.2) == 0.0
+    assert mattis_bardeen_g(LEAD, 0.0, 7.2) == 0.0
 
 
 def test_g_rejects_above_tc():
     with pytest.raises(DomainError):
-        mattis_bardeen_g(LEAD, GAP, 0.001, 7.3)
+        mattis_bardeen_g(LEAD, 0.001, 7.3)
     with pytest.raises(DomainError):
-        mattis_bardeen_g(LEAD, GAP, -1.0, 3.6)
+        mattis_bardeen_g(LEAD, -1.0, 3.6)
 
 
 def test_g_column_api():
     temperature = 3.6
-    assert isinstance(mattis_bardeen_g(LEAD, GAP, TWO_D0, temperature), float)
-    assert isinstance(mattis_bardeen_g(LEAD, GAP, 0.0, temperature), float)
+    assert isinstance(mattis_bardeen_g(LEAD, TWO_D0, temperature), float)
+    assert isinstance(mattis_bardeen_g(LEAD, 0.0, temperature), float)
     xi = np.array([[0.0, 0.3], [2.0, 40.0], [1e-3, 0.0]]) * TWO_D0
-    col = mattis_bardeen_g(LEAD, GAP, xi, temperature)
+    col = mattis_bardeen_g(LEAD, xi, temperature)
     assert col.shape == xi.shape
-    assert col[0, 0] == col[2, 1] == g_zero_limit(LEAD, GAP, temperature)
+    assert col[0, 0] == col[2, 1] == g_zero_limit(LEAD, temperature)
     for x, g in zip(xi.ravel(), col.ravel()):
-        assert g == pytest.approx(mattis_bardeen_g(LEAD, GAP, float(x), temperature),
+        assert g == pytest.approx(mattis_bardeen_g(LEAD, float(x), temperature),
                                   rel=1e-9, abs=0.0)
-    at_tc = mattis_bardeen_g(LEAD, GAP, xi, LEAD.tc)
+    at_tc = mattis_bardeen_g(LEAD, xi, LEAD.tc)
     assert at_tc.shape == xi.shape and np.all(at_tc == 0.0)
     for bad in (-1e-3, math.nan, math.inf):
         with pytest.raises(DomainError):
-            mattis_bardeen_g(LEAD, GAP, np.array([1e-3, bad]), temperature)
+            mattis_bardeen_g(LEAD, np.array([1e-3, bad]), temperature)
 
 
 def test_g_near_tc_matches_matsubara_grid():
@@ -257,7 +258,7 @@ def test_g_near_tc_matches_matsubara_grid():
         temperature = t * LEAD.tc
         h = 2.0 * math.pi * CONST.k_b * temperature
         grid = g_on_matsubara_grid(LEAD, GAP, temperature, 56)
-        g = mattis_bardeen_g(LEAD, GAP, np.array(l) * h, temperature)
+        g = mattis_bardeen_g(LEAD, np.array(l) * h, temperature)
         assert g == pytest.approx(grid[l], rel=rel, abs=0.0), t
 
 
@@ -266,14 +267,14 @@ def test_g_column_reports_short_xi(monkeypatch):
     the xi its first grid leaves short of their goal; one round settles them
     to the same values the default gives."""
     xi = np.geomspace(1e-2, 1e2, 81) * TWO_D0
-    want = mattis_bardeen_g(LEAD, GAP, xi, 0.72)
+    want = mattis_bardeen_g(LEAD, xi, 0.72)
     monkeypatch.setattr(materials, "_G_ROUNDS", 0)
     with pytest.raises(ConvergenceError, match=r"^g column: 3 of 81 xi short of their "
                        r"goal after 0 rounds$") as info:
-        mattis_bardeen_g(LEAD, GAP, xi, 0.72)
+        mattis_bardeen_g(LEAD, xi, 0.72)
     assert info.value.error_estimate > 0.0
     monkeypatch.setattr(materials, "_G_ROUNDS", 1)
-    assert np.array_equal(mattis_bardeen_g(LEAD, GAP, xi, 0.72), want)
+    assert np.array_equal(mattis_bardeen_g(LEAD, xi, 0.72), want)
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 0.9, 0.999])
@@ -288,7 +289,7 @@ def test_g_column_cost(t, monkeypatch):
         return kernel(v, xi, delta, t_ev)
 
     monkeypatch.setattr(materials, "_g_kernel", counted)
-    mattis_bardeen_g(LEAD, GAP, np.geomspace(1e-2, 1e2, 81) * TWO_D0, t * LEAD.tc)
+    mattis_bardeen_g(LEAD, np.geomspace(1e-2, 1e2, 81) * TWO_D0, t * LEAD.tc)
     assert 0 < sum(evals) <= 1000
 
 
@@ -314,8 +315,8 @@ def test_g_function_finishes_next_to_tc():
 
 def test_g_nonnegative_and_fig2_ordering():
     grid = np.array([0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0]) * TWO_D0
-    g_cold = np.array([mattis_bardeen_g(LEAD, GAP, float(x), 0.72) for x in grid])
-    g_warm = np.array([mattis_bardeen_g(LEAD, GAP, float(x), 6.48) for x in grid])
+    g_cold = np.array([mattis_bardeen_g(LEAD, float(x), 0.72) for x in grid])
+    g_warm = np.array([mattis_bardeen_g(LEAD, float(x), 6.48) for x in grid])
     assert np.all(g_cold >= 0.0) and np.all(g_warm >= 0.0)
     assert np.all(g_cold >= g_warm)          # colder curve lies above
     assert np.all(np.diff(g_cold) < 0.0)     # decreasing on the plotted range
@@ -326,25 +327,25 @@ def test_g_high_frequency_decay():
     # The correction collapses by more than an order of magnitude over the
     # plotted band and reaches the percent level of g(0+) only near
     # xi ~ 250 * 2 Delta(0); the decay is logarithmically slow, not sharp.
-    g0 = mattis_bardeen_g(LEAD, GAP, 1e-8, 0.72)
-    g60 = mattis_bardeen_g(LEAD, GAP, 60.0 * TWO_D0, 0.72)
-    g240 = mattis_bardeen_g(LEAD, GAP, 240.0 * TWO_D0, 0.72)
+    g0 = mattis_bardeen_g(LEAD, 1e-8, 0.72)
+    g60 = mattis_bardeen_g(LEAD, 60.0 * TWO_D0, 0.72)
+    g240 = mattis_bardeen_g(LEAD, 240.0 * TWO_D0, 0.72)
     assert g60 < 0.04 * g0
     assert g240 < 0.011 * g0
 
 
 def test_g_zero_limit_closed_form_and_richardson():
     for temperature in (0.72, 3.6, 6.48):
-        g0 = g_zero_limit(LEAD, GAP, temperature)
-        delta = bcs_gap(GAP, temperature, 7.2)
+        g0 = g_zero_limit(LEAD, temperature)
+        delta = bcs_gap(LEAD, temperature)
         expected = math.pi * delta * math.tanh(delta / (2 * CONST.k_b * temperature)) / LEAD.gamma
         assert g0 == pytest.approx(expected, rel=1e-14)
         # numerical limit of the column with a two-point Richardson check;
         # the approach carries a xi*log(xi) term whose coefficient grows with
         # thermal occupation toward Tc, so the linear extrapolation is a guard
         # against quadrature artifacts rather than an exact limit
-        g_a = mattis_bardeen_g(LEAD, GAP, 1e-8, temperature)
-        g_b = mattis_bardeen_g(LEAD, GAP, 1e-7, temperature)
+        g_a = mattis_bardeen_g(LEAD, 1e-8, temperature)
+        g_b = mattis_bardeen_g(LEAD, 1e-7, temperature)
         extrapolated = g_a + (g_a - g_b) / 9.0
         assert extrapolated == pytest.approx(g0, rel=1e-4)
         assert g_a == pytest.approx(g0, rel=1e-4)
@@ -358,11 +359,11 @@ def test_g_against_fermionic_sum():
     for t in (0.177, 0.5, 0.9):
         temperature = t * LEAD.tc
         h = 2.0 * math.pi * CONST.k_b * temperature
-        delta = bcs_gap(GAP, temperature, LEAD.tc)
+        delta = bcs_gap(LEAD, temperature)
         for l in (1, 3, 30):
             s_n, s_2n = (g_matsubara_bruteforce(l * h, delta, temperature, LEAD.gamma, n)
                          for n in (500_000, 1_000_000))
-            assert mattis_bardeen_g(LEAD, GAP, l * h, temperature) == pytest.approx(
+            assert mattis_bardeen_g(LEAD, l * h, temperature) == pytest.approx(
                 2.0 * s_2n - s_n, rel=1e-8, abs=0.0), (t, l)
 
 
@@ -374,9 +375,9 @@ def test_g_large_xi_matches_mpmath():
     1.5735e-7 at 1e6, -1.08e-8 at 1e9)."""
     temperature = 0.5 * LEAD.tc
     frac = 10.0 ** np.arange(2, 10)
-    g = mattis_bardeen_g(LEAD, GAP, frac * TWO_D0, temperature)
+    g = mattis_bardeen_g(LEAD, frac * TWO_D0, temperature)
     assert np.all(g > 0.0) and np.all(np.diff(g) < 0.0)
-    delta = bcs_gap(GAP, temperature, LEAD.tc)
+    delta = bcs_gap(LEAD, temperature)
     for i in (4, 7):
         want = g_energy_integral_mp(frac[i] * TWO_D0, delta, CONST.k_b * temperature)
         assert g[i] == pytest.approx(want / LEAD.gamma, rel=1e-10, abs=0.0), frac[i]
@@ -386,10 +387,10 @@ def test_g_grid_matches_pointwise_g():
     temperature = 6.24
     h = 2.0 * math.pi * CONST.k_b * temperature
     grid = g_on_matsubara_grid(LEAD, GAP, temperature, 12)
-    assert grid[0] == pytest.approx(g_zero_limit(LEAD, GAP, temperature), rel=1e-14)
+    assert grid[0] == pytest.approx(g_zero_limit(LEAD, temperature), rel=1e-14)
     for l in (1, 2, 5, 12):
         assert grid[l] == pytest.approx(
-            mattis_bardeen_g(LEAD, GAP, l * h, temperature), rel=1e-6)
+            mattis_bardeen_g(LEAD, l * h, temperature), rel=1e-6)
 
 
 @pytest.mark.parametrize("field_oe", [200.0, 775.0])
@@ -398,6 +399,17 @@ def test_g_grid_run_is_slice_of_longer_grid(field_oe):
     for k, n in ((0, 40), (1, 40), (357, 12)):
         run = g_on_matsubara_grid(LEAD, GAP, temperature, n, l_first=k)
         assert np.array_equal(run, g_on_matsubara_grid(LEAD, GAP, temperature, k + n)[k:])
+
+
+def test_gap_follows_the_material():
+    """Delta(0) comes from the material's tc, so a material with another tc
+    gets its own gap; the grid refuses any gap but the material's own."""
+    shifted = replace(LEAD, tc=6.5)
+    assert bcs_gap(shifted, 0.0) == default_gap(6.5).delta0 != GAP.delta0
+    assert g_zero_limit(shifted, 5.0) == mattis_bardeen_g(shifted, 0.0, 5.0)
+    assert g_zero_limit(shifted, 5.0) < g_zero_limit(LEAD, 5.0)
+    with pytest.raises(DomainError, match="default_gap"):
+        g_on_matsubara_grid(LEAD, default_gap(7.0), 5.0, 4)
 
 
 @pytest.mark.parametrize("field_oe", [30.125, 200.0, 775.0])
@@ -409,15 +421,15 @@ def test_g_grid_matches_exact_cross_sum(field_oe):
     Past the split the cross sum's closed-form middle stays within 1e-5 of
     summing every cross term, out to the 775 Oe series length."""
     temperature = shifted_tc(LEAD, field_oe)
-    delta = bcs_gap(GAP, temperature, LEAD.tc)
+    delta = bcs_gap(LEAD, temperature)
     step = 2.0 * math.pi * CONST.k_b * temperature
     e = materials._CROSS_EXACT * (int(max(60.0 * delta / step, 60.0)) + 1)
     got = g_on_matsubara_grid(LEAD, GAP, temperature, 2 * e)
-    want = g_matsubara_exact_cross(LEAD, GAP, temperature, 2 * e)
+    want = g_matsubara_exact_cross(LEAD, temperature, 2 * e)
     assert np.allclose(got[1:], want[1:], rtol=1e-13, atol=0)
     for l in (2 * e + 1, 2 * e + 2, 5000, 18000):
         got = g_on_matsubara_grid(LEAD, GAP, temperature, 0, l_first=l)[0]
-        want = g_matsubara_exact_cross(LEAD, GAP, temperature, 0, l_first=l)[0]
+        want = g_matsubara_exact_cross(LEAD, temperature, 0, l_first=l)[0]
         assert got == pytest.approx(want, rel=1e-5), l
 
 
@@ -428,17 +440,17 @@ def test_g_grid_keeps_bits_of_per_pair_body(monkeypatch, field_oe):
     oracles.g_body_windowed: runs that start at l = 0, at 1, just below 2e
     (a chunk on both sides of 2e), at 2e and past 17,000."""
     temperature = shifted_tc(LEAD, field_oe)
-    delta = bcs_gap(GAP, temperature, LEAD.tc)
+    delta = bcs_gap(LEAD, temperature)
     step = 2.0 * math.pi * CONST.k_b * temperature
     e = materials._CROSS_EXACT * (int(max(60.0 * delta / step, 60.0)) + 1)
     runs = [np.arange(first, first + 256) for first in (0, 1, 2 * e - 3, 2 * e, 17001)]
     every = np.concatenate(runs)
     order = np.random.default_rng(7).permutation(every.size)
     scattered = np.empty(every.size)
-    scattered[order] = g_matsubara(LEAD, GAP, temperature, every[order])
+    scattered[order] = g_matsubara(LEAD, temperature, every[order])
     monkeypatch.setattr(materials, "_g_body", g_body_windowed)
     materials._g_memo.cache_clear()
-    windowed = np.concatenate([g_matsubara(LEAD, GAP, temperature, run) for run in runs])
+    windowed = np.concatenate([g_matsubara(LEAD, temperature, run) for run in runs])
     assert np.array_equal(scattered, windowed)
 
 
@@ -447,7 +459,7 @@ def test_g_stays_finite_at_huge_xi():
     v grid, E ~ 1e5 xi, overflows nothing: g stays positive and falling."""
     xi = np.array([1e100, 1e150, 1e200, 1e250])
     with np.errstate(over="raise", invalid="raise"):
-        g = mattis_bardeen_g(LEAD, GAP, xi, 3.6)
+        g = mattis_bardeen_g(LEAD, xi, 3.6)
     assert np.all(g > 0.0)
     assert np.all(np.diff(g) < 0.0)
 
@@ -458,17 +470,17 @@ def test_g_memo_keeps_bits_of_uncached_call():
     temperature = shifted_tc(LEAD, 775.0)
     l = np.r_[0:300, 1000:1100, 17001:17050]
     for part in (l[::3], l[250:], l[::-7]):
-        g_matsubara(LEAD, GAP, temperature, part)
-    served = g_matsubara(LEAD, GAP, temperature, l)
+        g_matsubara(LEAD, temperature, part)
+    served = g_matsubara(LEAD, temperature, l)
     materials._g_memo.cache_clear()
-    assert np.array_equal(served, g_matsubara(LEAD, GAP, temperature, l))
-    assert g_matsubara(LEAD, GAP, temperature, np.int64(5)).shape == ()
+    assert np.array_equal(served, g_matsubara(LEAD, temperature, l))
+    assert g_matsubara(LEAD, temperature, np.int64(5)).shape == ()
 
 
 def test_g_memo_keeps_its_bound_of_temperatures():
     bound = materials._g_memo.cache_info().maxsize
     for i in range(bound + 3):
-        g_matsubara(LEAD, GAP, 3.0 + 0.1 * i, np.arange(1, 4))
+        g_matsubara(LEAD, 3.0 + 0.1 * i, np.arange(1, 4))
     assert materials._g_memo.cache_info().currsize == bound
 
 
@@ -476,8 +488,8 @@ def test_g_rrr_scaling():
     # gamma enters only as a prefactor
     dirty = MaterialParams(name="lead1", omega_p=7.36, gamma0=0.2, rrr=1.0,
                            tc=7.2, hc0=800.0, lambda0=35.0)
-    g1 = mattis_bardeen_g(dirty, GAP, TWO_D0, 3.6)
-    g2 = mattis_bardeen_g(LEAD, GAP, TWO_D0, 3.6)
+    g1 = mattis_bardeen_g(dirty, TWO_D0, 3.6)
+    g2 = mattis_bardeen_g(LEAD, TWO_D0, 3.6)
     assert g2 == pytest.approx(2.0 * g1, rel=1e-12)
 
 
@@ -487,7 +499,7 @@ def test_g_rrr_scaling():
 
 def test_eps_bcs_short_circuits_at_tc():
     for xi in (1e-4, 0.001, 0.1):
-        g = mattis_bardeen_g(LEAD, GAP, xi, 7.2)
+        g = mattis_bardeen_g(LEAD, xi, 7.2)
         assert eps_bcs(LEAD, xi, g) == drude_eps(LEAD, xi)
     # elementwise on arrays: exactly Drude where g == 0, above it elsewhere
     xi = np.array([1e-4, 0.001, 0.1])
@@ -497,15 +509,15 @@ def test_eps_bcs_short_circuits_at_tc():
 
 
 def test_eps_bcs_exceeds_drude_below_tc():
-    g = mattis_bardeen_g(LEAD, GAP, TWO_D0, 0.72)
+    g = mattis_bardeen_g(LEAD, TWO_D0, 0.72)
     assert eps_bcs(LEAD, TWO_D0, g) > drude_eps(LEAD, TWO_D0)
 
 
 def test_eps_bcs_static_limit_is_plasma_like():
     temperature = 0.72
-    target = LEAD.omega_p ** 2 * g_zero_limit(LEAD, GAP, temperature)
+    target = LEAD.omega_p ** 2 * g_zero_limit(LEAD, temperature)
     for xi in (1e-6, 1e-7):
-        g = mattis_bardeen_g(LEAD, GAP, xi, temperature)
+        g = mattis_bardeen_g(LEAD, xi, temperature)
         val = xi * xi * (eps_bcs(LEAD, xi, g) - 1.0)
         assert val == pytest.approx(target, rel=1e-3)
     assert target > 0.0
@@ -518,14 +530,14 @@ def test_eps_bcs_static_limit_is_plasma_like():
 def test_oracle_is_exactly_drude_at_tc():
     pref = LEAD.omega_p ** 2 / (4.0 * math.pi)
     for xi in (0.001, 0.05, 1.0):
-        assert kk_oracle_sigma(LEAD, GAP, xi, 7.2) == pref / (xi + LEAD.gamma)
+        assert kk_oracle_sigma(LEAD, xi, 7.2) == pref / (xi + LEAD.gamma)
 
 
 def test_oracle_high_frequency_sum_rule():
     pref = LEAD.omega_p ** 2 / (4.0 * math.pi)
     for xi in (5.0, 10.0):
         drude_part = xi / (xi + LEAD.gamma)
-        ratio = kk_oracle_sigma(LEAD, GAP, xi, 3.6) * xi / pref
+        ratio = kk_oracle_sigma(LEAD, xi, 3.6) * xi / pref
         assert ratio == pytest.approx(1.0, abs=0.025)
         assert ratio == pytest.approx(drude_part, abs=1e-4)
 
@@ -535,16 +547,16 @@ def test_g_at_zero_temperature_matches_oracle():
     part; the two agree to 9e-14 at 0.25 and 1.8e-8 at 30 * 2 Delta(0)."""
     for xfrac in (0.25, 1.0, 5.0, 30.0):
         xi = xfrac * TWO_D0
-        assert mattis_bardeen_g(LEAD, GAP, xi, 0.0) == pytest.approx(
-            g_from_oracle(LEAD, GAP, xi, 0.0), rel=1e-6, abs=0.0), xfrac
+        assert mattis_bardeen_g(LEAD, xi, 0.0) == pytest.approx(
+            g_from_oracle(LEAD, xi, 0.0), rel=1e-6, abs=0.0), xfrac
 
 
 def test_production_g_matches_oracle_spotcheck():
     for tfrac, xfrac in ((0.1, 1.0), (0.9, 2.0)):
         temperature = tfrac * 7.2
         xi = xfrac * TWO_D0
-        gk = mattis_bardeen_g(LEAD, GAP, xi, temperature)
-        go = g_from_oracle(LEAD, GAP, xi, temperature)
+        gk = mattis_bardeen_g(LEAD, xi, temperature)
+        go = g_from_oracle(LEAD, xi, temperature)
         assert gk == pytest.approx(go, rel=1e-4)
 
 
@@ -553,15 +565,15 @@ def test_production_g_matches_oracle_spotcheck():
 
 
 def test_dirty_limit_ratio_lead():
-    val = dirty_limit_ratio(LEAD, GAP)
+    val = dirty_limit_ratio(LEAD)
     assert val == pytest.approx(math.pi * TWO_D0 / 0.1, rel=1e-12)
     assert round(val, 2) == 0.07
     # explicit reference scale: the quoted rounded full gap
-    assert dirty_limit_ratio(LEAD, GAP, delta_ref=2.2e-3) == pytest.approx(
+    assert dirty_limit_ratio(LEAD, delta_ref=2.2e-3) == pytest.approx(
         0.0691, abs=2e-4)
 
 
 def test_dirty_limit_ratio_edge_cases():
-    assert dirty_limit_ratio(LEAD, GAP, delta_ref=0.0) == 0.0
+    assert dirty_limit_ratio(LEAD, delta_ref=0.0) == 0.0
     with pytest.raises(DomainError):
-        dirty_limit_ratio(GOLD, GAP)
+        dirty_limit_ratio(GOLD)

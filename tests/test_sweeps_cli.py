@@ -20,7 +20,7 @@ import casimir_sc.sweeps as sweeps_mod
 from casimir_sc.cli import main as cli_main
 from casimir_sc.errors import ConfigError, ConvergenceError, DomainError, PfaAccuracyWarning
 from casimir_sc.lifshitz import EngineConfig, free_energy_difference
-from casimir_sc.materials import LEAD, default_gap, mattis_bardeen_g
+from casimir_sc.materials import LEAD, mattis_bardeen_g
 from casimir_sc.sc_state import ModulationSpec, shifted_tc
 from casimir_sc.sweeps import (
     CONFIG_KEYS,
@@ -275,9 +275,9 @@ def test_gap_sweep_computes_each_g_once(monkeypatch):
         body_l.extend(l.tolist())
         return g_body(l, *args)
 
-    def record_g(material, gap, T, l):
+    def record_g(material, T, l):
         asked_l.update(l.tolist())
-        return g(material, gap, T, l)
+        return g(material, T, l)
 
     monkeypatch.setattr(materials, "_g_body", record_body)
     monkeypatch.setattr(lifshitz_mod, "g_matsubara", record_g)
@@ -406,9 +406,8 @@ def test_g_function_table_layout_and_ordering():
     # decay: by xi/2D0 = 100 both columns sit below 2.5% of the static
     # limit (the logarithmic tail reaches the 1% level near 240 * 2D0;
     # see the acceptance notes on the decay-bound criterion)
-    gap = default_gap(LEAD.tc)
     for col, tfrac in ((1, 0.1), (2, 0.9)):
-        g0 = mattis_bardeen_g(LEAD, gap, 1e-8, tfrac * LEAD.tc)
+        g0 = mattis_bardeen_g(LEAD, 1e-8, tfrac * LEAD.tc)
         assert rows[-1][col] < 2.5e-2 * g0
 
 
@@ -805,6 +804,26 @@ def test_unopenable_output_is_one_error_line(command, monkeypatch, tmp_path, cap
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and str(out) in line
     assert seen == [] and os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("command", [["point"], ["sweep-field", "--points", "2", "--no-full"],
+                                     ["sweep-gap", "--points", "2"], ["g-function"],
+                                     ["waveform"]])
+def test_directory_output_fails_before_computing(command, monkeypatch, tmp_path, capsys):
+    """An --output that is an existing directory prints one error line naming
+    it and exits 1 before any row, point, g column or waveform is computed;
+    a sweep leaves no PATH.partial."""
+    seen = []
+    for name in ("_evaluate_row", "_evaluate", "mattis_bardeen_g"):
+        monkeypatch.setattr(sweeps_mod, name, lambda *a, name=name: seen.append(name))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert cli_main([*command, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and str(out) in line and "directory" in line
+    assert seen == [] and os.listdir(tmp_path) == ["out"] and os.listdir(out) == []
 
 
 def test_failed_final_write_keeps_the_side_file(monkeypatch, tmp_path, capsys):
