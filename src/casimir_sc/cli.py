@@ -2,16 +2,19 @@
 
 Subcommands: sweep-field, sweep-gap, g-function, waveform, point.
 Exit codes: 0 all rows converged, 1 configuration, engine or output error, 2
-partial results. A sweep stopped by SIGINT, SIGTERM or SIGHUP writes its
-finished rows and exits 2; stopped by any other exception, it writes them and
-re-raises. With --output PATH, a sweep also appends each finished row to
-PATH.partial, so that SIGKILL loses none.  run() is the process entry; main()
-returns the exit code and may be called in-process.
+partial results. A CSV sweep writes its header, then each row as it
+finishes, flushed, then the row count, to stdout or --output PATH, so that
+SIGKILL loses no finished row; a JSON sweep, written at the end, keeps its
+finished rows until then in PATH.partial. A sweep stopped by SIGINT, SIGTERM
+or SIGHUP ends its output and exits 2; stopped by any other exception, it
+ends it and re-raises.  run() is the process entry; main() returns the exit
+code and may be called in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import signal
 import sys
@@ -26,7 +29,7 @@ from . import __version__  # noqa: E402
 from .errors import ConfigError, ConvergenceError, DomainError  # noqa: E402
 from .sc_state import ModulationSpec  # noqa: E402
 from .sweeps import (CONFIG_KEYS, RunConfig, g_function_table, load_config,  # noqa: E402
-                     point_eval, render_partial_head, render_partial_row,
+                     point_eval, render_csv_head, render_csv_row, render_csv_tail,
                      render_point, render_rows, sweep_rows, waveform_samples)
 
 
@@ -104,46 +107,63 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _finish(cfg: RunConfig, rows: list, partial: Optional[str]) -> None:
-    _emit(render_rows(cfg, rows), cfg.output_path)
-    if partial is not None and os.path.exists(partial):  # absent if stopped early
-        os.remove(partial)
-
-
 def _run_sweep_command(cfg: RunConfig) -> int:
-    """Run the sweep; each finished row also goes to a side stream, flushed
-    per row so that SIGKILL leaves it readable: PATH.partial, kept until
-    _finish has written PATH, or os.devnull where there is no side file."""
+    """Run the sweep, writing each finished row as it comes, flushed, so that
+    SIGKILL leaves it readable.  CSV goes straight to its output, which it
+    ends with the row count.  JSON, one object written when the sweep ends,
+    keeps its rows until then as CSV in a side stream: PATH.partial, deleted
+    once PATH is written, or os.devnull where there is no side file."""
     pending = sweep_rows(cfg)  # checks the configuration before any file is opened
-    rows: list = []
     path = cfg.output_path
-    # a regular file gets a side file; a pipe or device such as /dev/stdout not
-    partial = (path + ".partial" if path and (os.path.isfile(path) or not os.path.exists(path))
-               else None)
-    # SIGTERM and SIGHUP stop a sweep as SIGINT does, unless ignored or handled
-    replaced = [s for s in (getattr(signal, n, None) for n in ("SIGTERM", "SIGHUP"))
-                if s is not None and signal.getsignal(s) is signal.SIG_DFL]
-    for signum in replaced:
-        signal.signal(signum, signal.default_int_handler)
+    as_csv = cfg.output_format == "csv"
+    side = None
+    if as_csv:
+        stream = (open(path, "w", encoding="utf-8", newline="") if path
+                  else contextlib.nullcontext(sys.stdout))
+    else:
+        # a regular file gets a side file; a pipe or device such as /dev/stdout not
+        if path and (os.path.isfile(path) or not os.path.exists(path)):
+            side = path + ".partial"
+        stream = open(side or os.devnull, "w", encoding="utf-8", newline="")
+    rows: list = []
+
+    def end(out) -> None:
+        """Write what follows the last finished row."""
+        if as_csv:
+            out.write(render_csv_tail(rows))
+            out.flush()
+            return
+        out.close()
+        _emit(render_rows(cfg, rows), path)
+        if side is not None:
+            os.remove(side)
+
     stopped = False
-    try:
-        with open(partial or os.devnull, "w", encoding="utf-8", newline="") as side:
-            side.write(render_partial_head(cfg))
-            side.flush()
+    with stream as out:
+        # SIGTERM and SIGHUP stop a sweep as SIGINT does, unless ignored or handled
+        replaced = [s for s in (getattr(signal, n, None) for n in ("SIGTERM", "SIGHUP"))
+                    if s is not None and signal.getsignal(s) is signal.SIG_DFL]
+        for signum in replaced:
+            signal.signal(signum, signal.default_int_handler)
+        try:
+            out.write(render_csv_head(cfg))
+            out.flush()
             for row in pending:
                 rows.append(row)
-                side.write(render_partial_row(row))
-                side.flush()
-    except KeyboardInterrupt:
-        stopped = True
-    except Exception:
-        if rows:  # a bug or a MemoryError: keep the finished rows, then report
-            _finish(cfg, rows, partial)
-        raise
-    finally:
-        for signum in replaced:
-            signal.signal(signum, signal.SIG_DFL)
-    _finish(cfg, rows, partial)
+                out.write(render_csv_row(row))
+                out.flush()
+        except KeyboardInterrupt:
+            stopped = True
+        except OSError:  # the output itself failed: write nothing more into it
+            raise
+        except Exception:
+            if rows:  # a bug or a MemoryError: keep the finished rows, then report
+                end(out)
+            raise
+        finally:
+            for signum in replaced:
+                signal.signal(signum, signal.SIG_DFL)
+        end(out)
     if stopped:
         sys.stderr.write("interrupted: flushed completed rows\n")
         return 2

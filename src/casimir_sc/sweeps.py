@@ -4,7 +4,8 @@ A sweep row is the single point of the configuration with the field, gap or
 temperature set to x; a point runs at temperature_k if given, else at
 T = shifted_tc(H).  Sweeps write a deterministic CSV (or JSON) with a
 config-echo header, and keep going past rows that fail to converge, marking
-them in the file.
+them in the file; a CSV sweep is a head, one line per row and a tail, so
+that it can be written as its rows finish.
 """
 
 from __future__ import annotations
@@ -317,32 +318,25 @@ def run_sweep(cfg: RunConfig) -> list[SweepRow]:
 
 
 def render_rows(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
+    """The whole output of a sweep; as CSV, the bytes the CLI streams."""
     if cfg.output_format == "json":
         return _render_json(cfg, rows)
-    return _render_csv(cfg, rows)
+    return render_csv_head(cfg) + "".join(map(render_csv_row, rows)) + render_csv_tail(rows)
 
 
-def render_partial_head(cfg: RunConfig) -> str:
-    """The start of a sweep's side file, CSV in either format: the CSV
-    header less the row count, which is known only at the end."""
-    return "".join(line + "\n" for line in _header_lines(cfg)) + CSV_COLUMNS + "\n"
-
-
-def render_partial_row(row: SweepRow) -> str:
-    """One finished row of a sweep's side file, as the CSV output has it."""
-    return _csv_line(row) + "\n"
-
-
-def _header_lines(cfg: RunConfig) -> list[str]:
+def render_csv_head(cfg: RunConfig) -> str:
+    """The start of a CSV sweep: the config-echo header and the column line."""
     lines = [f"# casimir-sc v{_pkg_version}"]
     for key, val in sorted(config_echo(cfg).items()):
         lines.append(f"# {key}={_fmt_value(val)}")
-    return lines
+    lines.append(CSV_COLUMNS)
+    return "".join(line + "\n" for line in lines)
 
 
-def _csv_line(r: SweepRow) -> str:
+def render_csv_row(r: SweepRow) -> str:
+    """One finished row of a CSV sweep; a failed row is a comment."""
     if r.error is not None:
-        return f"# FAILED x={fmt_float(r.x)} error={r.error}"
+        return f"# FAILED x={fmt_float(r.x)} error={r.error}\n"
     return ",".join([
         fmt_float(r.x),
         fmt_float(r.t_prime_c_k),
@@ -351,14 +345,14 @@ def _csv_line(r: SweepRow) -> str:
         fmt_float(r.f_super_ev_nm2),
         str(r.terms_used),
         fmt_float(r.pfa_bound),
-    ])
+    ]) + "\n"
 
 
-def _render_csv(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
+def render_csv_tail(rows: Sequence[SweepRow]) -> str:
+    """The last line of a CSV sweep, written once the sweep has ended; a file
+    without it is a sweep that did not end."""
     ok = sum(1 for r in rows if r.error is None)
-    lines = [*_header_lines(cfg), f"# rows_converged={ok}/{len(rows)}", CSV_COLUMNS,
-             *map(_csv_line, rows)]
-    return "".join(line + "\n" for line in lines)
+    return f"# rows_converged={ok}/{len(rows)}\n"
 
 
 def _json_fields(values: dict) -> dict:
@@ -427,6 +421,8 @@ def g_function_table(cfg: RunConfig, t_over_tc: Sequence[float]) -> str:
         if not 0.0 < t < 1.0:
             raise DomainError(f"t/Tc must lie in (0, 1); got {t} "
                               "(at t/Tc = 1 the correction is identically zero)")
+    if len(set(t_over_tc)) < len(t_over_tc):  # a repeat would name two columns alike
+        raise DomainError(f"each t/Tc may be given once; got {', '.join(map(str, t_over_tc))}")
     pb = cfg.material_b
     grid = np.geomspace(1e-2, 1e2, 81)
     two_d0 = 2.0 * default_gap(pb.tc).delta0

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import select
 import signal
 import stat
 import subprocess
@@ -429,6 +430,19 @@ def test_g_function_rejects_tc():
         g_function_table(cfg, [0.0])
 
 
+def test_g_function_rejects_a_repeated_temperature(monkeypatch, capsys):
+    """A t/Tc given twice would write two columns of one name, which a CSV
+    reader keyed by column name merges; it is refused before any column."""
+    seen = []
+    monkeypatch.setattr(sweeps_mod, "mattis_bardeen_g", lambda *a: seen.append(a))
+    assert cli_main(["g-function", "--t-over-tc", "0.5", "--t-over-tc", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "0.5" in line
+    assert seen == []
+
+
 # ---------------------------------------------------------------------------
 # waveform sampling
 
@@ -733,24 +747,31 @@ def test_cli_unexpected_error_keeps_finished_rows(monkeypatch, tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_side_file_holds_each_finished_row(fmt, monkeypatch, tmp_path):
-    """While a sweep runs, PATH.partial holds the CSV header, less the row
-    count, and every finished row; it is deleted once PATH is written."""
+    """While a sweep runs, the CSV header, less the row count, and every
+    finished row are on disk: in PATH itself for CSV, which gets no side
+    file, and for JSON in PATH.partial, deleted once PATH is written."""
+    out = tmp_path / "sweep.csv"
     side = tmp_path / "sweep.csv.partial"
+    rows_file = out if fmt == "csv" else side
     seen = []
-    code, out = _sweep_stopping_after_one_row(
-        monkeypatch, tmp_path, lambda: seen.append(side.read_text()), "--format", fmt)
+
+    def look():
+        seen.append((rows_file.read_text(), sorted(os.listdir(tmp_path))))
+
+    code, out = _sweep_stopping_after_one_row(monkeypatch, tmp_path, look, "--format", fmt)
     assert code == 0
     assert sorted(os.listdir(tmp_path)) == ["sweep.csv"]
-    first, second = seen
+    (first, first_files), (second, second_files) = seen
+    assert first_files == second_files == [rows_file.name]
     lines = first.splitlines()
     assert lines[0].startswith("# casimir-sc v") and f"# format={fmt}" in lines
     assert not any(ln.startswith("# rows_converged") for ln in lines)
     assert lines[-2:] == [CSV_COLUMNS, FAKE_ROW_1]
     assert second.startswith(first) and second.count("\n") == first.count("\n") + 1
     if fmt == "csv":
-        final = out.read_text().splitlines(keepends=True)
-        assert final[-5].startswith("# rows_converged=")
-        assert second == "".join(final[:-5] + final[-4:-1])
+        final = out.read_text()
+        assert final.startswith(second) and final.count("\n") == second.count("\n") + 2
+        assert final.splitlines()[-1] == "# rows_converged=3/3"
 
 
 def test_sweep_output_is_written_in_place(monkeypatch, tmp_path):
@@ -827,8 +848,8 @@ def test_directory_output_fails_before_computing(command, monkeypatch, tmp_path,
 
 
 def test_failed_final_write_keeps_the_side_file(monkeypatch, tmp_path, capsys):
-    """A sweep whose write of PATH fails prints one error line, exits 1 and
-    leaves every finished row in PATH.partial."""
+    """A JSON sweep whose write of PATH fails prints one error line, exits 1
+    and leaves every finished row in PATH.partial."""
     out = tmp_path / "sweep.csv"
 
     def row_then_block_path(cfg, variable, x):
@@ -837,7 +858,7 @@ def test_failed_final_write_keeps_the_side_file(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(sweeps_mod, "_evaluate_row", row_then_block_path)
     assert cli_main(["sweep-field", "--start", "150", "--stop", "250", "--points", "2",
-                     "--no-full", "--output", str(out)]) == 1
+                     "--no-full", "--format", "json", "--output", str(out)]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ") and str(out) in line
     side = (tmp_path / "sweep.csv.partial").read_text().splitlines()
@@ -931,9 +952,12 @@ def test_process_output_file_is_stdout_and_complete(tmp_path):
     to_stdout = _cli_child(*args)
     assert to_file.returncode == to_stdout.returncode == 0
     assert to_file.stdout == b""
-    assert b"# rows_converged=2/2" in to_stdout.stdout
+    assert to_stdout.stdout.splitlines()[-1] == b"# rows_converged=2/2"
     assert out.read_bytes() == to_stdout.stdout
     assert os.listdir(tmp_path) == ["sweep.csv"]  # no side file
+    cfg = load_config(None, {"sweep_variable": "gap_nm", "compute_full": False,
+                             "sweep_start": 60.0, "sweep_stop": 80.0, "sweep_points": 2})
+    assert render_rows(cfg, run_sweep(cfg)).encode() == to_stdout.stdout
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
@@ -960,20 +984,23 @@ def test_process_failed_write_is_no_success():
 def test_process_into_a_closed_pipe_exits_quietly(unbuffered):
     """Output into a pipe whose reader has gone exits 1 with nothing on
     stderr, whether the write fails in main() (unbuffered stdout) or at the
-    final flush (buffered)."""
+    final flush (buffered).  A sweep stops at its header, before any row:
+    every row of this stalled sweep would wait for a signal."""
     env = _child_env("PYTHONUNBUFFERED", **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
-    reader, writer = os.pipe()
-    os.close(reader)
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "casimir_sc.cli", "point", "--skip-force"],
-            stdout=writer, stderr=subprocess.PIPE, timeout=120, env=env)
-    finally:
-        os.close(writer)
-    assert (proc.returncode, proc.stderr) == (1, b"")
+    for args in (["-m", "casimir_sc.cli", "point", "--skip-force"],
+                 ["-c", _STALLED_SWEEP, "sweep-field", "--start", "151", "--stop", "250",
+                  "--points", "3", "--no-full"]):
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            proc = subprocess.run([sys.executable, *args], stdout=writer,
+                                  stderr=subprocess.PIPE, timeout=120, env=env)
+        finally:
+            os.close(writer)
+        assert (proc.returncode, proc.stderr) == (1, b""), args[:2]
 
 
-# A 3-row field sweep of fake rows through the process entry; its second row
+# A field sweep of fake rows through the process entry; a row past x = 150
 # waits for a signal.
 _STALLED_SWEEP = """
 import time
@@ -992,25 +1019,49 @@ run()
 """
 
 
-def _stalled_sweep(tmp_path, check):
+STALLED_ARGS = ["sweep-field", "--start", "150", "--stop", "250", "--points", "3",
+                "--no-full"]
+
+
+def _stalled_sweep(tmp_path, check, fmt="csv"):
     """Start the stalled sweep with --output, wait for its first row in the
-    side file, then call check(process, output path, side file path)."""
+    file that holds the finished rows (PATH for CSV, the side file for JSON),
+    then call check(process, output path, side file path)."""
     out = tmp_path / "sweep.csv"
     side = tmp_path / "sweep.csv.partial"
+    rows_file = out if fmt == "csv" else side
     proc = subprocess.Popen(
-        [sys.executable, "-c", _STALLED_SWEEP, "sweep-field", "--start", "150",
-         "--stop", "250", "--points", "3", "--no-full", "--output", str(out)],
+        [sys.executable, "-c", _STALLED_SWEEP, *STALLED_ARGS, "--format", fmt,
+         "--output", str(out)],
         env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     try:
         deadline = time.monotonic() + 60
-        while not (side.exists() and FAKE_ROW_1 in side.read_text().splitlines()):
+        while not (rows_file.exists() and FAKE_ROW_1 in rows_file.read_text().splitlines()):
             assert proc.poll() is None, "the sweep ended before its first row"
-            assert time.monotonic() < deadline, "no first row in the side file"
+            assert time.monotonic() < deadline, f"no first row in {rows_file.name}"
             time.sleep(0.01)
         check(proc, out, side)
     finally:
         proc.kill()
         proc.communicate(timeout=60)
+
+
+def _stalled_head() -> str:
+    """The header echo and column line of the stalled sweep, as CSV."""
+    keys = dict(zip(["sweep_variable", "sweep_start", "sweep_stop", "sweep_points",
+                     "compute_full"], ["field_Oe", 150.0, 250.0, 3, False]))
+    return sweeps_mod.render_csv_head(load_config(None, keys))
+
+
+@POSIX_ONLY
+def test_sigkill_leaves_finished_rows_in_the_output_file(tmp_path):
+    def check(proc, out, side):
+        proc.kill()
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        assert out.read_text() == _stalled_head() + FAKE_ROW_1 + "\n"
+        assert not side.exists()
+
+    _stalled_sweep(tmp_path, check)
 
 
 @POSIX_ONLY
@@ -1023,6 +1074,49 @@ def test_sigkill_leaves_finished_rows_in_the_side_file(tmp_path):
             data = [r for r in csv.reader(fh) if not r[0].startswith("#")]
         assert data == [CSV_COLUMNS.split(","), FAKE_ROW_1.split(",")]
 
+    _stalled_sweep(tmp_path, check, "json")
+
+
+@POSIX_ONLY
+def test_sigkill_leaves_finished_rows_on_stdout():
+    """Without --output the first row reaches the stdout pipe, buffered as
+    Python buffers a pipe, while the second stalls; SIGKILL then leaves the
+    header echo, the column line and that row, with no row count."""
+    proc = subprocess.Popen([sys.executable, "-c", _STALLED_SWEEP, *STALLED_ARGS],
+                            env=_child_env("PYTHONUNBUFFERED"), stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL)
+    fd = proc.stdout.fileno()
+    data = b""
+    try:
+        deadline = time.monotonic() + 60
+        while (FAKE_ROW_1 + "\n").encode() not in data:
+            left = deadline - time.monotonic()
+            assert left > 0, "no first row on stdout"
+            if select.select([fd], [], [], left)[0]:
+                chunk = os.read(fd, 1 << 16)
+                assert chunk, "the sweep ended before its first row"
+                data += chunk
+        proc.kill()
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        while chunk:
+            chunk = os.read(fd, 1 << 16)
+            data += chunk
+    finally:
+        proc.kill()
+        proc.communicate(timeout=60)
+    assert data.decode() == _stalled_head() + FAKE_ROW_1 + "\n"
+
+
+@POSIX_ONLY
+def test_sigterm_ends_the_output_file_with_the_row_count(tmp_path):
+    def check(proc, out, side):
+        proc.terminate()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert b"interrupted" in err
+        assert out.read_text() == _stalled_head() + FAKE_ROW_1 + "\n# rows_converged=1/1\n"
+        assert not side.exists()
+
     _stalled_sweep(tmp_path, check)
 
 
@@ -1033,12 +1127,12 @@ def test_sigterm_writes_finished_rows_and_drops_the_side_file(tmp_path):
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 2
         assert b"interrupted" in err
-        text = out.read_text()
-        assert "# rows_converged=1/1" in text
-        assert FAKE_ROW_1 in text.splitlines()
+        payload = json.loads(out.read_text())
+        assert payload["rows_converged"] == 1
+        assert [r["x"] for r in payload["rows"]] == [150.0]
         assert not side.exists()
 
-    _stalled_sweep(tmp_path, check)
+    _stalled_sweep(tmp_path, check, "json")
 
 
 # ---------------------------------------------------------------------------
