@@ -1048,9 +1048,9 @@ def _stalled_sweep(tmp_path, check, fmt="csv"):
 
 def _stalled_head() -> str:
     """The header echo and column line of the stalled sweep, as CSV."""
-    keys = dict(zip(["sweep_variable", "sweep_start", "sweep_stop", "sweep_points",
-                     "compute_full"], ["field_Oe", 150.0, 250.0, 3, False]))
-    return sweeps_mod.render_csv_head(load_config(None, keys))
+    return sweeps_mod.render_csv_head(load_config(None, {
+        "sweep_variable": "field_Oe", "sweep_start": 150.0, "sweep_stop": 250.0,
+        "sweep_points": 3, "compute_full": False}))
 
 
 @POSIX_ONLY
