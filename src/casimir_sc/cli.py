@@ -2,13 +2,12 @@
 
 Subcommands: sweep-field, sweep-gap, g-function, waveform, point.
 Exit codes: 0 all rows converged, 1 configuration, engine or output error, 2
-partial results. A CSV sweep writes its header, then each row as it
-finishes, flushed, then the row count, to stdout or --output PATH, so that
-SIGKILL loses no finished row; a JSON sweep, written at the end, keeps its
-finished rows until then in PATH.partial. A sweep stopped by SIGINT, SIGTERM
-or SIGHUP ends its output and exits 2; stopped by any other exception, it
-ends it and re-raises.  run() is the process entry; main() returns the exit
-code and may be called in-process.
+partial results. A sweep, CSV or JSON, writes its head, then each row as it
+finishes, flushed, then its tail (the row count), to stdout or --output
+PATH, so that SIGKILL loses no finished row. A sweep stopped by SIGINT,
+SIGTERM or SIGHUP ends its output and exits 2; stopped by any other
+exception, it ends it and re-raises.  run() is the process entry; main()
+returns the exit code and may be called in-process.
 """
 
 from __future__ import annotations
@@ -29,8 +28,10 @@ from . import __version__  # noqa: E402
 from .errors import ConfigError, ConvergenceError, DomainError  # noqa: E402
 from .sc_state import ModulationSpec  # noqa: E402
 from .sweeps import (CONFIG_KEYS, RunConfig, g_function_table, load_config,  # noqa: E402
-                     point_eval, render_csv_head, render_csv_row, render_csv_tail,
-                     render_point, render_rows, sweep_rows, waveform_samples)
+                     point_eval, render_head, render_point, render_row, render_tail,
+                     sweep_rows, waveform_samples)
+# Unused here, but a module attribute that perfbench/trace_child.py wraps by name.
+from .sweeps import render_rows  # noqa: E402, F401
 
 
 def _add_shared(p: argparse.ArgumentParser) -> None:
@@ -99,71 +100,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _open_output(path: Optional[str]):
+    """A context manager for the output: PATH opened for writing in place, or
+    stdout, which it leaves open."""
     if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(path, "w", encoding="utf-8", newline="")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(text: str, path: Optional[str]) -> None:
+    with _open_output(path) as out:
+        out.write(text)
 
 
 def _run_sweep_command(cfg: RunConfig) -> int:
-    """Run the sweep, writing each finished row as it comes, flushed, so that
-    SIGKILL leaves it readable.  CSV goes straight to its output, which it
-    ends with the row count.  JSON, one object written when the sweep ends,
-    keeps its rows until then as CSV in a side stream: PATH.partial, deleted
-    once PATH is written, or os.devnull where there is no side file."""
+    """Run the sweep, writing its head, then each row as it finishes, then its
+    tail, to one stream, flushing after each, so that SIGKILL leaves every
+    finished row readable and only the tail missing."""
     pending = sweep_rows(cfg)  # checks the configuration before any file is opened
-    path = cfg.output_path
-    as_csv = cfg.output_format == "csv"
-    side = None
-    if as_csv:
-        stream = (open(path, "w", encoding="utf-8", newline="") if path
-                  else contextlib.nullcontext(sys.stdout))
-    else:
-        # a regular file gets a side file; a pipe or device such as /dev/stdout not
-        if path and (os.path.isfile(path) or not os.path.exists(path)):
-            side = path + ".partial"
-        stream = open(side or os.devnull, "w", encoding="utf-8", newline="")
     rows: list = []
-
-    def end(out) -> None:
-        """Write what follows the last finished row."""
-        if as_csv:
-            out.write(render_csv_tail(rows))
-            out.flush()
-            return
-        out.close()
-        _emit(render_rows(cfg, rows), path)
-        if side is not None:
-            os.remove(side)
-
     stopped = False
-    with stream as out:
+    with _open_output(cfg.output_path) as out:
         # SIGTERM and SIGHUP stop a sweep as SIGINT does, unless ignored or handled
         replaced = [s for s in (getattr(signal, n, None) for n in ("SIGTERM", "SIGHUP"))
                     if s is not None and signal.getsignal(s) is signal.SIG_DFL]
         for signum in replaced:
             signal.signal(signum, signal.default_int_handler)
         try:
-            out.write(render_csv_head(cfg))
+            out.write(render_head(cfg))
             out.flush()
             for row in pending:
                 rows.append(row)
-                out.write(render_csv_row(row))
+                out.write(render_row(cfg, row, first=len(rows) == 1))
                 out.flush()
         except KeyboardInterrupt:
             stopped = True
         except OSError:  # the output itself failed: write nothing more into it
             raise
         except Exception:
-            if rows:  # a bug or a MemoryError: keep the finished rows, then report
-                end(out)
+            if rows:  # a bug or a MemoryError: end the output, then report
+                out.write(render_tail(cfg, rows))
+                out.flush()
             raise
         finally:
             for signum in replaced:
                 signal.signal(signum, signal.SIG_DFL)
-        end(out)
+        out.write(render_tail(cfg, rows))
+        out.flush()
     if stopped:
         sys.stderr.write("interrupted: flushed completed rows\n")
         return 2

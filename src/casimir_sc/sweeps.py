@@ -4,8 +4,8 @@ A sweep row is the single point of the configuration with the field, gap or
 temperature set to x; a point runs at temperature_k if given, else at
 T = shifted_tc(H).  Sweeps write a deterministic CSV (or JSON) with a
 config-echo header, and keep going past rows that fail to converge, marking
-them in the file; a CSV sweep is a head, one line per row and a tail, so
-that it can be written as its rows finish.
+them in the file.  Either format is a head, one piece per row and a tail,
+so that it can be written as its rows finish.
 """
 
 from __future__ import annotations
@@ -318,14 +318,18 @@ def run_sweep(cfg: RunConfig) -> list[SweepRow]:
 
 
 def render_rows(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
-    """The whole output of a sweep; as CSV, the bytes the CLI streams."""
+    """The whole output of a sweep: the bytes the CLI streams."""
+    return (render_head(cfg)
+            + "".join(render_row(cfg, r, first=i == 0) for i, r in enumerate(rows))
+            + render_tail(cfg, rows))
+
+
+def render_head(cfg: RunConfig) -> str:
+    """The start of a sweep: as CSV, the config-echo header and the column
+    line; as JSON, {"config":{...},"rows":[ (the object's keys are sorted,
+    so every row comes before the count)."""
     if cfg.output_format == "json":
-        return _render_json(cfg, rows)
-    return render_csv_head(cfg) + "".join(map(render_csv_row, rows)) + render_csv_tail(rows)
-
-
-def render_csv_head(cfg: RunConfig) -> str:
-    """The start of a CSV sweep: the config-echo header and the column line."""
+        return _json_text({"config": _json_fields(config_echo(cfg))})[:-1] + ',"rows":['
     lines = [f"# casimir-sc v{_pkg_version}"]
     for key, val in sorted(config_echo(cfg).items()):
         lines.append(f"# {key}={_fmt_value(val)}")
@@ -333,8 +337,11 @@ def render_csv_head(cfg: RunConfig) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def render_csv_row(r: SweepRow) -> str:
-    """One finished row of a CSV sweep; a failed row is a comment."""
+def render_row(cfg: RunConfig, r: SweepRow, first: bool) -> str:
+    """One finished row of a sweep: a CSV line, a failed row being a comment,
+    or a JSON object, after a comma unless it is the first."""
+    if cfg.output_format == "json":
+        return ("" if first else ",") + _json_text(_json_fields(dataclasses.asdict(r)))
     if r.error is not None:
         return f"# FAILED x={fmt_float(r.x)} error={r.error}\n"
     return ",".join([
@@ -348,10 +355,13 @@ def render_csv_row(r: SweepRow) -> str:
     ]) + "\n"
 
 
-def render_csv_tail(rows: Sequence[SweepRow]) -> str:
-    """The last line of a CSV sweep, written once the sweep has ended; a file
-    without it is a sweep that did not end."""
+def render_tail(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
+    """The end of a sweep, written once it has ended; output without it is a
+    sweep that did not end."""
     ok = sum(1 for r in rows if r.error is None)
+    if cfg.output_format == "json":
+        return "]," + _json_text({"rows_converged": ok,
+                                  "tool": f"casimir-sc v{_pkg_version}"})[1:] + "\n"
     return f"# rows_converged={ok}/{len(rows)}\n"
 
 
@@ -361,17 +371,8 @@ def _json_fields(values: dict) -> dict:
             for k, v in values.items()}
 
 
-def _json_line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
-
-
-def _render_json(cfg: RunConfig, rows: Sequence[SweepRow]) -> str:
-    return _json_line({
-        "tool": f"casimir-sc v{_pkg_version}",
-        "config": _json_fields(config_echo(cfg)),
-        "rows_converged": sum(1 for r in rows if r.error is None),
-        "rows": [_json_fields(dataclasses.asdict(r)) for r in rows],
-    })
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +407,7 @@ def point_eval(cfg: RunConfig, include_force: bool = True) -> dict:
 def render_point(cfg: RunConfig, result: dict) -> str:
     """point_eval's result as sorted key=value lines, or one JSON object."""
     if cfg.output_format == "json":
-        return _json_line(_json_fields(result))
+        return _json_text(_json_fields(result)) + "\n"
     return "".join(f"{key}={fmt_float(val) if isinstance(val, float) else val}\n"
                    for key, val in sorted(result.items()))
 

@@ -562,6 +562,34 @@ def test_full_series_error_bounds_refinement(field_oe):
     assert fn.error_estimate >= abs(fn.value - refined.value)
 
 
+# (field in Oe, gap in nm) of every row of the default field sweep (31 rows,
+# 70 nm) and gap sweep (27 rows, 200 Oe), and of the corners of the domain:
+# near Hc(0) at 70 nm, the smallest gap and a large one.
+ROW_POINTS = ([(h, 70.0) for h in np.linspace(25.0, 775.0, 31)]
+              + [(200.0, d) for d in np.linspace(40.0, 300.0, 27)]
+              + [(799.0, 70.0), (799.9, 70.0), (200.0, 10.5), (775.0, 10.5),
+                 (775.0, 1000.0)])
+
+
+def test_error_estimates_bound_refinement_on_every_sweep_row():
+    """At each of the 63 points, at T'c(H), the error estimates of F_n - F_s
+    and of F_n bound the shift seen when both tolerances are halved and both
+    caps doubled (worst shift 0.47 of its estimate, F_n - F_s at 200 Oe,
+    160 nm)."""
+    finer = replace(CFG, rel_tol_quadrature=CFG.rel_tol_quadrature / 2,
+                    rel_tol_series=CFG.rel_tol_series / 2,
+                    matsubara_cap_full=2 * CFG.matsubara_cap_full,
+                    matsubara_cap_diff=2 * CFG.matsubara_cap_diff)
+    assert len(ROW_POINTS) == 63
+    for field_oe, d in ROW_POINTS:
+        T = shifted_tc(LEAD, field_oe)
+        for series in (free_energy_difference, free_energy):
+            res = series(GOLD, LEAD, T, d, CFG)
+            refined = series(GOLD, LEAD, T, d, finer)
+            assert res.error_estimate >= abs(res.value - refined.value), \
+                (series.__name__, field_oe, d)
+
+
 @pytest.mark.parametrize("T, d", [(0.1, 70.0), (1.0, 10.5)])
 def test_full_series_converges_at_domain_edges(T, d):
     """Far below T'c(H) and at the smallest gap the strided F_n converges, and

@@ -1,5 +1,6 @@
-"""The references of summation_references.json, recomputed, and the physics
-reference's g against the 30-digit energy integral."""
+"""The references of summation_references.json, recomputed, the physics
+reference's g against the 30-digit energy integral, and the engine's error
+estimates against the summation references."""
 
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 
 import oracles
 from casimir_sc.constants import CONST
-from casimir_sc.lifshitz import EngineConfig
+from casimir_sc.lifshitz import EngineConfig, free_energy, free_energy_difference
 from casimir_sc.materials import GOLD, LEAD, bcs_gap, mattis_bardeen_g
 from casimir_sc.sc_state import shifted_tc
 
@@ -48,3 +49,14 @@ def test_physics_reference_g_matches_mpmath():
     for x, g in zip(xi, mattis_bardeen_g(LEAD, xi, T)):
         want = oracles.g_energy_integral_mp(float(x), delta, CONST.k_b * T) / LEAD.gamma
         assert g == pytest.approx(want, rel=1e-10, abs=0.0), x
+
+
+@pytest.mark.parametrize("name", ["delta_f_200", "delta_f_775", "f_normal_200"])
+def test_error_estimate_bounds_distance_to_summation_reference(name):
+    """The engine's error estimate covers its distance from each summation
+    reference (F_n - F_s: 3.2e-7 and 1.5e-6 relative off, against estimates
+    of 3.4e-7 and 1.65e-6; F_n: 1.3e-14 off, against 1.0e-9)."""
+    ref = REFERENCES[name]
+    series = free_energy if ref["quantity"] == "F_n" else free_energy_difference
+    res = series(GOLD, LEAD, shifted_tc(LEAD, ref["field_oe"]), ref["gap_nm"], EngineConfig())
+    assert res.error_estimate >= abs(res.value - ref["value"])

@@ -1,5 +1,6 @@
 import argparse
-import csv
+import errno
+import io
 import json
 import math
 import os
@@ -592,6 +593,44 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _canonical_json(text: str) -> str:
+    """text parsed by a strict reader, then written back with sorted keys and
+    no spaces, as one line."""
+    payload = json.loads(text, parse_constant=_reject_constant)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_json_sweep_is_one_strict_sorted_line(monkeypatch, capsys):
+    """A JSON sweep, streamed piece by piece, is the one-line object a strict
+    writer makes with sorted keys: for real rows, for a failed row with NaN
+    fields, and for a sweep interrupted before its first row."""
+    assert cli_main(["sweep-gap", "--no-full", "--format", "json", "--start", "60",
+                     "--stop", "80", "--points", "2", "--rel-tol", "1e-6"]) == 0
+    text = capsys.readouterr().out
+    assert text == _canonical_json(text)
+    assert len(json.loads(text)["rows"]) == 2
+
+    cfg = coarse_config(sweep=SweepSpec("field_Oe", 150.0, 250.0, 2), output_format="json")
+    failed = sweeps_mod.SweepRow(x=250.0, t_prime_c_k=6.2, delta_f_fn=float("nan"),
+                                 f_normal_ev_nm2=float("nan"), f_super_ev_nm2=float("nan"),
+                                 terms_used=0, pfa_bound=4.7e-4, error="no quiet term")
+    text = render_rows(cfg, [_fake_row(150.0), failed])
+    assert text == _canonical_json(text)
+    payload = json.loads(text)
+    assert payload["rows_converged"] == 1
+    assert payload["rows"][1]["error"] == "no quiet term"
+    assert payload["rows"][1]["delta_f_fn"] is None
+
+    def interrupt(cfg, variable, x):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(sweeps_mod, "_evaluate_row", interrupt)
+    assert cli_main(["sweep-field", "--no-full", "--format", "json", "--points", "2"]) == 2
+    text = capsys.readouterr().out
+    assert text == _canonical_json(text)
+    assert '"rows":[],"rows_converged":0,' in text
+
+
 def test_cli_point_json_format(capsys):
     assert cli_main(["point", "--rel-tol", "1e-6"]) == 0
     lines = dict(ln.split("=", 1) for ln in capsys.readouterr().out.splitlines())
@@ -654,6 +693,11 @@ def _fake_row(x):
 
 
 FAKE_ROW_1 = "1.5e+02,6.5e+00,1.25e+01,nan,nan,42,4.5e-04"
+FAKE_ROW_1_JSON = ('{"delta_f_fn":12.5,"error":null,"f_normal_ev_nm2":null,'
+                   '"f_super_ev_nm2":null,"pfa_bound":0.00045,"t_prime_c_k":6.5,'
+                   '"terms_used":42,"x":150.0}')
+# The first row of the fake sweeps, as written in each format.
+_FIRST_ROW = {"csv": FAKE_ROW_1 + "\n", "json": FAKE_ROW_1_JSON}
 
 
 def _sweep_stopping_after_one_row(monkeypatch, tmp_path, stop, *extra):
@@ -746,32 +790,35 @@ def test_cli_unexpected_error_keeps_finished_rows(monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_side_file_holds_each_finished_row(fmt, monkeypatch, tmp_path):
-    """While a sweep runs, the CSV header, less the row count, and every
-    finished row are on disk: in PATH itself for CSV, which gets no side
-    file, and for JSON in PATH.partial, deleted once PATH is written."""
+def test_output_file_holds_each_finished_row(fmt, monkeypatch, tmp_path):
+    """While a sweep runs, PATH itself, the only file written, holds the head
+    and every finished row, without the tail, in either format."""
     out = tmp_path / "sweep.csv"
-    side = tmp_path / "sweep.csv.partial"
-    rows_file = out if fmt == "csv" else side
     seen = []
 
     def look():
-        seen.append((rows_file.read_text(), sorted(os.listdir(tmp_path))))
+        seen.append((out.read_text(), sorted(os.listdir(tmp_path))))
 
     code, out = _sweep_stopping_after_one_row(monkeypatch, tmp_path, look, "--format", fmt)
     assert code == 0
     assert sorted(os.listdir(tmp_path)) == ["sweep.csv"]
     (first, first_files), (second, second_files) = seen
-    assert first_files == second_files == [rows_file.name]
-    lines = first.splitlines()
-    assert lines[0].startswith("# casimir-sc v") and f"# format={fmt}" in lines
-    assert not any(ln.startswith("# rows_converged") for ln in lines)
-    assert lines[-2:] == [CSV_COLUMNS, FAKE_ROW_1]
-    assert second.startswith(first) and second.count("\n") == first.count("\n") + 1
+    assert first_files == second_files == ["sweep.csv"]
+    cfg = _stalled_config(fmt)
+    rows = [_fake_row(x) for x in (150.0, 200.0, 250.0)]
+    assert first == _stalled_head(fmt) + _FIRST_ROW[fmt]
+    assert second == first + sweeps_mod.render_row(cfg, rows[1], first=False)
+    final = out.read_text()
+    assert final == render_rows(cfg, rows)
     if fmt == "csv":
-        final = out.read_text()
-        assert final.startswith(second) and final.count("\n") == second.count("\n") + 2
+        lines = first.splitlines()
+        assert lines[0].startswith("# casimir-sc v") and "# format=csv" in lines
+        assert lines[-2:] == [CSV_COLUMNS, FAKE_ROW_1]
         assert final.splitlines()[-1] == "# rows_converged=3/3"
+    else:
+        assert first.startswith('{"config":{') and '"format":"json"' in first
+        assert second[len(first)] == ","  # before every row but the first
+        assert final == _canonical_json(final)
 
 
 def test_sweep_output_is_written_in_place(monkeypatch, tmp_path):
@@ -791,29 +838,30 @@ def test_sweep_output_is_written_in_place(monkeypatch, tmp_path):
 
 
 def test_sweep_output_to_a_pipe_gets_no_side_file(monkeypatch, tmp_path):
-    """A pipe or device, such as /dev/stdout, is written and gets no side
-    file."""
+    """A pipe or device, such as /dev/stdout, is written as a file is, in
+    either format, and nothing else is written beside it."""
     if not hasattr(os, "mkfifo"):
         pytest.skip("no named pipes on this platform")
     monkeypatch.setattr(sweeps_mod, "_evaluate_row", lambda cfg, variable, x: _fake_row(x))
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the writer's open needs one
-    try:
-        assert cli_main(["sweep-field", "--points", "2", "--no-full",
-                         "--output", str(fifo)]) == 0
-        data = os.read(reader, 1 << 16)
-    finally:
-        os.close(reader)
-    assert data.startswith(b"# casimir-sc")
-    assert os.listdir(tmp_path) == ["fifo"]
+    for fmt, start in (("csv", b"# casimir-sc"), ("json", b'{"config":{')):
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # the writer's open needs one
+        try:
+            assert cli_main(["sweep-field", "--points", "2", "--no-full", "--format", fmt,
+                             "--output", str(fifo)]) == 0
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert data.startswith(start)
+        assert os.listdir(tmp_path) == ["fifo"]
 
 
 @pytest.mark.parametrize("command", [["point", "--skip-force"],
                                      ["sweep-field", "--points", "2", "--no-full"]])
 def test_unopenable_output_is_one_error_line(command, monkeypatch, tmp_path, capsys):
     """An --output in a missing directory prints one error line naming the
-    path and exits 1; a sweep, whose side file cannot be opened either,
+    path and exits 1; a sweep, whose output is opened before its first row,
     evaluates no row and writes nothing."""
     seen = []
     monkeypatch.setattr(sweeps_mod, "_evaluate_row",
@@ -832,8 +880,8 @@ def test_unopenable_output_is_one_error_line(command, monkeypatch, tmp_path, cap
                                      ["waveform"]])
 def test_directory_output_fails_before_computing(command, monkeypatch, tmp_path, capsys):
     """An --output that is an existing directory prints one error line naming
-    it and exits 1 before any row, point, g column or waveform is computed;
-    a sweep leaves no PATH.partial."""
+    it and exits 1 before any row, point, g column or waveform is computed,
+    and writes nothing."""
     seen = []
     for name in ("_evaluate_row", "_evaluate", "mattis_bardeen_g"):
         monkeypatch.setattr(sweeps_mod, name, lambda *a, name=name: seen.append(name))
@@ -847,23 +895,29 @@ def test_directory_output_fails_before_computing(command, monkeypatch, tmp_path,
     assert seen == [] and os.listdir(tmp_path) == ["out"] and os.listdir(out) == []
 
 
-def test_failed_final_write_keeps_the_side_file(monkeypatch, tmp_path, capsys):
-    """A JSON sweep whose write of PATH fails prints one error line, exits 1
-    and leaves every finished row in PATH.partial."""
-    out = tmp_path / "sweep.csv"
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failed_row_write_stops_the_sweep(fmt, monkeypatch, capsys):
+    """A write that fails after the first row prints one error line and
+    exits 1: no further row is evaluated and nothing more is written, the
+    tail included, in either format."""
+    evaluated, written = [], []
+    monkeypatch.setattr(sweeps_mod, "_evaluate_row",
+                        lambda cfg, variable, x: evaluated.append(x) or _fake_row(x))
 
-    def row_then_block_path(cfg, variable, x):
-        out.mkdir(exist_ok=True)  # open(PATH, "w") refuses a directory, even to root
-        return _fake_row(x)
+    class FillsAfterOneRow(io.StringIO):
+        def write(self, text):
+            if len(written) == 2:  # the head and the first row
+                raise OSError(errno.ENOSPC, "No space left on device")
+            written.append(text)
+            return len(text)
 
-    monkeypatch.setattr(sweeps_mod, "_evaluate_row", row_then_block_path)
-    assert cli_main(["sweep-field", "--start", "150", "--stop", "250", "--points", "2",
-                     "--no-full", "--format", "json", "--output", str(out)]) == 1
+    monkeypatch.setattr(sys, "stdout", FillsAfterOneRow())
+    assert cli_main(["sweep-field", "--start", "150", "--stop", "250", "--points", "3",
+                     "--no-full", "--format", fmt]) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: ") and str(out) in line
-    side = (tmp_path / "sweep.csv.partial").read_text().splitlines()
-    assert side[-3:-1] == [CSV_COLUMNS, FAKE_ROW_1]
-    assert side[-1].startswith("2.5e+02,")
+    assert line == f"error: [Errno {errno.ENOSPC}] No space left on device"
+    assert evaluated == [150.0, 200.0]
+    assert written == [_stalled_head(fmt), _FIRST_ROW[fmt]]
 
 
 def test_missing_config_file_is_config_error():
@@ -946,18 +1000,27 @@ def test_process_error_exit_codes(args, code, message):
 
 
 def test_process_output_file_is_stdout_and_complete(tmp_path):
-    args = ["sweep-gap", "--no-full", "--start", "60", "--stop", "80", "--points", "2"]
-    out = tmp_path / "sweep.csv"
-    to_file = _cli_child(*args, "--output", str(out))
-    to_stdout = _cli_child(*args)
-    assert to_file.returncode == to_stdout.returncode == 0
-    assert to_file.stdout == b""
-    assert to_stdout.stdout.splitlines()[-1] == b"# rows_converged=2/2"
-    assert out.read_bytes() == to_stdout.stdout
-    assert os.listdir(tmp_path) == ["sweep.csv"]  # no side file
-    cfg = load_config(None, {"sweep_variable": "gap_nm", "compute_full": False,
-                             "sweep_start": 60.0, "sweep_stop": 80.0, "sweep_points": 2})
-    assert render_rows(cfg, run_sweep(cfg)).encode() == to_stdout.stdout
+    """In either format the process writes the same bytes to stdout and to
+    --output PATH, with no other file, and they are render_rows' bytes."""
+    for fmt in ("csv", "json"):
+        args = ["sweep-gap", "--no-full", "--start", "60", "--stop", "80", "--points", "2",
+                "--format", fmt]
+        (tmp_path / fmt).mkdir()
+        out = tmp_path / fmt / "sweep.out"
+        to_file = _cli_child(*args, "--output", str(out))
+        to_stdout = _cli_child(*args)
+        assert to_file.returncode == to_stdout.returncode == 0
+        assert to_file.stdout == b""
+        if fmt == "csv":
+            assert to_stdout.stdout.splitlines()[-1] == b"# rows_converged=2/2"
+        else:
+            assert json.loads(to_stdout.stdout)["rows_converged"] == 2
+        assert out.read_bytes() == to_stdout.stdout
+        assert os.listdir(out.parent) == ["sweep.out"]  # no side file
+        cfg = load_config(None, {"sweep_variable": "gap_nm", "compute_full": False,
+                                 "sweep_start": 60.0, "sweep_stop": 80.0, "sweep_points": 2,
+                                 "format": fmt})
+        assert render_rows(cfg, run_sweep(cfg)).encode() == to_stdout.stdout
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
@@ -984,12 +1047,13 @@ def test_process_failed_write_is_no_success():
 def test_process_into_a_closed_pipe_exits_quietly(unbuffered):
     """Output into a pipe whose reader has gone exits 1 with nothing on
     stderr, whether the write fails in main() (unbuffered stdout) or at the
-    final flush (buffered).  A sweep stops at its header, before any row:
-    every row of this stalled sweep would wait for a signal."""
+    final flush (buffered).  A sweep, CSV or JSON, stops at its head, before
+    any row: every row of this stalled sweep would wait for a signal."""
     env = _child_env("PYTHONUNBUFFERED", **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    stalled = ["-c", _STALLED_SWEEP, "sweep-field", "--start", "151", "--stop", "250",
+               "--points", "3", "--no-full"]
     for args in (["-m", "casimir_sc.cli", "point", "--skip-force"],
-                 ["-c", _STALLED_SWEEP, "sweep-field", "--start", "151", "--stop", "250",
-                  "--points", "3", "--no-full"]):
+                 stalled, [*stalled, "--format", "json"]):
         reader, writer = os.pipe()
         os.close(reader)
         try:
@@ -997,7 +1061,7 @@ def test_process_into_a_closed_pipe_exits_quietly(unbuffered):
                                   stderr=subprocess.PIPE, timeout=120, env=env)
         finally:
             os.close(writer)
-        assert (proc.returncode, proc.stderr) == (1, b""), args[:2]
+        assert (proc.returncode, proc.stderr) == (1, b""), args
 
 
 # A field sweep of fake rows through the process entry; a row past x = 150
@@ -1024,55 +1088,62 @@ STALLED_ARGS = ["sweep-field", "--start", "150", "--stop", "250", "--points", "3
 
 
 def _stalled_sweep(tmp_path, check, fmt="csv"):
-    """Start the stalled sweep with --output, wait for its first row in the
-    file that holds the finished rows (PATH for CSV, the side file for JSON),
-    then call check(process, output path, side file path)."""
+    """Start the stalled sweep with --output PATH, wait for its first row in
+    PATH, then call check(process, PATH)."""
     out = tmp_path / "sweep.csv"
-    side = tmp_path / "sweep.csv.partial"
-    rows_file = out if fmt == "csv" else side
     proc = subprocess.Popen(
         [sys.executable, "-c", _STALLED_SWEEP, *STALLED_ARGS, "--format", fmt,
          "--output", str(out)],
         env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     try:
         deadline = time.monotonic() + 60
-        while not (rows_file.exists() and FAKE_ROW_1 in rows_file.read_text().splitlines()):
+        while not (out.exists() and _FIRST_ROW[fmt] in out.read_text()):
             assert proc.poll() is None, "the sweep ended before its first row"
-            assert time.monotonic() < deadline, f"no first row in {rows_file.name}"
+            assert time.monotonic() < deadline, f"no first row in {out.name}"
             time.sleep(0.01)
-        check(proc, out, side)
+        check(proc, out)
     finally:
         proc.kill()
         proc.communicate(timeout=60)
 
 
-def _stalled_head() -> str:
-    """The header echo and column line of the stalled sweep, as CSV."""
-    return sweeps_mod.render_csv_head(load_config(None, {
+def _stalled_config(fmt="csv") -> RunConfig:
+    """The configuration of the stalled sweep, and of
+    _sweep_stopping_after_one_row's."""
+    return load_config(None, {
         "sweep_variable": "field_Oe", "sweep_start": 150.0, "sweep_stop": 250.0,
-        "sweep_points": 3, "compute_full": False}))
+        "sweep_points": 3, "compute_full": False, "format": fmt})
+
+
+def _stalled_head(fmt="csv") -> str:
+    """The head of the stalled sweep: the header echo and column line as CSV,
+    or the object up to its row list's opening bracket as JSON."""
+    return sweeps_mod.render_head(_stalled_config(fmt))
 
 
 @POSIX_ONLY
 def test_sigkill_leaves_finished_rows_in_the_output_file(tmp_path):
-    def check(proc, out, side):
+    def check(proc, out):
         proc.kill()
         assert proc.wait(timeout=60) == -signal.SIGKILL
         assert out.read_text() == _stalled_head() + FAKE_ROW_1 + "\n"
-        assert not side.exists()
+        assert os.listdir(tmp_path) == [out.name]
 
     _stalled_sweep(tmp_path, check)
 
 
 @POSIX_ONLY
-def test_sigkill_leaves_finished_rows_in_the_side_file(tmp_path):
-    def check(proc, out, side):
+def test_sigkill_leaves_finished_rows_in_the_json_output_file(tmp_path):
+    """SIGKILL leaves the JSON head and each finished row, a whole object,
+    and no tail: a prefix that a strict reader rejects as unfinished."""
+    def check(proc, out):
         proc.kill()
         assert proc.wait(timeout=60) == -signal.SIGKILL
-        assert not out.exists()
-        with open(side, newline="", encoding="utf-8") as fh:
-            data = [r for r in csv.reader(fh) if not r[0].startswith("#")]
-        assert data == [CSV_COLUMNS.split(","), FAKE_ROW_1.split(",")]
+        text = out.read_text()
+        assert text == _stalled_head("json") + FAKE_ROW_1_JSON
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+        assert os.listdir(tmp_path) == [out.name]
 
     _stalled_sweep(tmp_path, check, "json")
 
@@ -1109,28 +1180,32 @@ def test_sigkill_leaves_finished_rows_on_stdout():
 
 @POSIX_ONLY
 def test_sigterm_ends_the_output_file_with_the_row_count(tmp_path):
-    def check(proc, out, side):
+    def check(proc, out):
         proc.terminate()
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 2
         assert b"interrupted" in err
         assert out.read_text() == _stalled_head() + FAKE_ROW_1 + "\n# rows_converged=1/1\n"
-        assert not side.exists()
+        assert os.listdir(tmp_path) == [out.name]
 
     _stalled_sweep(tmp_path, check)
 
 
 @POSIX_ONLY
 def test_sigterm_writes_finished_rows_and_drops_the_side_file(tmp_path):
-    def check(proc, out, side):
+    """SIGTERM ends a JSON PATH with its tail, so that it parses, and leaves
+    no other file."""
+    def check(proc, out):
         proc.terminate()
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 2
         assert b"interrupted" in err
-        payload = json.loads(out.read_text())
+        text = out.read_text()
+        payload = json.loads(text, parse_constant=_reject_constant)
         assert payload["rows_converged"] == 1
         assert [r["x"] for r in payload["rows"]] == [150.0]
-        assert not side.exists()
+        assert text == render_rows(_stalled_config("json"), [_fake_row(150.0)])
+        assert os.listdir(tmp_path) == [out.name]
 
     _stalled_sweep(tmp_path, check, "json")
 
