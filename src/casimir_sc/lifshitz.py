@@ -29,7 +29,8 @@ from .errors import ConvergenceError, DomainError, PfaAccuracyWarning
 from .materials import MaterialParams, default_gap, drude_eps, eps_bcs, g_matsubara
 # Unused here, but module attributes that perfbench/trace_child.py wraps by name.
 from .materials import g_on_matsubara_grid  # noqa: F401
-from .quadrature import CompositeKronrod, adaptive_quad  # noqa: F401
+from .quadrature import adaptive_quad  # noqa: F401
+from .quadrature import CompositeKronrod, _short, bisect_rows
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +38,6 @@ from .quadrature import CompositeKronrod, adaptive_quad  # noqa: F401
 
 
 _Y_CUT = 45.0
-# Panels widening with y let more rows meet the tolerance on the first rung
-# (759 of the 1,143 rows of the difference series at 25, 200 and 775 Oe, 70 nm;
-# 526 on edges 0, 0.5, 1.5, 4, 10, 22, 45).  The composite rule on them must give
-# each row of a batch the bits of a one-row call, as not every panel layout
-# does, or the series would depend on its split into blocks (test_quadrature).
-_Y_SPLITS = (0.0, 0.5, 2.0, 6.0, 14.0, 28.0, _Y_CUT)
 
 
 @dataclass(frozen=True)
@@ -130,62 +125,62 @@ def _diff_log(y, yl, eps_a, eps_n, eps_s):
 # Matsubara series
 
 
-def _ladder(edges: tuple) -> list:
-    """Rung 0 is the rule on edges, rung 1 its bisection.  Rungs 2 .. 21 halve
-    the first panel in turn, where short rows carry their error, to 2.4e-7: there
-    the steepest start, y log y at y_l = 0, estimates 5e-17 of its value.  Rungs
-    22 .. 24 bisect all panels, to 256, for error a tight tolerance finds elsewhere."""
-    rules = [edges]
-    for k in range(24):
-        e = rules[-1]
-        new = (0.5 * e[1],) if 1 <= k < 21 else (0.5 * (a + b) for a, b in zip(e, e[1:]))
-        rules.append(tuple(sorted({*e, *new})))
-    return [CompositeKronrod(e) for e in rules]
+# Panel edges in u = y - y_l over [0, _Y_CUT] and the least y_l each layout
+# serves.  Below y_l = 0.5 the edges 4^-k, one more per band of y_l, follow
+# the integrand's structure near u ~ y_l.
+_WIDE = (1.0, 2.5, 5.0, 10.0, 20.0, _Y_CUT)
+_LAYOUTS = ((2.0, (0.0, 3.0, 8.0, 18.0, _Y_CUT)), (0.5, (0.0, 1.5, 4.0, 10.0, 22.0, _Y_CUT)),
+            *((floor, (0.0, *(4.0 ** -j for j in range(k, 0, -1)), *_WIDE))
+              for k, floor in enumerate((0.09, 0.01, 0.0025, 0.0), start=1)))
+_RULES = tuple(CompositeKronrod(edges) for _, edges in _LAYOUTS)
+_FLOORS = np.array([floor for floor, _ in _LAYOUTS[-2::-1]])   # all but 0, ascending
+# Nodes per integrand pass: each temporary of _diff_log holds 30 KiB, and the
+# allocator keeps it for the next pass.  Passes of 5,760 nodes ran no faster
+# and raised the benchmark's peak RSS by 0.1 MB; from about 6,500 nodes on,
+# every pass faults its temporaries in afresh.  And the bisection rounds a
+# row may take after its first pass.
+_PASS_NODES, _ROUNDS = 3840, 60
 
 
-_LADDER = _ladder(_Y_SPLITS)
-# Nodes per integrand pass: 64 rows of the first rung, so each temporary of
-# _diff_log holds 45 KiB and the allocator keeps it for the next pass.  From
-# about 72 rows on, every pass faults its temporaries in afresh, costing more
-# than the arithmetic (per 256 rows at 775 Oe, 2-core x86 VM: 800 minor faults
-# and 2.5 ms in 256-row passes, none and 1.5 ms in 64-row passes).
-_PASS_NODES = 64 * _LADDER[0].nodes.size
-
-
-def _integrate(rule, integrand, yl: np.ndarray, params: tuple):
-    """(integral, error) arrays of rule over y in [yl, yl + Y_CUT] per row."""
-    y = yl[:, None] + rule.nodes
-    return rule.integrate(integrand(y, yl[:, None], *(p[:, None] for p in params)))
-
-
-def _accepted(vals: np.ndarray, errs: np.ndarray, rel_tol: float) -> np.ndarray:
-    return (errs <= max(rel_tol, np.finfo(float).eps) * np.abs(vals)) | (errs <= 1e-300)
+def _layout(yl: np.ndarray) -> np.ndarray:
+    """Index into _RULES of each y_l's layout."""
+    return _FLOORS.size - np.searchsorted(_FLOORS, yl, side="right")
 
 
 def _terms(integrand, yl: np.ndarray, params: tuple, rel_tol: float):
     """(integral, error) arrays of int_{yl}^{yl+Y_CUT} integrand dy, one entry per row.
 
-    Every row starts on the first rung of _LADDER.  The rows whose summed K15
-    error estimate misses rel_tol (at least double resolution) times their
-    value move up to the next rung together.  Each rung integrates its rows in
-    passes of at most _PASS_NODES nodes (at least one row), so a pass's
-    temporaries stay small enough to reuse memory.  Every rung gives a row the
-    same bits in any batch, so the split into blocks and passes cannot move a
-    value.  A row that misses the last rung raises ConvergenceError, even one
-    the sum never uses.
+    Each row is integrated once on the rule of its y_l's layout, in passes of
+    at most _PASS_NODES nodes (at least one row).  A row whose summed
+    null-rule estimate misses rel_tol (at least double resolution) times its
+    value has its panels bisected (bisect_rows).  A row's bits follow from
+    its own y_l and parameters, so the split into blocks and passes cannot
+    move a value.  A row that does not converge raises ConvergenceError,
+    even one the sum never uses.
     """
-    vals, errs, rows = np.empty(yl.size), np.empty(yl.size), np.arange(yl.size)
-    for rule in _LADDER:
+    tol = max(rel_tol, np.finfo(float).eps)
+    vals, errs = np.empty(yl.size), np.empty(yl.size)
+    layout, pending = _layout(yl), []
+
+    def f(r, u):
+        return integrand(yl[r] + u, yl[r], *(p[r] for p in params))
+
+    for k, rule in enumerate(_RULES):
+        rows = np.flatnonzero(layout == k)
         step = max(1, _PASS_NODES // rule.nodes.size)
         for first in range(0, rows.size, step):
             part = rows[first:first + step]
-            vals[part], errs[part] = _integrate(rule, integrand, yl[part],
-                                                tuple(p[part] for p in params))
-        rows = rows[~_accepted(vals[rows], errs[rows], rel_tol)]
-        if not rows.size:
-            return vals, errs
-    raise ConvergenceError(f"wavevector integral at y_l = {yl[rows[0]]:.6g} missed "
-                           f"the tolerance on every rule", error_estimate=float(errs[rows[0]]))
+            q, e = rule.integrate(f(part[:, None], rule.nodes))
+            vals[part], errs[part] = q.sum(axis=-1), e.sum(axis=-1)
+            short = _short(vals[part], errs[part], tol)
+            if short.any():
+                pending.append((part[short], rule.edges, q[short], e[short]))
+    bad = bisect_rows(f, tol, vals, errs, pending, _PASS_NODES, _ROUNDS) if pending else None
+    if bad is not None:
+        raise ConvergenceError(f"wavevector integral at y_l = {yl[bad]:.6g} is not finite "
+                               f"or missed the tolerance after {_ROUNDS} bisection rounds",
+                               error_estimate=float(errs[bad]))
+    return vals, errs
 
 
 def _scaled_yl(xi, d: float):

@@ -1,7 +1,7 @@
 """Gauss-Kronrod (G7/K15) quadrature for vectorized integrands.
 
-The program uses the panel rule _k15 and CompositeKronrod (the Lifshitz
-terms); the g column calls _k15 on its own panels.  kronrod_panel,
+The program uses the panel rules _k15 (the g column, on its own panels) and
+_k15_null with CompositeKronrod (the Lifshitz terms).  kronrod_panel,
 adaptive_quad and exp_tail_quad (semi-infinite tails by the substitution
 x = a*e^u) serve the tests and the benchmark's tracer, which wraps them by
 name.  Integrands take an ndarray of abscissae and return an ndarray of
@@ -59,6 +59,60 @@ def _k15(y: np.ndarray, halves) -> tuple[np.ndarray, np.ndarray]:
     return ik, resasc * np.minimum(1.0, (200.0 * err / (resasc + flat)) ** 1.5) + err * flat
 
 
+def _null_rules() -> np.ndarray:
+    """Rows: the K15 weights, then the null rules N_9 .. N_14.
+
+    N_k = sqrt(2) w p_k(x), with p_k the degree-k polynomial orthonormal
+    under the K15 weights w on the K15 nodes x, gives 0 on every polynomial
+    of degree below k and has the K15 rule's norm, sum N_k^2/w = sum w = 2
+    (Berntsen and Espelid, ACM TOMS 17, 1991).  Stieltjes' recurrence gives
+    the p_k; the nodes are symmetric, so it has no shift.
+    """
+    rules = [_WK]
+    p_prev, p, b = np.zeros(_XK.size), np.full(_XK.size, 1.0 / np.sqrt(_WK.sum())), 0.0
+    for k in range(1, _XK.size):
+        q = _XK * p - b * p_prev
+        b = np.sqrt((_WK * q * q).sum())
+        p_prev, p = p, q / b
+        if k >= 9:
+            rules.append(np.sqrt(2.0) * _WK * p)
+    return np.array(rules)
+
+
+_RULE_NULL = _null_rules()
+# A null-rule pair at or below this multiple of eps |panel integral| reads only
+# rounding; and the estimate's constants: its factor, the decay ratio that
+# starts its asymptotic branch, and the power of the ratio there.
+_NOISE, _SAFETY, _R_CRIT, _ALPHA = 50.0, 10.0, 0.5, 4.75
+
+
+def _k15_null(y: np.ndarray, halves) -> tuple[np.ndarray, np.ndarray]:
+    """K15 integrals and null-rule error estimates of panels.
+
+    The last axis of y holds each panel's values on the K15 nodes; halves,
+    the panel half-widths, broadcast against the leading axes.  The
+    null-rule pairs E3 = |N_9, N_10|, E2 = |N_11, N_12| and E1 = |N_13, N_14|
+    measure the values' polynomial content at degrees 9 to 14, and
+    r = max(E2/E3, E1/E2) how fast it falls per two degrees.  Past r = 1
+    nothing falls, and the error is the largest pair; up to it, r E1.  K15
+    is exact to degree 22, so once r <= _R_CRIT the error falls as
+    E1 r^_ALPHA, _ALPHA = (23 - 13.5)/2 pairs of degrees past E1, scaled to
+    meet r E1 there.  Each branch is multiplied by _SAFETY, a pair at
+    rounding level counts as 0, and a NaN or infinite integral has a NaN
+    estimate.  einsum, not BLAS, forms the sums: each panel gets the same
+    bits in any call, and no BLAS buffer is mapped.
+    """
+    m = np.einsum("...k,jk->j...", y, _RULE_NULL) * halves
+    ik = m[0]
+    e = np.sqrt((m[1:] ** 2).reshape(3, 2, *ik.shape).sum(axis=1))   # E3, E2, E1
+    e *= e > _NOISE * np.finfo(float).eps * np.abs(ik)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.fmax(np.fmax.reduce(e[1:] / e[:-1]), 0.0)     # all pairs 0: 0/0, r = 0
+    err = np.where(r > 1.0, e.max(axis=0),
+                   e[2] * r * np.minimum(1.0, (r / _R_CRIT) ** (_ALPHA - 1.0)))
+    return ik, _SAFETY * err + 0.0 * ik
+
+
 def kronrod_panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     """One K15 panel on [a, b]; returns (integral, error estimate)."""
     half = 0.5 * (b - a)
@@ -66,26 +120,84 @@ def kronrod_panel(f: Callable, a: float, b: float) -> tuple[float, float]:
     return float(ik), float(err)
 
 
+def panel_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """K15 nodes of the panels [a, b], one row per panel."""
+    half = 0.5 * (b - a)
+    return (0.5 * (a + b))[:, None] + half[:, None] * _XK
+
+
 class CompositeKronrod:
     """Fixed composite K15 rule over preset panels, one integrand call.
 
     Integrates every row of a (rows x nodes) array in one vectorized pass and
-    reports each row's summed QUADPACK-style error estimate.  The Lifshitz
-    terms are integrated on a ladder of these rules; nothing in the program
-    falls back to adaptive_quad.
+    gives each panel's integral and null-rule error estimate (_k15_null).
+    The Lifshitz terms start on one of these rules, picked by y_l, and
+    bisect the panels of a row that misses its tolerance; nothing in the
+    program falls back to adaptive_quad.
     """
 
     def __init__(self, edges: Sequence[float]):
         edges = np.asarray(edges, dtype=float)
+        self.edges = edges
         self._halves = 0.5 * np.diff(edges)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        self.nodes = (mids[:, None] + self._halves[:, None] * _XK[None, :]).ravel()
+        self.nodes = panel_nodes(edges[:-1], edges[1:]).ravel()
 
     def integrate(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(integral, error estimate) of each row of values on self.nodes."""
-        y = values.reshape(values.shape[0], self._halves.size, _XK.size)
-        ik, err = _k15(y, self._halves)
-        return ik.sum(axis=-1), err.sum(axis=-1)
+        """(integrals, error estimates), rows x panels, of values on self.nodes."""
+        return _k15_null(values.reshape(values.shape[0], -1, _XK.size), self._halves)
+
+
+def _short(vals: np.ndarray, errs: np.ndarray, tol: float) -> np.ndarray:
+    """Rows whose estimate misses tol times their value (NaN counts)."""
+    return ~((errs <= tol * np.abs(vals)) | (errs <= 1e-300))
+
+
+def bisect_rows(f: Callable, tol: float, vals: np.ndarray, errs: np.ndarray,
+                pending: list, pass_nodes: int, rounds: int):
+    """Bisect panels of composite K15 rows until each row meets tol.
+
+    pending holds (rows, edges, panel integrals, panel estimates) of rows
+    that miss tol on their rules; f(r, u) gives the integrand of rows r
+    (a column) at nodes u (one row of nodes per panel).  Each round bisects
+    every panel whose estimate exceeds its row's goal, tol |value|, over
+    its panel count, as the g column does, and evaluates f on the new
+    panels only, in passes of at most pass_nodes nodes; each row's panels
+    are summed in order of their left edge into vals and errs, in place.
+    Returns None, or a row that is not finite or still misses tol after
+    the last round.
+    """
+    row = np.concatenate([np.repeat(r, e.size - 1) for r, e, _, _ in pending])
+    a = np.concatenate([np.tile(e[:-1], r.size) for r, e, _, _ in pending])
+    b = np.concatenate([np.tile(e[1:], r.size) for r, e, _, _ in pending])
+    q = np.concatenate([q.ravel() for _, _, q, _ in pending])
+    err = np.concatenate([e.ravel() for _, _, _, e in pending])
+    step = max(1, pass_nodes // _XK.size)
+    for _ in range(rounds):
+        bad = row[~np.isfinite(vals[row] + errs[row])]
+        if bad.size:
+            return bad[0]
+        split = err > tol * np.abs(vals[row]) / np.bincount(row)[row]
+        keep, mid = ~split, 0.5 * (a[split] + b[split])
+        new_row = np.concatenate([row[split], row[split]])
+        new_a, new_b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
+        new_q, new_err = np.empty(new_row.size), np.empty(new_row.size)
+        for first in range(0, new_row.size, step):
+            c = slice(first, first + step)
+            new_q[c], new_err[c] = _k15_null(f(new_row[c, None], panel_nodes(new_a[c], new_b[c])),
+                                             0.5 * (new_b[c] - new_a[c]))
+        row, a, b = (np.concatenate([x[keep], y]) for x, y in
+                     ((row, new_row), (a, new_a), (b, new_b)))
+        q, err = np.concatenate([q[keep], new_q]), np.concatenate([err[keep], new_err])
+        order = np.lexsort((a, row))
+        row, a, b, q, err = row[order], a[order], b[order], q[order], err[order]
+        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+        vals[row[starts]] = np.add.reduceat(q, starts)
+        errs[row[starts]] = np.add.reduceat(err, starts)
+        live = _short(vals, errs, tol)[row]
+        row, a, b, q, err = row[live], a[live], b[live], q[live], err[live]
+        if not row.size:
+            return None
+    return row[0]
 
 
 def adaptive_quad(

@@ -7,12 +7,15 @@ production g, and is a different method: it transforms the real-frequency
 conductivity ratio, where production integrates over quasiparticle energy
 at imaginary frequency, so criterion 3 compares two routes.
 g_energy_integral_mp is production's integral in its plain form, at 30
-digits in mpmath.  The exceptions share the wavevector integrator and the per-l
+digits in mpmath.  The exceptions share the integrands and the per-l
 permittivities with production.  normal_free_energy_exact and
-difference_free_energy_exact differ from it only in their summation: every
-term in ascending order, against the graded stride of the production
-series.  superconducting_free_energy_direct also shares g and differs only
-in its integrand: the superconducting series summed on its own, against the
+difference_free_energy_exact differ from it in their summation: every term
+in ascending order, against the graded stride of the production series.
+Their term integrals come from the rule ladder (ladder_terms), which made
+the summation references, or from production's _terms when a test passes
+quad=lifshitz._terms to compare summations alone.
+superconducting_free_energy_direct also shares g and differs only in its
+integrand: the superconducting series summed on its own, against the
 production difference series.  g_body_windowed is the reverse case, the same
 arithmetic as production in another layout, and must match it bit for bit.
 """
@@ -35,6 +38,7 @@ from casimir_sc.errors import ConvergenceError, DomainError
 from casimir_sc.lifshitz import EngineConfig, FreeEnergyResult
 from casimir_sc.materials import (MaterialParams, bcs_gap, default_gap, drude_eps, eps_bcs,
                                   g_matsubara, mattis_bardeen_g)
+from casimir_sc.quadrature import _XK, _k15
 
 HBAR_C = 197.3269804
 K_B = 8.617333262e-5
@@ -196,13 +200,87 @@ def full_series_extent(T: float, d: float) -> int:
     return int(Y_FULL * HBAR_C / (2.0 * d * 2.0 * math.pi * K_B * T))
 
 
+# ---------------------------------------------------------------------------
+# the rule ladder: the term integrals that made tests/summation_references.json
+
+
+class LadderRule:
+    """A composite K15 rule on fixed edges with QUADPACK's scaled |K15 - G7|
+    estimate per row, summed over its panels."""
+
+    def __init__(self, edges):
+        edges = np.asarray(edges, dtype=float)
+        self.halves = 0.5 * np.diff(edges)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        self.nodes = (mids[:, None] + self.halves[:, None] * _XK[None, :]).ravel()
+
+    def integrate(self, values):
+        y = values.reshape(values.shape[0], self.halves.size, _XK.size)
+        ik, err = _k15(y, self.halves)
+        return ik.sum(axis=-1), err.sum(axis=-1)
+
+
+def _ladder(edges: tuple) -> list:
+    """Rung 0 is the rule on edges, rung 1 its bisection.  Rungs 2 .. 21 halve
+    the first panel in turn, to 2.4e-7; rungs 22 .. 24 bisect all panels, to
+    256 panels (3,840 nodes)."""
+    rules = [edges]
+    for k in range(24):
+        e = rules[-1]
+        new = (0.5 * e[1],) if 1 <= k < 21 else (0.5 * (a + b) for a, b in zip(e, e[1:]))
+        rules.append(tuple(sorted({*e, *new})))
+    return [LadderRule(e) for e in rules]
+
+
+LADDER_SPLITS = (0.0, 0.5, 2.0, 6.0, 14.0, 28.0, lifshitz._Y_CUT)
+LADDER = _ladder(LADDER_SPLITS)
+# The last rung: 256 panels, the first of them 2.4e-7 wide.
+FINE_RULE = LADDER[-1]
+_LADDER_PASS_NODES = 64 * LADDER[0].nodes.size
+
+
+def ladder_integrate(rule, integrand, yl: np.ndarray, params: tuple):
+    """(integral, error) arrays of rule over y in [yl, yl + Y_CUT] per row."""
+    y = yl[:, None] + rule.nodes
+    return rule.integrate(integrand(y, yl[:, None], *(p[:, None] for p in params)))
+
+
+def _accepted(vals: np.ndarray, errs: np.ndarray, rel_tol: float) -> np.ndarray:
+    return (errs <= max(rel_tol, np.finfo(float).eps) * np.abs(vals)) | (errs <= 1e-300)
+
+
+def ladder_terms(integrand, yl: np.ndarray, params: tuple, rel_tol: float):
+    """(integral, error) arrays of int_{yl}^{yl+Y_CUT} integrand dy per row,
+    on the rule ladder.
+
+    Every row starts on the first rung.  The rows whose summed K15 estimate
+    misses rel_tol (at least double resolution) times their value move up to
+    the next rung together, integrated in passes of at most 5,760 nodes.  A
+    row that misses the last rung raises ConvergenceError.
+    """
+    vals, errs, rows = np.empty(yl.size), np.empty(yl.size), np.arange(yl.size)
+    for rule in LADDER:
+        step = max(1, _LADDER_PASS_NODES // rule.nodes.size)
+        for first in range(0, rows.size, step):
+            part = rows[first:first + step]
+            vals[part], errs[part] = ladder_integrate(rule, integrand, yl[part],
+                                                      tuple(p[part] for p in params))
+        rows = rows[~_accepted(vals[rows], errs[rows], rel_tol)]
+        if not rows.size:
+            return vals, errs
+    raise ConvergenceError(f"wavevector integral at y_l = {yl[rows[0]]:.6g} missed "
+                           f"the tolerance on every rule", error_estimate=float(errs[rows[0]]))
+
+
 # l per block of term_stream.
 _BLOCK = 256
 
 
-def term_stream(integrand, params, T: float, d: float, cfg: EngineConfig, l_stop: int):
-    """(integral, error) of the production terms l = 1 .. l_stop in order, a
-    block at a time.
+def term_stream(integrand, params, T: float, d: float, cfg: EngineConfig, l_stop: int,
+                quad=ladder_terms):
+    """(integral, error) of the terms l = 1 .. l_stop in order, a block at a
+    time, from quad(integrand, yl, params, rel_tol): by default the rule
+    ladder, on which the summation references were made.
 
     params(l, xi) gives the integrand's per-l parameters from the block's
     integer l and its xi_l; a block is computed only once the sum reaches it.
@@ -211,21 +289,22 @@ def term_stream(integrand, params, T: float, d: float, cfg: EngineConfig, l_stop
     for first in range(1, l_stop + 1, _BLOCK):
         l = np.arange(first, min(first + _BLOCK, l_stop + 1))
         xi = h * l
-        vals, errs = lifshitz._terms(integrand, lifshitz._scaled_yl(xi, d), params(l, xi),
-                                     cfg.rel_tol_quadrature)
+        vals, errs = quad(integrand, lifshitz._scaled_yl(xi, d), params(l, xi),
+                          cfg.rel_tol_quadrature)
         yield from zip(vals.tolist(), errs.tolist())
 
 
 def normal_free_energy_exact(material_a: MaterialParams, material_b: MaterialParams,
-                             T: float, d: float, cfg: EngineConfig) -> float:
+                             T: float, d: float, cfg: EngineConfig,
+                             quad=ladder_terms) -> float:
     """F_n summed exactly, eV/nm^2: the half-weight l = 0 term of the TM
-    pair, -zeta(3)/2, then every l up to full_series_extent, on the
-    production terms, totalled by math.fsum."""
+    pair, -zeta(3)/2, then every l up to full_series_extent, on quad's
+    terms, totalled by math.fsum."""
 
     def params(l, xi):
         return drude_eps(material_a, xi), drude_eps(material_b, xi)
 
-    stream = term_stream(lifshitz._pair_log, params, T, d, cfg, full_series_extent(T, d))
+    stream = term_stream(lifshitz._pair_log, params, T, d, cfg, full_series_extent(T, d), quad)
     total = math.fsum([-0.5 * ZETA3, *(sl for sl, _ in stream)])
     return CONST.k_b * T / (8.0 * math.pi * d * d) * total
 
@@ -233,9 +312,9 @@ def normal_free_energy_exact(material_a: MaterialParams, material_b: MaterialPar
 def difference_free_energy_exact(material_a: MaterialParams, material_b: MaterialParams,
                                  T: float, d: float, cfg: EngineConfig,
                                  extent: int | None = None,
-                                 g: str = "matsubara") -> FreeEnergyResult:
-    """F_n - F_s summed in ascending l, eV/nm^2, on the production terms and
-    g, fetched a block of l at a time, and totalled by math.fsum.
+                                 g: str = "matsubara", quad=ladder_terms) -> FreeEnergyResult:
+    """F_n - F_s summed in ascending l, eV/nm^2, on quad's terms and the
+    production g, fetched a block of l at a time, and totalled by math.fsum.
     g="energy_integral" takes slab b's g from mattis_bardeen_g at the block's
     xi_l in place of the engine's g_matsubara.
 
@@ -261,7 +340,7 @@ def difference_free_energy_exact(material_a: MaterialParams, material_b: Materia
     running = err = 0.0
     quiet = 0
     stream = term_stream(lifshitz._diff_log, params, T, d, cfg,
-                         extent or max(full_series_extent(T, d), l_cap))
+                         extent or max(full_series_extent(T, d), l_cap), quad)
     for l, (sl, el) in enumerate(stream, start=1):
         summed.append(sl)
         running += sl

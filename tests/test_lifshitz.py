@@ -23,11 +23,13 @@ from casimir_sc.quadrature import adaptive_quad
 from casimir_sc.sc_state import shifted_tc
 
 from oracles import (
+    FINE_RULE,
     ZETA3,
     difference_free_energy_exact,
     fresnel_mpmath,
     full_series_extent,
     ideal_casimir_energy,
+    ladder_integrate,
     lifshitz_trapezoid,
     normal_free_energy_exact,
     superconducting_free_energy_direct,
@@ -274,13 +276,14 @@ def test_block_size_does_not_change_series(monkeypatch):
 
 @pytest.mark.parametrize("rows", [1, 7])
 def test_pass_size_does_not_change_series(monkeypatch, rows):
-    """Each rung integrates its rows in passes of _PASS_NODES nodes; passes
-    of one or of seven first-rung rows must not move a single bit of F_n or
-    of the difference series, nor their terms_used."""
+    """The rows of each layout are integrated in passes of _PASS_NODES nodes,
+    and so are the panels that rows bisect; passes of one or of seven rows of
+    the 60-node layout must not move a single bit of F_n or of the
+    difference series, nor their terms_used."""
     diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
     fn = free_energy(GOLD, LEAD, T200, 70.0, CFG)
     monkeypatch.setattr(lifshitz_mod, "_PASS_NODES",
-                        rows * lifshitz_mod._LADDER[0].nodes.size)
+                        rows * lifshitz_mod._RULES[0].nodes.size)
     assert free_energy_difference(GOLD, LEAD, T200, 70.0, CFG) == diff
     assert free_energy(GOLD, LEAD, T200, 70.0, CFG) == fn
 
@@ -312,68 +315,75 @@ def _block_to_255(field_oe):
             CFG.rel_tol_quadrature)
 
 
+def _one_pass(integrand, yl, params):
+    """(integral, error) of each row on its layout's rule, with no bisection."""
+    vals, errs = np.empty(yl.size), np.empty(yl.size)
+    layout = lifshitz_mod._layout(yl)
+    for k, rule in enumerate(lifshitz_mod._RULES):
+        rows = layout == k
+        if not rows.any():
+            continue
+        col = yl[rows, None]
+        q, e = rule.integrate(integrand(col + rule.nodes, col, *(p[rows, None] for p in params)))
+        vals[rows], errs[rows] = q.sum(axis=-1), e.sum(axis=-1)
+    return vals, errs
+
+
 @pytest.mark.parametrize("field_oe", [200.0, 775.0])
 def test_fine_pass_rows_are_accurate(monkeypatch, field_oe):
-    """Every row of a block that the 6-panel rule flags is served from a finer
-    rung of the ladder, the rows that used to fall back to adaptive_quad
-    included, within rel 1e-9 of a 1e-14 adaptive integral and with an error
-    estimate that bounds the deviation.  The other rows keep the first rung's
-    bits, and the flagged rows the bisected rule accepts keep its bits.  The
-    block is l = 1 .. 255: at 775 Oe the rows that the bisected rule accepts
-    lie past the head's first block, l < _HEAD."""
+    """Every row of a block that its layout's rule flags is bisected until it
+    meets its tolerance, within rel 1e-9 of a 1e-14 adaptive integral and
+    with an error estimate that bounds the deviation.  The other rows keep
+    the first pass's bits.  The block is l = 1 .. 255, the first block of
+    the series with l < _HEAD and the next 128 terms."""
     integrand, yl, params, rel_tol = _block_to_255(field_oe)
     first = _first_block(monkeypatch, field_oe)
     assert np.array_equal(first[1], yl[:first[1].size])
     assert all(np.array_equal(a, b[:a.size]) for a, b in zip(first[2], params))
-    vals, errs = lifshitz_mod._integrate(lifshitz_mod._LADDER[0], integrand, yl, params)
-    flagged = ~lifshitz_mod._accepted(vals, errs, rel_tol)
-    fine, fine_errs = lifshitz_mod._integrate(lifshitz_mod._LADDER[1], integrand, yl, params)
-    ok1 = flagged & lifshitz_mod._accepted(fine, fine_errs, rel_tol)
-    assert ok1.any()
-    assert (flagged & ~ok1).any()
+    vals, errs = _one_pass(integrand, yl, params)
+    flagged = lifshitz_mod._short(vals, errs, rel_tol)
+    assert flagged.any()
     served, served_errs = lifshitz_mod._terms(integrand, yl, params, rel_tol)
     assert np.array_equal(served[~flagged], vals[~flagged])
     assert np.array_equal(served_errs[~flagged], errs[~flagged])
-    assert np.array_equal(served[ok1], fine[ok1])
-    assert np.array_equal(served_errs[ok1], fine_errs[ok1])
+    edges = [rule.edges for rule in lifshitz_mod._RULES]
     for i in np.flatnonzero(flagged):
         row = [p[i] for p in params]
         ref, _ = adaptive_quad(lambda z: integrand(yl[i] + z, yl[i], *row),
                                0.0, lifshitz_mod._Y_CUT, rel_tol=1e-14, abs_tol=1e-300,
-                               breakpoints=lifshitz_mod._Y_SPLITS[1:-1], max_panels=4000)
+                               breakpoints=edges[lifshitz_mod._layout(yl[i:i + 1])[0]][1:-1],
+                               max_panels=4000)
         deviation = abs(served[i] - ref)
         assert deviation <= 1e-9 * abs(ref)
         assert served_errs[i] >= deviation
 
 
-@pytest.mark.parametrize("field_oe, terms_used, delta_f_fn, fallbacks",
-                         [(200.0, 367, 18.580427126530353, 36),
-                          (775.0, 445, 56.77679086961815, 142)], ids=["200.0", "775.0"])
-def test_fine_pass_keeps_series(monkeypatch, field_oe, terms_used, delta_f_fn,
-                                fallbacks):
-    """The rule ladder leaves the 70 nm series where the per-row adaptive
-    refinement had it and makes no adaptive_quad call.  The rows that the
-    bisected rule leaves short reach the third rung: at 200 Oe all 36 lie in
-    the exactly summed head, at 775 Oe 127 of the 142 do."""
+@pytest.mark.parametrize("field_oe, terms_used, delta_f_fn, refined",
+                         [(200.0, 367, 18.580427126530353, 48),
+                          (775.0, 445, 56.77679086961815, 68)], ids=["200.0", "775.0"])
+def test_fine_pass_keeps_series(monkeypatch, field_oe, terms_used, delta_f_fn, refined):
+    """The one-pass layouts leave the 70 nm series where the per-row adaptive
+    refinement had it and make no adaptive_quad call.  Of the 366 and 444
+    terms, the 48 and 68 rows that their first pass leaves short are
+    bisected."""
     calls = []
-    beyond_fine = []
+    bisected = []
     adaptive = lifshitz_mod.adaptive_quad
-    integrate = lifshitz_mod._integrate
+    bisect_rows = lifshitz_mod.bisect_rows
 
     def count(*args, **kwargs):
         calls.append(args)
         return adaptive(*args, **kwargs)
 
-    def record(rule, integrand, yl, params):
-        if rule is lifshitz_mod._LADDER[2]:
-            beyond_fine.append(yl.size)
-        return integrate(rule, integrand, yl, params)
+    def record(f, tol, vals, errs, pending, *args):
+        bisected.append(sum(rows.size for rows, _, _, _ in pending))
+        return bisect_rows(f, tol, vals, errs, pending, *args)
 
     monkeypatch.setattr(lifshitz_mod, "adaptive_quad", count)
-    monkeypatch.setattr(lifshitz_mod, "_integrate", record)
+    monkeypatch.setattr(lifshitz_mod, "bisect_rows", record)
     res = delta_force_pfa(GOLD, LEAD, 150.0, shifted_tc(LEAD, field_oe), 70.0, CFG)
     assert not calls
-    assert sum(beyond_fine) == fallbacks
+    assert sum(bisected) == refined
     assert res.terms_used == terms_used
     assert res.delta_f_fn == pytest.approx(delta_f_fn, rel=1e-12, abs=0)
 
@@ -383,8 +393,9 @@ def test_fine_pass_keeps_series(monkeypatch, field_oe, terms_used, delta_f_fn,
                           (1000.0, 1.0, 1.0, 333, 0.5115448757204183)],
                          ids=["10.5-7.0-10000.0", "1000.0-1.0-1.0"])
 def test_ladder_keeps_series_at_domain_edges(d, T, rrr_pb, terms_used, delta_f_fn):
-    """Near the smallest gap and at a large one the ladder and the stride keep
-    the series that per-row adaptive refinement gave, summed term by term."""
+    """Near the smallest gap and at a large one the one-pass layouts and the
+    stride keep the series that per-row adaptive refinement gave, summed
+    term by term."""
     lead = replace(LEAD, rrr=rrr_pb)
     res = delta_force_pfa(GOLD, lead, 150.0, T, d, CFG)
     assert res.terms_used == terms_used
@@ -406,8 +417,8 @@ def test_terms_meet_tolerance_to_double_resolution(monkeypatch, rel_tol):
 
 
 def test_terms_raise_on_unconverged_row():
-    """A row that no rung of the ladder accepts raises ConvergenceError
-    naming its y_l; the other rows do not hide it."""
+    """A row that bisection cannot bring to its tolerance raises
+    ConvergenceError naming its y_l; the other rows do not hide it."""
     yl = np.array([0.5, 1.25, 2.0])
 
     def integrand(y, yl_col):
@@ -458,7 +469,7 @@ def test_difference_stops_where_ascending_sum_stops(T, d, rrr_pb):
         warnings.simplefilter("error")
         diff = free_energy_difference(GOLD, lead, T, d, CFG)
     assert math.isfinite(diff.error_estimate)
-    exact = difference_free_energy_exact(GOLD, lead, T, d, CFG)
+    exact = difference_free_energy_exact(GOLD, lead, T, d, CFG, quad=lifshitz_mod._terms)
     assert diff.value == pytest.approx(exact.value, rel=1e-12, abs=0.0)
 
 
@@ -528,7 +539,7 @@ def test_strided_full_series_matches_exact_sum(field_oe):
     not adapt stays 8.6e-14 off)."""
     T = shifted_tc(LEAD, field_oe)
     fn = free_energy(GOLD, LEAD, T, 70.0, CFG)
-    exact = normal_free_energy_exact(GOLD, LEAD, T, 70.0, CFG)
+    exact = normal_free_energy_exact(GOLD, LEAD, T, 70.0, CFG, quad=lifshitz_mod._terms)
     assert fn.value == pytest.approx(exact, rel=1e-12, abs=0.0)
     assert fn.error_estimate >= abs(fn.value - exact)
     tight = free_energy(GOLD, LEAD, T, 70.0, replace(CFG, rel_tol_series=1e-13))
@@ -542,10 +553,10 @@ def test_stride_one_series_match_ascending_sums():
     configuration to 1e-15."""
     cfg = replace(CFG, rel_tol_series=1e-16)
     fn = free_energy(GOLD, LEAD, T200, 70.0, cfg)
-    assert fn.value == pytest.approx(normal_free_energy_exact(GOLD, LEAD, T200, 70.0, cfg),
-                                     rel=1e-15, abs=0.0)
+    exact = normal_free_energy_exact(GOLD, LEAD, T200, 70.0, cfg, quad=lifshitz_mod._terms)
+    assert fn.value == pytest.approx(exact, rel=1e-15, abs=0.0)
     diff = free_energy_difference(GOLD, LEAD, T200, 70.0, cfg)
-    exact = difference_free_energy_exact(GOLD, LEAD, T200, 70.0, cfg)
+    exact = difference_free_energy_exact(GOLD, LEAD, T200, 70.0, cfg, quad=lifshitz_mod._terms)
     assert diff.value == pytest.approx(exact.value, rel=1e-15, abs=0.0)
 
 
@@ -588,6 +599,36 @@ def test_error_estimates_bound_refinement_on_every_sweep_row():
             refined = series(GOLD, LEAD, T, d, finer)
             assert res.error_estimate >= abs(res.value - refined.value), \
                 (series.__name__, field_oe, d)
+
+
+def test_term_estimates_bound_error_on_every_sweep_term(monkeypatch):
+    """Every term integral of F_n - F_s and of F_n at the 58 rows of the
+    default field and gap sweeps, and at three edges of the domain (10.5 nm
+    at 7 K with RRR 1e4, 1,000 nm at 1 K, 70 nm at 0.1 K), meets
+    rel_tol_quadrature with an error estimate at least its distance to the
+    3,840-node rule of oracles.FINE_RULE: 46,706 rows, with the smallest
+    ratio of estimate to distance 375."""
+    calls = []
+    terms = lifshitz_mod._terms
+
+    def record(integrand, yl, params, rel_tol):
+        vals, errs = terms(integrand, yl, params, rel_tol)
+        calls.append((integrand, yl, params, rel_tol, vals, errs))
+        return vals, errs
+
+    monkeypatch.setattr(lifshitz_mod, "_terms", record)
+    points = ([(LEAD, shifted_tc(LEAD, h), d) for h, d in ROW_POINTS[:58]]
+              + [(replace(LEAD, rrr=1e4), 7.0, 10.5), (LEAD, 1.0, 1000.0), (LEAD, 0.1, 70.0)])
+    for lead, T, d in points:
+        free_energy_difference(GOLD, lead, T, d, CFG)
+        free_energy(GOLD, lead, T, d, CFG)
+    for integrand, yl, params, rel_tol, vals, errs in calls:
+        assert not lifshitz_mod._short(vals, errs, rel_tol).any()
+        for first in range(0, yl.size, 16):
+            c = slice(first, first + 16)
+            ref, _ = ladder_integrate(FINE_RULE, integrand, yl[c], tuple(p[c] for p in params))
+            distance = np.abs(vals[c] - ref)
+            assert np.all(errs[c] >= distance), (integrand.__name__, yl[c][errs[c] < distance])
 
 
 @pytest.mark.parametrize("T, d", [(0.1, 70.0), (1.0, 10.5)])

@@ -6,11 +6,16 @@ import pytest
 from casimir_sc import lifshitz
 from casimir_sc.errors import ConvergenceError
 from casimir_sc.quadrature import (
+    _RULE_NULL,
+    _XK,
     CompositeKronrod,
+    _k15_null,
     adaptive_quad,
     exp_tail_quad,
     kronrod_panel,
 )
+
+from oracles import LADDER
 
 
 def test_kronrod_exact_on_polynomial():
@@ -23,26 +28,58 @@ def test_composite_integrates_each_row():
     rule = CompositeKronrod((0.0, 0.5, 1.5, 4.0))
     scales = np.array([1e-6, 1.0, 3.0, 1e4])
     vals, errs = rule.integrate(scales[:, None] * np.exp(-rule.nodes))
-    assert vals == pytest.approx(scales * (1.0 - math.exp(-4.0)), rel=1e-13)
-    assert np.all(errs <= 1e-10 * scales)
+    assert vals.shape == errs.shape == (4, 3)
+    assert vals.sum(axis=-1) == pytest.approx(scales * (1.0 - math.exp(-4.0)), rel=1e-13)
+    assert np.all(errs.sum(axis=-1) <= 1e-10 * scales)
 
 
-_RUNG_IDS = ["", "fine-"] + [f"rung{k}-" for k in range(2, len(lifshitz._LADDER))]
+def test_null_rules_vanish_below_their_degree():
+    """Row k of the null rules, N_{8+k}, gives 0 on x^j for j < 8 + k and
+    not on x^{8+k}; a polynomial of degree 8 has a zero estimate."""
+    for k in range(1, 7):
+        powers = _XK[:, None] ** np.arange(9 + k)
+        moments = _RULE_NULL[k] @ powers
+        assert np.all(np.abs(moments[:-1]) < 1e-15)
+        assert abs(moments[-1]) > 1e-4
+    coeffs = np.arange(1.0, 10.0)
+    y = (_XK[:, None] ** np.arange(coeffs.size)) @ coeffs
+    val, err = _k15_null(np.vstack([y, y]), np.ones(2))
+    assert err[0] == err[1] == 0.0
+    assert val[0] == pytest.approx(sum(2.0 * c / (j + 1) for j, c in enumerate(coeffs)
+                                       if j % 2 == 0), rel=1e-14)
+
+
+_RULE_IDS = ([(f"layout{k}-", rule) for k, rule in enumerate(lifshitz._RULES)]
+             + list(zip(["", "fine-"] + [f"rung{k}-" for k in range(2, len(LADDER))], LADDER)))
 
 
 @pytest.mark.parametrize("rule, batch", [
     pytest.param(rule, batch, id=f"{prefix}{batch}")
-    for prefix, rule in zip(_RUNG_IDS, lifshitz._LADDER)
+    for prefix, rule in _RULE_IDS
     for batch in (1, 2, 3, 7, 128, 255, 256, 300)])
 def test_engine_composite_is_batch_invariant(rule, batch):
-    """Each row of a batch gets the bits of a one-row call, on every rung of
-    the engine's rule ladder, so the Matsubara series cannot depend on how
-    its terms are split into blocks and refinement passes."""
+    """Each row of a batch gets the bits of a one-row call, on every layout of
+    the engine's term integrals and on every rung of the reference ladder
+    (oracles.LADDER), so neither the Matsubara series nor the summation
+    references can depend on how their terms are split into blocks and
+    passes."""
     rows = np.random.default_rng(batch).standard_normal((batch, rule.nodes.size))
     vals, errs = rule.integrate(rows)
     for i in range(batch):
         val, err = rule.integrate(rows[i:i + 1])
-        assert vals[i] == val[0] and errs[i] == err[0]
+        assert np.array_equal(vals[i], val[0]) and np.array_equal(errs[i], err[0])
+
+
+@pytest.mark.parametrize("batch", [2, 3, 7, 128, 384])
+def test_bisected_panels_are_batch_invariant(batch):
+    """Each panel of a pass of bisected panels gets the bits of a one-panel
+    call."""
+    y = np.random.default_rng(batch).standard_normal((batch, _XK.size))
+    halves = np.linspace(0.5, 2.0, batch)
+    vals, errs = _k15_null(y, halves)
+    for i in range(batch):
+        val, err = _k15_null(y[i], halves[i])
+        assert vals[i] == val and errs[i] == err
 
 
 def test_adaptive_smooth():

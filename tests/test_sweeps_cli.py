@@ -1251,6 +1251,33 @@ def test_package_import_leaves_numpy_unloaded():
     assert 0.0 < float(ratio) < 1.0
 
 
+@pytest.mark.parametrize("args", [["point"], ["sweep-gap", "--no-full", "--points", "2"]])
+def test_runs_leave_numpy_ma_and_polynomial_unloaded(args):
+    """numpy.ma and numpy.polynomial each add to every run's start-up and
+    peak memory; neither is loaded by a point or a sweep."""
+    out = _python("-c", "import sys\nfrom casimir_sc.cli import main\nmain(sys.argv[1:])\n"
+                        "print('numpy.ma' in sys.modules, 'numpy.polynomial' in sys.modules)",
+                  *args)
+    assert out.splitlines()[-1] == "False False"
+
+
+def test_gap_sweep_integrand_node_count(monkeypatch, capsys):
+    """The benchmark's gap sweep evaluates the integrand at most 187,000
+    times (169,620 seen); the rule ladder took 373,980."""
+    nodes = []
+    diff_log = lifshitz_mod._diff_log
+
+    def count(y, *args):
+        nodes.append(y.size)
+        return diff_log(y, *args)
+
+    monkeypatch.setattr(lifshitz_mod, "_diff_log", count)
+    assert cli_main(["sweep-gap", "--no-full", "--field-oe", "200", "--start", "41",
+                     "--stop", "186", "--points", "6"]) == 0
+    assert "rows_converged=6/6" in capsys.readouterr().out
+    assert sum(nodes) <= 187_000
+
+
 @pytest.mark.parametrize("env, want", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
 def test_cli_import_runs_blas_on_one_thread_unless_set(env, want):
     out = _python("-c", "import os, sys, casimir_sc.cli\n"
