@@ -30,7 +30,7 @@ from .materials import MaterialParams, default_gap, drude_eps, eps_bcs, g_matsub
 # Unused here, but module attributes that perfbench/trace_child.py wraps by name.
 from .materials import g_on_matsubara_grid  # noqa: F401
 from .quadrature import adaptive_quad  # noqa: F401
-from .quadrature import CompositeKronrod, _short, bisect_rows
+from .quadrature import _short, bisect_rows, k15_panels
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,8 @@ class DeltaForceResult:
 def _fresnel(eps, y, yl):
     """(r_te, r_tm) in scaled variables for permittivity eps at y_l."""
     w = np.sqrt(y * y + (eps - 1.0) * yl * yl)
-    return (y - w) / (y + w), (eps * y - w) / (eps * y + w)
+    ey = eps * y
+    return (y - w) / (y + w), (ey - w) / (ey + w)
 
 
 def _pair_log(y, yl, eps_a, eps_b):
@@ -106,15 +107,16 @@ def _diff_log(y, yl, eps_a, eps_n, eps_s):
     """Cancellation-free integrand of the (normal - superconducting) term."""
     rte_a, rtm_a = _fresnel(eps_a, y, yl)
     d_eps = eps_s - eps_n
-    yl2 = yl * yl
-    w_n = np.sqrt(y * y + (eps_n - 1.0) * yl2)
-    w_s = np.sqrt(y * y + (eps_s - 1.0) * yl2)
-    dw = d_eps * yl2 / (w_s + w_n)
-    rte_s = (y - w_s) / (y + w_s)
-    rtm_s = (eps_s * y - w_s) / (eps_s * y + w_s)
-    d_rte = 2.0 * y * dw / ((y + w_n) * (y + w_s))            # rte_n - rte_s
-    d_rtm = (2.0 * y * d_eps * (eps_n * yl2 / (w_s + w_n) - w_n)
-             / ((eps_n * y + w_n) * (eps_s * y + w_s)))       # rtm_n - rtm_s
+    yl2, yy, y2 = yl * yl, y * y, 2.0 * y
+    w_n = np.sqrt(yy + (eps_n - 1.0) * yl2)
+    w_s = np.sqrt(yy + (eps_s - 1.0) * yl2)
+    w_sum, y_ws, ey_s = w_s + w_n, y + w_s, eps_s * y
+    ey_ws = ey_s + w_s
+    rte_s = (y - w_s) / y_ws
+    rtm_s = (ey_s - w_s) / ey_ws
+    d_rte = y2 * (d_eps * yl2 / w_sum) / ((y + w_n) * y_ws)             # rte_n - rte_s
+    d_rtm = (y2 * d_eps * (eps_n * yl2 / w_sum - w_n)
+             / ((eps_n * y + w_n) * ey_ws))                            # rtm_n - rtm_s
     damp = np.exp(-y)
     arg_te = rte_a * d_rte * damp / (1.0 - rte_a * rte_s * damp)
     arg_tm = rtm_a * d_rtm * damp / (1.0 - rtm_a * rtm_s * damp)
@@ -132,8 +134,10 @@ _WIDE = (1.0, 2.5, 5.0, 10.0, 20.0, _Y_CUT)
 _LAYOUTS = ((2.0, (0.0, 3.0, 8.0, 18.0, _Y_CUT)), (0.5, (0.0, 1.5, 4.0, 10.0, 22.0, _Y_CUT)),
             *((floor, (0.0, *(4.0 ** -j for j in range(k, 0, -1)), *_WIDE))
               for k, floor in enumerate((0.09, 0.01, 0.0025, 0.0), start=1)))
-_RULES = tuple(CompositeKronrod(edges) for _, edges in _LAYOUTS)
 _FLOORS = np.array([floor for floor, _ in _LAYOUTS[-2::-1]])   # all but 0, ascending
+_PANELS = np.array([len(edges) - 1 for _, edges in _LAYOUTS])
+# The layouts' edges as rows, each padded with _Y_CUT to the longest.
+_EDGES = np.array([edges + (_Y_CUT,) * (_PANELS.max() + 1 - len(edges)) for _, edges in _LAYOUTS])
 # Nodes per integrand pass: each temporary of _diff_log holds 30 KiB, and the
 # allocator keeps it for the next pass.  Passes of 5,760 nodes ran no faster
 # and raised the benchmark's peak RSS by 0.1 MB; from about 6,500 nodes on,
@@ -143,43 +147,42 @@ _PASS_NODES, _ROUNDS = 3840, 60
 
 
 def _layout(yl: np.ndarray) -> np.ndarray:
-    """Index into _RULES of each y_l's layout."""
+    """Index into _LAYOUTS of each y_l's layout."""
     return _FLOORS.size - np.searchsorted(_FLOORS, yl, side="right")
 
 
 def _terms(integrand, yl: np.ndarray, params: tuple, rel_tol: float):
     """(integral, error) arrays of int_{yl}^{yl+Y_CUT} integrand dy, one entry per row.
 
-    Each row is integrated once on the rule of its y_l's layout, in passes of
-    at most _PASS_NODES nodes (at least one row).  A row whose summed
-    null-rule estimate misses rel_tol (at least double resolution) times its
-    value has its panels bisected (bisect_rows).  A row's bits follow from
-    its own y_l and parameters, so the split into blocks and passes cannot
-    move a value.  A row that does not converge raises ConvergenceError,
-    even one the sum never uses.
+    Each row is integrated once on the composite K15 panels of its y_l's
+    layout, all rows' panels together in passes of at most _PASS_NODES
+    nodes.  A row whose summed null-rule estimate misses rel_tol (at least
+    double resolution) times its value has its panels bisected
+    (bisect_rows).  A row's bits follow from its own y_l and parameters, so
+    the split into blocks and passes cannot move a value.  A row that does
+    not converge raises ConvergenceError, even one the sum never uses.
     """
     tol = max(rel_tol, np.finfo(float).eps)
-    vals, errs = np.empty(yl.size), np.empty(yl.size)
-    layout, pending = _layout(yl), []
+    layout = _layout(yl)
+    count = _PANELS[layout]
+    first = np.cumsum(count) - count
+    row = np.repeat(np.arange(yl.size), count)
+    lay, j = layout[row], np.arange(row.size) - first[row]      # panel j of its row
+    a, b = _EDGES[lay, j], _EDGES[lay, j + 1]
 
     def f(r, u):
         return integrand(yl[r] + u, yl[r], *(p[r] for p in params))
 
-    for k, rule in enumerate(_RULES):
-        rows = np.flatnonzero(layout == k)
-        step = max(1, _PASS_NODES // rule.nodes.size)
-        for first in range(0, rows.size, step):
-            part = rows[first:first + step]
-            q, e = rule.integrate(f(part[:, None], rule.nodes))
-            vals[part], errs[part] = q.sum(axis=-1), e.sum(axis=-1)
-            short = _short(vals[part], errs[part], tol)
-            if short.any():
-                pending.append((part[short], rule.edges, q[short], e[short]))
-    bad = bisect_rows(f, tol, vals, errs, pending, _PASS_NODES, _ROUNDS) if pending else None
-    if bad is not None:
-        raise ConvergenceError(f"wavevector integral at y_l = {yl[bad]:.6g} is not finite "
-                               f"or missed the tolerance after {_ROUNDS} bisection rounds",
-                               error_estimate=float(errs[bad]))
+    q, err = k15_panels(f, row, a, b, _PASS_NODES)
+    vals, errs = np.add.reduceat(q, first), np.add.reduceat(err, first)
+    short = _short(vals, errs, tol)[row]
+    if short.any():
+        bad = bisect_rows(f, tol, vals, errs, (row[short], a[short], b[short], q[short],
+                                               err[short]), _PASS_NODES, _ROUNDS)
+        if bad is not None:
+            raise ConvergenceError(f"wavevector integral at y_l = {yl[bad]:.6g} is not finite "
+                                   f"or missed the tolerance after {_ROUNDS} bisection rounds",
+                                   error_estimate=float(errs[bad]))
     return vals, errs
 
 

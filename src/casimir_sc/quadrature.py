@@ -1,10 +1,10 @@
 """Gauss-Kronrod (G7/K15) quadrature for vectorized integrands.
 
 The program uses the panel rules _k15 (the g column, on its own panels) and
-_k15_null with CompositeKronrod (the Lifshitz terms).  kronrod_panel,
-adaptive_quad and exp_tail_quad (semi-infinite tails by the substitution
-x = a*e^u) serve the tests and the benchmark's tracer, which wraps them by
-name.  Integrands take an ndarray of abscissae and return an ndarray of
+_k15_null (the Lifshitz terms, through k15_panels and bisect_rows).
+CompositeKronrod, kronrod_panel, adaptive_quad and exp_tail_quad
+(semi-infinite tails by the substitution x = a*e^u) serve the tests and the
+benchmark's tracer, which wraps them by name.  Integrands take an ndarray of abscissae and return an ndarray of
 values.
 """
 
@@ -130,21 +130,38 @@ class CompositeKronrod:
     """Fixed composite K15 rule over preset panels, one integrand call.
 
     Integrates every row of a (rows x nodes) array in one vectorized pass and
-    gives each panel's integral and null-rule error estimate (_k15_null).
-    The Lifshitz terms start on one of these rules, picked by y_l, and
-    bisect the panels of a row that misses its tolerance; nothing in the
-    program falls back to adaptive_quad.
+    reports each row's summed QUADPACK-style error estimate.  The tests'
+    reference quadrature (a ladder of these rules) and the benchmark's
+    tracer use it; the Lifshitz terms use k15_panels.
     """
 
     def __init__(self, edges: Sequence[float]):
         edges = np.asarray(edges, dtype=float)
-        self.edges = edges
         self._halves = 0.5 * np.diff(edges)
         self.nodes = panel_nodes(edges[:-1], edges[1:]).ravel()
 
     def integrate(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(integrals, error estimates), rows x panels, of values on self.nodes."""
-        return _k15_null(values.reshape(values.shape[0], -1, _XK.size), self._halves)
+        """(integral, error estimate) of each row of values on self.nodes."""
+        y = values.reshape(values.shape[0], self._halves.size, _XK.size)
+        ik, err = _k15(y, self._halves)
+        return ik.sum(axis=-1), err.sum(axis=-1)
+
+
+def k15_panels(f: Callable, row: np.ndarray, a: np.ndarray, b: np.ndarray,
+               pass_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(integrals, null-rule estimates) of the panels [a, b] of rows row.
+
+    f(r, u) gives the integrand of rows r (a column) at nodes u (a row of
+    K15 nodes per panel); it is called on passes of at most pass_nodes
+    nodes (at least one panel).  Each panel's values depend only on its own
+    row and edges.
+    """
+    q, err = np.empty(a.size), np.empty(a.size)
+    step = max(1, pass_nodes // _XK.size)
+    for first in range(0, a.size, step):
+        c = slice(first, first + step)
+        q[c], err[c] = _k15_null(f(row[c, None], panel_nodes(a[c], b[c])), 0.5 * (b[c] - a[c]))
+    return q, err
 
 
 def _short(vals: np.ndarray, errs: np.ndarray, tol: float) -> np.ndarray:
@@ -153,46 +170,35 @@ def _short(vals: np.ndarray, errs: np.ndarray, tol: float) -> np.ndarray:
 
 
 def bisect_rows(f: Callable, tol: float, vals: np.ndarray, errs: np.ndarray,
-                pending: list, pass_nodes: int, rounds: int):
-    """Bisect panels of composite K15 rows until each row meets tol.
+                panels: tuple, pass_nodes: int, rounds: int):
+    """Bisect the panels of rows that miss tol until each row meets it.
 
-    pending holds (rows, edges, panel integrals, panel estimates) of rows
-    that miss tol on their rules; f(r, u) gives the integrand of rows r
-    (a column) at nodes u (one row of nodes per panel).  Each round bisects
+    panels holds (row, a, b, integral, estimate) arrays of the panels of
+    those rows; f and pass_nodes are as for k15_panels.  Each round bisects
     every panel whose estimate exceeds its row's goal, tol |value|, over
-    its panel count, as the g column does, and evaluates f on the new
-    panels only, in passes of at most pass_nodes nodes; each row's panels
-    are summed in order of their left edge into vals and errs, in place.
-    Returns None, or a row that is not finite or still misses tol after
-    the last round.
+    its panel count, as the g column does, integrates the new panels only,
+    and writes each row's sums over its panels into vals and errs.  A row's
+    panels keep the order of its own bisections, so its sums do not depend
+    on the other rows.  Returns None, or a row that is not finite or still
+    misses tol after the last round.
     """
-    row = np.concatenate([np.repeat(r, e.size - 1) for r, e, _, _ in pending])
-    a = np.concatenate([np.tile(e[:-1], r.size) for r, e, _, _ in pending])
-    b = np.concatenate([np.tile(e[1:], r.size) for r, e, _, _ in pending])
-    q = np.concatenate([q.ravel() for _, _, q, _ in pending])
-    err = np.concatenate([e.ravel() for _, _, _, e in pending])
-    step = max(1, pass_nodes // _XK.size)
+    row, a, b, q, err = panels
     for _ in range(rounds):
         bad = row[~np.isfinite(vals[row] + errs[row])]
         if bad.size:
             return bad[0]
-        split = err > tol * np.abs(vals[row]) / np.bincount(row)[row]
+        count = np.bincount(row, minlength=vals.size)
+        split = err > tol * np.abs(vals[row]) / count[row]
         keep, mid = ~split, 0.5 * (a[split] + b[split])
         new_row = np.concatenate([row[split], row[split]])
         new_a, new_b = np.concatenate([a[split], mid]), np.concatenate([mid, b[split]])
-        new_q, new_err = np.empty(new_row.size), np.empty(new_row.size)
-        for first in range(0, new_row.size, step):
-            c = slice(first, first + step)
-            new_q[c], new_err[c] = _k15_null(f(new_row[c, None], panel_nodes(new_a[c], new_b[c])),
-                                             0.5 * (new_b[c] - new_a[c]))
+        new_q, new_err = k15_panels(f, new_row, new_a, new_b, pass_nodes)
         row, a, b = (np.concatenate([x[keep], y]) for x, y in
                      ((row, new_row), (a, new_a), (b, new_b)))
         q, err = np.concatenate([q[keep], new_q]), np.concatenate([err[keep], new_err])
-        order = np.lexsort((a, row))
-        row, a, b, q, err = row[order], a[order], b[order], q[order], err[order]
-        starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-        vals[row[starts]] = np.add.reduceat(q, starts)
-        errs[row[starts]] = np.add.reduceat(err, starts)
+        rows = count > 0
+        vals[rows] = np.bincount(row, q, vals.size)[rows]
+        errs[rows] = np.bincount(row, err, vals.size)[rows]
         live = _short(vals, errs, tol)[row]
         row, a, b, q, err = row[live], a[live], b[live], q[live], err[live]
         if not row.size:

@@ -38,7 +38,7 @@ from casimir_sc.errors import ConvergenceError, DomainError
 from casimir_sc.lifshitz import EngineConfig, FreeEnergyResult
 from casimir_sc.materials import (MaterialParams, bcs_gap, default_gap, drude_eps, eps_bcs,
                                   g_matsubara, mattis_bardeen_g)
-from casimir_sc.quadrature import _XK, _k15
+from casimir_sc.quadrature import CompositeKronrod
 
 HBAR_C = 197.3269804
 K_B = 8.617333262e-5
@@ -204,22 +204,6 @@ def full_series_extent(T: float, d: float) -> int:
 # the rule ladder: the term integrals that made tests/summation_references.json
 
 
-class LadderRule:
-    """A composite K15 rule on fixed edges with QUADPACK's scaled |K15 - G7|
-    estimate per row, summed over its panels."""
-
-    def __init__(self, edges):
-        edges = np.asarray(edges, dtype=float)
-        self.halves = 0.5 * np.diff(edges)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        self.nodes = (mids[:, None] + self.halves[:, None] * _XK[None, :]).ravel()
-
-    def integrate(self, values):
-        y = values.reshape(values.shape[0], self.halves.size, _XK.size)
-        ik, err = _k15(y, self.halves)
-        return ik.sum(axis=-1), err.sum(axis=-1)
-
-
 def _ladder(edges: tuple) -> list:
     """Rung 0 is the rule on edges, rung 1 its bisection.  Rungs 2 .. 21 halve
     the first panel in turn, to 2.4e-7; rungs 22 .. 24 bisect all panels, to
@@ -229,7 +213,7 @@ def _ladder(edges: tuple) -> list:
         e = rules[-1]
         new = (0.5 * e[1],) if 1 <= k < 21 else (0.5 * (a + b) for a, b in zip(e, e[1:]))
         rules.append(tuple(sorted({*e, *new})))
-    return [LadderRule(e) for e in rules]
+    return [CompositeKronrod(e) for e in rules]
 
 
 LADDER_SPLITS = (0.0, 0.5, 2.0, 6.0, 14.0, 28.0, lifshitz._Y_CUT)

@@ -276,14 +276,13 @@ def test_block_size_does_not_change_series(monkeypatch):
 
 @pytest.mark.parametrize("rows", [1, 7])
 def test_pass_size_does_not_change_series(monkeypatch, rows):
-    """The rows of each layout are integrated in passes of _PASS_NODES nodes,
-    and so are the panels that rows bisect; passes of one or of seven rows of
-    the 60-node layout must not move a single bit of F_n or of the
-    difference series, nor their terms_used."""
+    """The panels of a block's rows are integrated in passes of _PASS_NODES
+    nodes, and so are the panels that rows bisect; passes of 60 or of 420
+    nodes (one or seven rows of the 4-panel layout) must not move a single
+    bit of F_n or of the difference series, nor their terms_used."""
     diff = free_energy_difference(GOLD, LEAD, T200, 70.0, CFG)
     fn = free_energy(GOLD, LEAD, T200, 70.0, CFG)
-    monkeypatch.setattr(lifshitz_mod, "_PASS_NODES",
-                        rows * lifshitz_mod._RULES[0].nodes.size)
+    monkeypatch.setattr(lifshitz_mod, "_PASS_NODES", rows * 60)
     assert free_energy_difference(GOLD, LEAD, T200, 70.0, CFG) == diff
     assert free_energy(GOLD, LEAD, T200, 70.0, CFG) == fn
 
@@ -315,18 +314,15 @@ def _block_to_255(field_oe):
             CFG.rel_tol_quadrature)
 
 
-def _one_pass(integrand, yl, params):
-    """(integral, error) of each row on its layout's rule, with no bisection."""
-    vals, errs = np.empty(yl.size), np.empty(yl.size)
-    layout = lifshitz_mod._layout(yl)
-    for k, rule in enumerate(lifshitz_mod._RULES):
-        rows = layout == k
-        if not rows.any():
-            continue
-        col = yl[rows, None]
-        q, e = rule.integrate(integrand(col + rule.nodes, col, *(p[rows, None] for p in params)))
-        vals[rows], errs[rows] = q.sum(axis=-1), e.sum(axis=-1)
-    return vals, errs
+def _one_pass(monkeypatch, integrand, yl, params, rel_tol):
+    """(integral, error) of each row on its layout, with no bisection, and
+    the rows handed to the bisection."""
+    bisected = []
+    with monkeypatch.context() as m:
+        m.setattr(lifshitz_mod, "bisect_rows",
+                  lambda f, tol, vals, errs, panels, *args: bisected.extend(panels[0].tolist()))
+        vals, errs = lifshitz_mod._terms(integrand, yl, params, rel_tol)
+    return vals, errs, sorted(set(bisected))
 
 
 @pytest.mark.parametrize("field_oe", [200.0, 775.0])
@@ -340,13 +336,14 @@ def test_fine_pass_rows_are_accurate(monkeypatch, field_oe):
     first = _first_block(monkeypatch, field_oe)
     assert np.array_equal(first[1], yl[:first[1].size])
     assert all(np.array_equal(a, b[:a.size]) for a, b in zip(first[2], params))
-    vals, errs = _one_pass(integrand, yl, params)
+    vals, errs, bisected = _one_pass(monkeypatch, integrand, yl, params, rel_tol)
     flagged = lifshitz_mod._short(vals, errs, rel_tol)
     assert flagged.any()
+    assert np.flatnonzero(flagged).tolist() == bisected
     served, served_errs = lifshitz_mod._terms(integrand, yl, params, rel_tol)
     assert np.array_equal(served[~flagged], vals[~flagged])
     assert np.array_equal(served_errs[~flagged], errs[~flagged])
-    edges = [rule.edges for rule in lifshitz_mod._RULES]
+    edges = [e for _, e in lifshitz_mod._LAYOUTS]
     for i in np.flatnonzero(flagged):
         row = [p[i] for p in params]
         ref, _ = adaptive_quad(lambda z: integrand(yl[i] + z, yl[i], *row),
@@ -375,9 +372,9 @@ def test_fine_pass_keeps_series(monkeypatch, field_oe, terms_used, delta_f_fn, r
         calls.append(args)
         return adaptive(*args, **kwargs)
 
-    def record(f, tol, vals, errs, pending, *args):
-        bisected.append(sum(rows.size for rows, _, _, _ in pending))
-        return bisect_rows(f, tol, vals, errs, pending, *args)
+    def record(f, tol, vals, errs, panels, *args):
+        bisected.append(len(set(panels[0].tolist())))
+        return bisect_rows(f, tol, vals, errs, panels, *args)
 
     monkeypatch.setattr(lifshitz_mod, "adaptive_quad", count)
     monkeypatch.setattr(lifshitz_mod, "bisect_rows", record)
