@@ -59,27 +59,40 @@ def _k15(y: np.ndarray, halves) -> tuple[np.ndarray, np.ndarray]:
     return ik, resasc * np.minimum(1.0, (200.0 * err / (resasc + flat)) ** 1.5) + err * flat
 
 
-def _null_rules() -> np.ndarray:
-    """Rows: the K15 weights, then the null rules N_9 .. N_14.
-
-    N_k = sqrt(2) w p_k(x), with p_k the degree-k polynomial orthonormal
-    under the K15 weights w on the K15 nodes x, gives 0 on every polynomial
-    of degree below k and has the K15 rule's norm, sum N_k^2/w = sum w = 2
-    (Berntsen and Espelid, ACM TOMS 17, 1991).  Stieltjes' recurrence gives
-    the p_k; the nodes are symmetric, so it has no shift.
-    """
-    rules = [_WK]
-    p_prev, p, b = np.zeros(_XK.size), np.full(_XK.size, 1.0 / np.sqrt(_WK.sum())), 0.0
-    for k in range(1, _XK.size):
-        q = _XK * p - b * p_prev
-        b = np.sqrt((_WK * q * q).sum())
-        p_prev, p = p, q / b
-        if k >= 9:
-            rules.append(np.sqrt(2.0) * _WK * p)
-    return np.array(rules)
-
-
-_RULE_NULL = _null_rules()
+# Null rules N_9 .. N_14 on the K15 nodes (Berntsen and Espelid, ACM TOMS 17,
+# 1991).  N_k = sqrt(2) w p_k(x), with p_k the degree-k polynomial orthonormal
+# under the K15 weights w on the K15 nodes x, gives 0 on every polynomial of
+# degree below k and has the K15 rule's norm, sum N_k^2/w = sum w = 2.  The
+# values come from Stieltjes' recurrence; test_quadrature rebuilds them.  A
+# table, not the recurrence, keeps numpy work out of the import.
+_RULE_NULL = np.array([
+    _WK.tolist(),
+    [-0.06500433752539404, 0.0762837705464769, 0.08325155892448158, -0.19257802549158667,
+     0.06750777575778681, 0.16630538007727472, -0.21277290446878774, 0.0,
+     0.21277290446878774, -0.16630538007727472, -0.06750777575778681, 0.19257802549158667,
+     -0.08325155892448158, -0.0762837705464769, 0.06500433752539404],
+    [0.061132914279868104, -0.10436085581603145, 0.0006961682486029897,
+     0.15515729226746755, -0.20218028232723756, 0.07044536652702008, 0.13723043080569616,
+     -0.2362420679707714, 0.13723043080569616, 0.07044536652702008, -0.20218028232723756,
+     0.15515729226746755, 0.0006961682486029897, -0.10436085581603145,
+     0.061132914279868104],
+    [-0.056077345744298644, 0.12159431461780763, -0.08447260066175562,
+     -0.03725020011325171, 0.16922315776771207, -0.22346226549231155, 0.1558492813062053,
+     -0.0, -0.1558492813062053, 0.22346226549231155, -0.16922315776771207,
+     0.03725020011325171, 0.08447260066175562, -0.12159431461780763, 0.056077345744298644],
+    [0.04919438518258887, -0.12430722566566853, 0.1430742038362807, -0.0984606402882604,
+     0.003965449691284733, 0.10907718079695913, -0.19888095526837635, 0.2326752034303838,
+     -0.19888095526837635, 0.10907718079695913, 0.003965449691284733, -0.0984606402882604,
+     0.1430742038362807, -0.12430722566566853, 0.04919438518258887],
+    [-0.03910952399164146, 0.10837811119872681, -0.15587355266997888, 0.17734199506206857,
+     -0.17035921572608617, 0.13365558230166744, -0.0730582880637013, 0.0,
+     0.0730582880637013, -0.13365558230166744, 0.17035921572608617, -0.17734199506206857,
+     0.15587355266997888, -0.10837811119872681, 0.03910952399164146],
+    [0.022879882406197195, -0.06623238768925759, 0.10453671033773, -0.13871601287541913,
+     0.16859620587941965, -0.19101662538787423, 0.20393878170660582, -0.20797310875480288,
+     0.20393878170660582, -0.19101662538787423, 0.16859620587941965, -0.13871601287541913,
+     0.10453671033773, -0.06623238768925759, 0.022879882406197195],
+])
 # A null-rule pair at or below this multiple of eps |panel integral| reads only
 # rounding; and the estimate's constants: its factor, the decay ratio that
 # starts its asymptotic branch, and the power of the ratio there.

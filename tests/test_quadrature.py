@@ -7,6 +7,7 @@ from casimir_sc import lifshitz
 from casimir_sc.errors import ConvergenceError
 from casimir_sc.quadrature import (
     _RULE_NULL,
+    _WK,
     _XK,
     CompositeKronrod,
     _k15_null,
@@ -33,8 +34,19 @@ def test_composite_integrates_each_row():
 
 
 def test_null_rules_vanish_below_their_degree():
-    """Row k of the null rules, N_{8+k}, gives 0 on x^j for j < 8 + k and
-    not on x^{8+k}; a polynomial of degree 8 has a zero estimate."""
+    """Row k of the null rules, N_{8+k}, is sqrt(2) w p_{8+k}(x) from
+    Stieltjes' recurrence for the polynomials orthonormal under the K15
+    weights w on the K15 nodes x (up to sign), gives 0 on x^j for j < 8 + k
+    and not on x^{8+k}; a polynomial of degree 8 has a zero estimate."""
+    p_prev, p, b = np.zeros(_XK.size), np.ones(_XK.size) / math.sqrt(_WK.sum()), 0.0
+    for k in range(1, 15):
+        q = _XK * p - b * p_prev      # symmetric nodes: the recurrence has no shift
+        b = math.sqrt((_WK * q * q).sum())
+        p_prev, p = p, q / b
+        if k >= 9:
+            rule = math.sqrt(2.0) * _WK * p
+            assert np.allclose(_RULE_NULL[k - 8], rule * np.sign(rule @ _RULE_NULL[k - 8]),
+                               rtol=0.0, atol=1e-15)
     for k in range(1, 7):
         powers = _XK[:, None] ** np.arange(9 + k)
         moments = _RULE_NULL[k] @ powers
