@@ -330,8 +330,8 @@ def test_fine_pass_rows_are_accurate(monkeypatch, field_oe):
     """Every row of a block that its layout's rule flags is bisected until it
     meets its tolerance, within rel 1e-9 of a 1e-14 adaptive integral and
     with an error estimate that bounds the deviation.  The other rows keep
-    the first pass's bits.  The block is l = 1 .. 255, the first block of
-    the series with l < _HEAD and the next 128 terms."""
+    the first pass's bits.  The block is l = 1 .. 255, built as
+    free_energy_difference builds its blocks."""
     integrand, yl, params, rel_tol = _block_to_255(field_oe)
     first = _first_block(monkeypatch, field_oe)
     assert np.array_equal(first[1], yl[:first[1].size])
